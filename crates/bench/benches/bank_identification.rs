@@ -26,15 +26,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
+use tsunami_bench::fixtures::smoke_mode;
 use tsunami_core::ScenarioBank;
 use tsunami_linalg::DMatrix;
 use tsunami_stream::identify;
-
-fn smoke_mode() -> bool {
-    std::env::var("BENCH_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 fn bench_identification(c: &mut Criterion) {
     let smoke = smoke_mode();

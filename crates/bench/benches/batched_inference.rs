@@ -13,14 +13,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
+use tsunami_bench::fixtures::smoke_mode;
 use tsunami_core::{DigitalTwin, TwinConfig};
 use tsunami_linalg::DMatrix;
-
-fn smoke_mode() -> bool {
-    std::env::var("BENCH_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 fn bench_batched(c: &mut Criterion) {
     let smoke = smoke_mode();

@@ -37,17 +37,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use tsunami_bench::emit;
+use tsunami_bench::fixtures::smoke_mode;
 use tsunami_core::{DigitalTwin, ScenarioBank, TwinConfig};
 use tsunami_linalg::DMatrix;
 use tsunami_stream::{StreamConfig, StreamEngine};
 
 use rayon::prelude::*;
-
-fn smoke_mode() -> bool {
-    std::env::var("BENCH_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 /// Dispatch-cost A/B: the same tiny bulk op through the persistent pool
 /// and through scoped spawn/join. µs/op either way; the gap is pure

@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 
 pub mod emit;
+pub mod fixtures;
 
 /// A labeled paper-vs-measured comparison row.
 #[derive(Clone, Debug)]

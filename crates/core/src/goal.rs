@@ -11,7 +11,7 @@
 //! shrinks the resident working set per rung from `Nq·Nt × w·Nd` to
 //! `r · (Nq·Nt + w·Nd)` and the online cost per stream to `r`-sized
 //! folds, with an exactly computed Frobenius truncation bound
-//! ([`GoalRung::trunc_bound`]) certifying every forecast against the
+//! ([`Rung::trunc_bound`]) certifying every forecast against the
 //! dense operator: `‖q̂ − q‖₂ ≤ bound · ‖d_w‖₂`.
 //!
 //! Online, a stream never re-reads its window: arriving samples fold
@@ -21,17 +21,25 @@
 //! (uncompressed) ladder keeps `R = I` implicit, so its online products
 //! are *bitwise identical* to [`WindowedForecaster::forecast_batch`] —
 //! the oracle the truncated ranks are validated against.
+//!
+//! The ladder type itself is the shared [`RungLadder`] of
+//! [`crate::ladder`]; this module is the SVD-compression way of building
+//! one.
 
+use crate::ladder::{rung_svd, Rung, RungLadder};
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
 use crate::phase3::Phase3;
-use crate::phase4::ForecastBatch;
 use crate::window::{self, WindowedForecaster};
 use rayon::prelude::*;
-use std::time::Instant;
 use tsunami_linalg::{DMatrix, FactoredMap, SvdOptions};
 
-/// Offline compression knobs for [`GoalLadder::build`].
+/// A [`RungLadder`] built by [`RungLadder::compress`] /
+/// [`RungLadder::from_forecaster`]. The two ladder names are one type;
+/// both stay because the frozen `perf_report` harness spells them.
+pub type GoalLadder = RungLadder;
+
+/// Offline compression knobs for [`RungLadder::compress`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GoalOptions {
     /// Target rank per rung. `None` keeps every rung exact (`R = I`,
@@ -58,44 +66,13 @@ impl GoalOptions {
     }
 }
 
-/// One rung's precomputed data-to-QoI operator in factored form.
-pub struct GoalRung {
-    /// `T_w ≈ L_w R_wᵀ` (exact passthrough when uncompressed).
-    pub map: FactoredMap,
-    /// Exactly computed truncation residual `‖T_w − L_w R_wᵀ‖_F`
-    /// (0 for an exact rung). For any window data `d` the forecast-mean
-    /// error is bounded by `trunc_bound · ‖d‖₂`.
-    pub trunc_bound: f64,
-}
-
-/// The goal-oriented window ladder: per-rung factored data-to-QoI
-/// operators plus the data-independent posterior stds. Built offline
-/// once; online work is folds and small GEMMs only.
-pub struct GoalLadder {
-    /// Window lengths in observation steps, strictly increasing (same
-    /// normalization as [`WindowedForecaster::build`]).
-    pub windows: Vec<usize>,
-    /// Per-rung factored operators, aligned with `windows`.
-    pub rungs: Vec<GoalRung>,
-    /// Per-rung forecast standard deviations `√diag(Γpost(q; w))` —
-    /// identical to the windowed forecaster's.
-    pub q_stds: Vec<Vec<f64>>,
-    /// Number of sensors `Nd` (data entries per observation step).
-    pub nd: usize,
-    /// Exclusive prefix sums of the per-rung fold ranks: rung `i`'s fold
-    /// state lives at `fold_offsets[i] .. fold_offsets[i] + rank_i` in a
-    /// stream's concatenated fold vector; the last entry is the total
-    /// fold length.
-    fold_offsets: Vec<usize>,
-}
-
-impl GoalLadder {
-    /// Precompute the factored ladder from the offline phases. Each
-    /// rung's dense `T_w` is materialized once
+impl RungLadder {
+    /// Precompute the SVD-compressed ladder from the offline phases.
+    /// Each rung's dense `T_w` is materialized once
     /// (`window::rung_operator` — bitwise the windowed forecaster's
     /// operator), compressed, and dropped, so peak memory is a few dense
     /// rungs, not the whole dense ladder.
-    pub fn build(
+    pub fn compress(
         p1: &Phase1,
         p2: &Phase2,
         p3: &Phase3,
@@ -104,14 +81,14 @@ impl GoalLadder {
     ) -> Self {
         let nd = p1.f.out_dim;
         let ws = window::normalize_windows(windows, p1.f.nt);
-        let per_rung: Vec<(GoalRung, Vec<f64>)> = ws
+        let per_rung = ws
             .par_iter()
             .map(|&w| {
                 let (t_w, std) = window::rung_operator(p2, p3, w * nd);
                 (compress_rung(t_w, w, opts), std)
             })
             .collect();
-        Self::assemble(ws, per_rung, nd)
+        Self::assemble(ws, per_rung, nd, None)
     }
 
     /// Compress an already-built windowed forecaster's dense maps into a
@@ -119,7 +96,7 @@ impl GoalLadder {
     /// ladder clones the dense maps, so its online products bit-match
     /// the forecaster's.
     pub fn from_forecaster(wf: &WindowedForecaster, opts: &GoalOptions) -> Self {
-        let per_rung: Vec<(GoalRung, Vec<f64>)> = (0..wf.windows.len())
+        let per_rung = (0..wf.windows.len())
             .into_par_iter()
             .map(|i| {
                 (
@@ -128,94 +105,23 @@ impl GoalLadder {
                 )
             })
             .collect();
-        Self::assemble(wf.windows.clone(), per_rung, wf.nd)
-    }
-
-    fn assemble(windows: Vec<usize>, per_rung: Vec<(GoalRung, Vec<f64>)>, nd: usize) -> Self {
-        let (rungs, q_stds): (Vec<GoalRung>, Vec<Vec<f64>>) = per_rung.into_iter().unzip();
-        let mut fold_offsets = Vec::with_capacity(rungs.len() + 1);
-        let mut off = 0;
-        for r in &rungs {
-            fold_offsets.push(off);
-            off += r.map.rank();
-        }
-        fold_offsets.push(off);
-        GoalLadder {
-            windows,
-            rungs,
-            q_stds,
-            nd,
-            fold_offsets,
-        }
-    }
-
-    /// Index of the widest precomputed window not exceeding `steps`
-    /// (same contract as [`WindowedForecaster::window_for`]).
-    pub fn window_for(&self, steps: usize) -> Option<usize> {
-        self.windows.iter().rposition(|&w| w <= steps)
-    }
-
-    /// Total per-stream fold-state length `Σ_i rank_i`.
-    pub fn fold_len(&self) -> usize {
-        *self.fold_offsets.last().unwrap_or(&0)
-    }
-
-    /// Offset of rung `i`'s fold state in the concatenated fold vector.
-    pub fn fold_offset(&self, i: usize) -> usize {
-        self.fold_offsets[i]
-    }
-
-    /// Forecast-mean error bound at rung `i` for window data of 2-norm
-    /// `d_norm`: `‖q̂ − q‖₂ ≤ trunc_bound · d_norm` against the dense
-    /// windowed forecast.
-    pub fn mean_error_bound(&self, i: usize, d_norm: f64) -> f64 {
-        self.rungs[i].trunc_bound * d_norm
-    }
-
-    /// One-shot goal-oriented forecast of a window-data block (fold +
-    /// materialize) — the reference the streaming engine's incremental
-    /// fold is tested against. `d_window` is `windows[i]·Nd × B`.
-    pub fn forecast_batch(&self, i: usize, d_window: &DMatrix) -> ForecastBatch {
-        let t0 = Instant::now();
-        let k = self.windows[i] * self.nd;
-        assert_eq!(d_window.nrows(), k, "window {i} expects {k} data rows");
-        ForecastBatch {
-            q_map: self.rungs[i].map.apply(d_window),
-            q_std: self.q_stds[i].clone(),
-            seconds: t0.elapsed().as_secs_f64(),
-        }
-    }
-
-    /// Resident elements of the whole factored ladder — compare with
-    /// [`Self::windowed_resident_elems`] for the compression ratio.
-    pub fn resident_elems(&self) -> usize {
-        self.rungs.iter().map(|r| r.map.resident_elems()).sum()
-    }
-
-    /// Resident elements the dense windowed ladder would hold for the
-    /// same rungs (`Σ Nq·Nt × w·Nd`).
-    pub fn windowed_resident_elems(&self) -> usize {
-        let nq = self.q_stds.first().map_or(0, |s| s.len());
-        self.windows.iter().map(|&w| nq * w * self.nd).sum()
+        Self::assemble(wf.windows.clone(), per_rung, wf.nd, None)
     }
 }
 
-/// Compress one rung's dense operator per the options, with a per-rung
-/// SVD seed so rungs draw independent Gaussian test matrices.
-fn compress_rung(t_w: DMatrix, w: usize, opts: &GoalOptions) -> GoalRung {
-    match opts.rank {
+/// Compress one rung's dense operator per the options.
+fn compress_rung(t_w: DMatrix, w: usize, opts: &GoalOptions) -> Rung {
+    let (map, trunc_bound) = match opts.rank {
         Some(r) if r < t_w.nrows().min(t_w.ncols()) => {
-            let svd = SvdOptions {
-                seed: opts.svd.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ..opts.svd
-            };
-            let (map, trunc_bound) = FactoredMap::compress(&t_w, r, svd);
-            GoalRung { map, trunc_bound }
+            FactoredMap::compress(&t_w, r, rung_svd(opts.svd, w))
         }
-        _ => GoalRung {
-            map: FactoredMap::exact(t_w),
-            trunc_bound: 0.0,
-        },
+        _ => (FactoredMap::exact(t_w), 0.0),
+    };
+    Rung {
+        map,
+        trunc_bound,
+        m_map: None,
+        m_trunc_bound: 0.0,
     }
 }
 

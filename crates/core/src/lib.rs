@@ -48,6 +48,7 @@ pub mod config;
 pub mod event;
 pub mod evidence;
 pub mod goal;
+pub mod ladder;
 pub mod lti;
 pub mod metrics;
 pub mod modespace;
@@ -67,9 +68,10 @@ pub use baseline::{solve_map_cg, HessianOperator};
 pub use config::{BathymetryKind, TwinConfig};
 pub use event::SyntheticEvent;
 pub use evidence::{calibrate_noise, log_bayes_factor, log_evidence};
-pub use goal::{GoalLadder, GoalOptions, GoalRung};
+pub use goal::{GoalLadder, GoalOptions};
+pub use ladder::{Rung, RungLadder};
 pub use lti::{build_maps, LtiBayesEngine, LtiModel};
-pub use modespace::{ModeSpaceLadder, ModeSpaceOptions, ModeSpaceRung};
+pub use modespace::{ModeSpaceLadder, ModeSpaceOptions};
 pub use oed::{greedy_design, Criterion, OedCandidates, SensorDesign};
 pub use phase1::Phase1;
 pub use phase2::Phase2;

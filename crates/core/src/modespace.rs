@@ -35,7 +35,7 @@
 //! ```
 //!
 //! certifies every online forecast against the dense windowed operator:
-//! `‖q̂ − q‖₂ ≤ trunc_bound_w · ‖d_k‖₂` ([`ModeSpaceLadder::
+//! `‖q̂ − q‖₂ ≤ trunc_bound_w · ‖d_k‖₂` ([`RungLadder::
 //! mean_error_bound`]). Two exactness regimes fall out for free: a rung
 //! whose restriction has full row rank (`rank(U_k) = k`, e.g. any rung
 //! of a complete square basis) has `P_w = I` and a roundoff-level
@@ -51,25 +51,29 @@
 //! (`Nm·Nt × r`), with its own exactly computed residual — no
 //! leading-block Cholesky solve online at all.
 //!
-//! Per-rung SVD seeds are derived from the rung's window length exactly
-//! as [`crate::goal::GoalLadder`] derives its compression seeds, so
-//! rebuilds are bitwise reproducible across runs and shard counts.
+//! The ladder type itself is the shared [`RungLadder`] of
+//! [`crate::ladder`] (with [`RungLadder::basis`] set); this module is
+//! the Gram-absorbed-projection way of building one.
 
+use crate::ladder::{leading_rows, rung_svd, Rung, RungLadder};
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
 use crate::phase3::Phase3;
-use crate::phase4::ForecastBatch;
 use crate::window::{self, infer_window_batch};
 use rayon::prelude::*;
-use std::time::Instant;
-use tsunami_linalg::{randomized_svd, DMatrix, SvdOptions};
+use tsunami_linalg::{randomized_svd, DMatrix, FactoredMap, SvdOptions};
 
-/// Offline knobs for [`ModeSpaceLadder::build`].
+/// A [`RungLadder`] built by [`RungLadder::project`]. The two ladder
+/// names are one type; both stay because the frozen `perf_report`
+/// harness spells them.
+pub type ModeSpaceLadder = RungLadder;
+
+/// Offline knobs for [`RungLadder::project`].
 #[derive(Clone, Copy, Debug)]
 pub struct ModeSpaceOptions {
     /// Also build the reduced parameter-inference operators `M̃_w`
-    /// (needed for engine ticks with `infer: true`; the forecast-only
-    /// service skips the extra offline solves).
+    /// (engine ticks with `infer: true` then fill the inference norm;
+    /// the forecast-only service skips the extra offline solves).
     pub inference: bool,
     /// Relative cutoff for the basis restriction's singular values when
     /// absorbing the Gram pseudo-inverse: modes of `U_k` at or below
@@ -90,54 +94,14 @@ impl Default for ModeSpaceOptions {
     }
 }
 
-/// One rung's reduced operators: everything the online tick applies to
-/// the rank-`r` projection state.
-pub struct ModeSpaceRung {
-    /// Reduced data-to-QoI operator `F̃_w = T_w U_k (U_kᵀU_k)⁺`
-    /// (`Nq·Nt × r`): one `r × B` GEMM forecasts a whole panel.
-    pub q_map: DMatrix,
-    /// Exactly computed residual `‖T_w − F̃_w U_kᵀ‖_F = ‖T_w(I−P_w)‖_F`.
-    /// For any window data `d_k` the forecast-mean error against the
-    /// dense windowed operator is bounded by `trunc_bound · ‖d_k‖₂`.
-    pub trunc_bound: f64,
-    /// Reduced parameter-inference operator `M̃_w` (`Nm·Nt × r`; only
-    /// with [`ModeSpaceOptions::inference`]).
-    pub m_map: Option<DMatrix>,
-    /// Exactly computed residual `‖M_w − M̃_w U_kᵀ‖_F` (0 when `m_map`
-    /// was not built).
-    pub m_trunc_bound: f64,
-}
-
-/// The mode-space assimilation ladder: per-rung reduced operators over a
-/// shared POD observation basis, plus the data-independent posterior
-/// stds. Built offline once; the online tick is `r`-sized folds and
-/// `r × B` GEMMs only (`AssimilateBackend::ModeSpace` in the stream
-/// crate).
-pub struct ModeSpaceLadder {
-    /// Window lengths in observation steps, strictly increasing (same
-    /// normalization as [`crate::window::WindowedForecaster::build`]).
-    pub windows: Vec<usize>,
-    /// Per-rung reduced operators, aligned with `windows`.
-    pub rungs: Vec<ModeSpaceRung>,
-    /// Per-rung forecast standard deviations — identical to the windowed
-    /// forecaster's (the posterior std is data-independent, so reduction
-    /// does not touch it).
-    pub q_stds: Vec<Vec<f64>>,
-    /// Number of sensors `Nd` (data entries per observation step).
-    pub nd: usize,
-    /// The POD observation basis `U` (`(Nd·Nt) × r`, owned) the online
-    /// fold projects through — must be the *same* basis the engine's
-    /// identification `PodBank` holds when the fold is shared.
-    modes: DMatrix,
-}
-
-impl ModeSpaceLadder {
+impl RungLadder {
     /// Precompute the reduced ladder from the offline phases and a POD
     /// observation basis (`modes`: `(Nd·Nt) × r`, e.g.
-    /// [`crate::PodBank::modes`]). Each rung's dense `T_w` is
-    /// materialized once (`window::rung_operator` — bitwise the
-    /// windowed forecaster's operator), projected, bounded, and dropped.
-    pub fn build(
+    /// [`crate::PodBank::modes`]), which the ladder keeps as its shared
+    /// [`Self::basis`]. Each rung's dense `T_w` is materialized once
+    /// (`window::rung_operator` — bitwise the windowed forecaster's
+    /// operator), projected, bounded, and dropped.
+    pub fn project(
         p1: &Phase1,
         p2: &Phase2,
         p3: &Phase3,
@@ -156,104 +120,16 @@ impl ModeSpaceLadder {
             "mode-space ladder needs a nonempty basis"
         );
         let ws = window::normalize_windows(windows, p1.f.nt);
-        let per_rung: Vec<(ModeSpaceRung, Vec<f64>)> = ws
+        let per_rung = ws
             .par_iter()
             .map(|&w| reduce_rung(p1, p2, p3, w, nd, modes, opts))
             .collect();
-        let (rungs, q_stds) = per_rung.into_iter().unzip();
-        ModeSpaceLadder {
-            windows: ws,
-            rungs,
-            q_stds,
-            nd,
-            modes: modes.clone(),
-        }
-    }
-
-    /// The shared POD observation basis `U` (`(Nd·Nt) × r`).
-    pub fn modes(&self) -> &DMatrix {
-        &self.modes
-    }
-
-    /// Basis rank `r` — the per-stream fold-state length per rung.
-    pub fn rank(&self) -> usize {
-        self.modes.ncols()
-    }
-
-    /// True when the reduced inference operators were built
-    /// ([`ModeSpaceOptions::inference`]).
-    pub fn has_inference(&self) -> bool {
-        self.rungs.iter().all(|r| r.m_map.is_some())
-    }
-
-    /// Index of the widest precomputed window not exceeding `steps`
-    /// (same contract as the windowed forecaster's `window_for`).
-    pub fn window_for(&self, steps: usize) -> Option<usize> {
-        self.windows.iter().rposition(|&w| w <= steps)
-    }
-
-    /// Forecast-mean error bound at rung `i` for window data of 2-norm
-    /// `d_norm`: `‖q̂ − q‖₂ ≤ trunc_bound · d_norm` against the dense
-    /// windowed forecast.
-    pub fn mean_error_bound(&self, i: usize, d_norm: f64) -> f64 {
-        self.rungs[i].trunc_bound * d_norm
-    }
-
-    /// Inference-mean error bound at rung `i` (same shape as
-    /// [`Self::mean_error_bound`]; 0 without reduced inference).
-    pub fn inference_error_bound(&self, i: usize, d_norm: f64) -> f64 {
-        self.rungs[i].m_trunc_bound * d_norm
-    }
-
-    /// One-shot mode-space forecast of a window-data block (project +
-    /// reduced GEMM) — the reference the streaming engine's shared
-    /// incremental fold is tested against. `d_window` is
-    /// `windows[i]·Nd × B`.
-    pub fn forecast_batch(&self, i: usize, d_window: &DMatrix) -> ForecastBatch {
-        let t0 = Instant::now();
-        let k = self.windows[i] * self.nd;
-        assert_eq!(d_window.nrows(), k, "window {i} expects {k} data rows");
-        let u_k = self.basis_restriction(k);
-        let a = u_k.matmul_tn(d_window); // r × B projection
-        ForecastBatch {
-            q_map: self.rungs[i].q_map.matmul(&a),
-            q_std: self.q_stds[i].clone(),
-            seconds: t0.elapsed().as_secs_f64(),
-        }
-    }
-
-    /// Resident elements of the reduced ladder (basis + per-rung
-    /// operators) — compare with [`Self::windowed_resident_elems`].
-    pub fn resident_elems(&self) -> usize {
-        self.modes.nrows() * self.modes.ncols()
-            + self
-                .rungs
-                .iter()
-                .map(|r| {
-                    r.q_map.nrows() * r.q_map.ncols()
-                        + r.m_map.as_ref().map_or(0, |m| m.nrows() * m.ncols())
-                })
-                .sum::<usize>()
-    }
-
-    /// Resident elements the dense windowed ladder holds for the same
-    /// rungs (`Σ Nq·Nt × w·Nd`).
-    pub fn windowed_resident_elems(&self) -> usize {
-        let nq = self.q_stds.first().map_or(0, |s| s.len());
-        self.windows.iter().map(|&w| nq * w * self.nd).sum()
-    }
-
-    /// The leading `k` rows of the basis as a dense block (offline /
-    /// reference use only — the online fold streams the rows in place).
-    fn basis_restriction(&self, k: usize) -> DMatrix {
-        DMatrix::from_fn(k, self.rank(), |i, j| self.modes[(i, j)])
+        Self::assemble(ws, per_rung, nd, Some(modes.clone()))
     }
 }
 
 /// Reduce one rung: materialize `T_w`, absorb the Gram pseudo-inverse of
-/// the basis restriction, and compute the exact residual bounds. The SVD
-/// seed is varied per rung by the same window-length mix as the
-/// goal-oriented ladder, so rebuilds are bitwise reproducible.
+/// the basis restriction, and compute the exact residual bounds.
 fn reduce_rung(
     p1: &Phase1,
     p2: &Phase2,
@@ -262,18 +138,11 @@ fn reduce_rung(
     nd: usize,
     modes: &DMatrix,
     opts: &ModeSpaceOptions,
-) -> (ModeSpaceRung, Vec<f64>) {
+) -> (Rung, Vec<f64>) {
     let k = w * nd;
-    let r = modes.ncols();
     let (t_w, std) = window::rung_operator(p2, p3, k);
-    let u_k = DMatrix::from_fn(k, r, |i, j| modes[(i, j)]);
-    let svd = {
-        let seeded = SvdOptions {
-            seed: opts.svd.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ..opts.svd
-        };
-        randomized_svd(&u_k, r, seeded)
-    };
+    let u_k = leading_rows(modes, k);
+    let svd = randomized_svd(&u_k, modes.ncols(), rung_svd(opts.svd, w));
     // X = U_k (U_kᵀU_k)⁺ (k × r): the offline Gram absorption. The online
     // fold then stays the raw shared projection a = U_kᵀ d.
     let x = svd.pinv_transpose(opts.gram_rtol);
@@ -299,8 +168,8 @@ fn reduce_rung(
     };
 
     (
-        ModeSpaceRung {
-            q_map,
+        Rung {
+            map: FactoredMap::exact(q_map),
             trunc_bound,
             m_map,
             m_trunc_bound,
@@ -357,10 +226,7 @@ mod tests {
         let nt = twin.solver.grid.nt_obs;
         let n = twin.n_data();
         let wf = twin.windowed(&[nt / 2, nt]);
-        let ms = ModeSpaceLadder::build(
-            &twin.phase1,
-            &twin.phase2,
-            &twin.phase3,
+        let ms = twin.mode_space_ladder(
             &[nt / 2, nt],
             &complete_basis(n),
             &ModeSpaceOptions::default(),
@@ -398,10 +264,7 @@ mod tests {
         let nt = twin.solver.grid.nt_obs;
         let n = twin.n_data();
         let wf = twin.windowed(&[nt / 2, nt]);
-        let ms = ModeSpaceLadder::build(
-            &twin.phase1,
-            &twin.phase2,
-            &twin.phase3,
+        let ms = twin.mode_space_ladder(
             &[nt / 2, nt],
             &truncated_basis(n, 6),
             &ModeSpaceOptions::default(),
@@ -423,7 +286,7 @@ mod tests {
                 .sqrt();
             let bound = ms.mean_error_bound(i, d_norm);
             assert!(
-                ms.rungs[i].trunc_bound > 0.0 || k <= ms.rank(),
+                ms.rungs[i].trunc_bound > 0.0 || k <= ms.rungs[i].map.rank(),
                 "rung {i} should truncate"
             );
             assert!(
@@ -441,14 +304,7 @@ mod tests {
         let nt = twin.solver.grid.nt_obs;
         let n = twin.n_data();
         let basis = truncated_basis(n, 4);
-        let ms = ModeSpaceLadder::build(
-            &twin.phase1,
-            &twin.phase2,
-            &twin.phase3,
-            &[nt],
-            &basis,
-            &ModeSpaceOptions::default(),
-        );
+        let ms = twin.mode_space_ladder(&[nt], &basis, &ModeSpaceOptions::default());
         let wf = twin.windowed(&[nt]);
         // d = U c for a fixed coefficient vector.
         let c = DMatrix::from_fn(4, 1, |i, _| (i as f64 + 1.0) * 0.3);
@@ -474,21 +330,16 @@ mod tests {
             inference: true,
             ..ModeSpaceOptions::default()
         };
-        let ms = ModeSpaceLadder::build(
-            &twin.phase1,
-            &twin.phase2,
-            &twin.phase3,
-            &[nt / 2, nt],
-            &complete_basis(n),
-            &opts,
-        );
-        assert!(ms.has_inference());
+        let ms = twin.mode_space_ladder(&[nt / 2, nt], &complete_basis(n), &opts);
+        assert!(ms.rungs.iter().all(|r| r.m_map.is_some()));
         for i in 0..ms.windows.len() {
             let k = ms.windows[i] * ms.nd;
             assert!(ms.rungs[i].m_trunc_bound < 1e-8, "rung {i} m-bound");
             let d = DMatrix::from_fn(k, 2, |r, c| ((r + 3 * c) as f64 * 0.17).cos());
             let dense = infer_window_batch(&twin.phase1, &twin.phase2, &d, ms.windows[i]).m_map;
-            let u_k = DMatrix::from_fn(k, ms.rank(), |r, c| ms.modes()[(r, c)]);
+            let u_k = DMatrix::from_fn(k, ms.rungs[i].map.rank(), |r, c| {
+                ms.basis().unwrap()[(r, c)]
+            });
             let a = u_k.matmul_tn(&d);
             let reduced = ms.rungs[i].m_map.as_ref().unwrap().matmul(&a);
             let scale = dense.norm_fro().max(1e-300);
@@ -509,39 +360,22 @@ mod tests {
         let n = twin.n_data();
         let basis = truncated_basis(n, 5);
         let opts = ModeSpaceOptions::default();
-        let a = ModeSpaceLadder::build(
-            &twin.phase1,
-            &twin.phase2,
-            &twin.phase3,
-            &[nt / 2, nt],
-            &basis,
-            &opts,
-        );
-        let b = ModeSpaceLadder::build(
-            &twin.phase1,
-            &twin.phase2,
-            &twin.phase3,
-            &[nt / 2, nt],
-            &basis,
-            &opts,
-        );
+        let a = twin.mode_space_ladder(&[nt / 2, nt], &basis, &opts);
+        let b = twin.mode_space_ladder(&[nt / 2, nt], &basis, &opts);
         for i in 0..a.rungs.len() {
             // The regression pin: identical options must reproduce every
             // reduced factor bit for bit (per-rung seeds are derived, not
             // drawn from shared state).
             assert_eq!(
-                a.rungs[i].q_map.as_slice(),
-                b.rungs[i].q_map.as_slice(),
+                a.rungs[i].map.left().as_slice(),
+                b.rungs[i].map.left().as_slice(),
                 "rung {i} not reproducible"
             );
             assert_eq!(a.rungs[i].trunc_bound, b.rungs[i].trunc_bound);
         }
         // A different base seed draws different test matrices — the seed
         // actually reaches the factorization.
-        let other = ModeSpaceLadder::build(
-            &twin.phase1,
-            &twin.phase2,
-            &twin.phase3,
+        let other = twin.mode_space_ladder(
             &[nt / 2, nt],
             &basis,
             &ModeSpaceOptions {
@@ -553,7 +387,7 @@ mod tests {
             },
         );
         assert!(
-            a.rungs[0].q_map.as_slice() != other.rungs[0].q_map.as_slice(),
+            a.rungs[0].map.left().as_slice() != other.rungs[0].map.left().as_slice(),
             "base seed must reach the per-rung factorizations"
         );
     }
@@ -564,20 +398,14 @@ mod tests {
         let nt = twin.solver.grid.nt_obs;
         let n = twin.n_data();
         let basis = truncated_basis(n, 3);
-        let ms = ModeSpaceLadder::build(
-            &twin.phase1,
-            &twin.phase2,
-            &twin.phase3,
-            &[2, 1, nt, 2, nt + 7],
-            &basis,
-            &ModeSpaceOptions::default(),
-        );
+        let ms =
+            twin.mode_space_ladder(&[2, 1, nt, 2, nt + 7], &basis, &ModeSpaceOptions::default());
         assert_eq!(ms.windows, vec![1, 2, nt]);
-        assert_eq!(ms.rank(), 3);
+        assert_eq!(ms.rungs[0].map.rank(), 3);
         assert_eq!(ms.window_for(0), None);
         assert_eq!(ms.window_for(1), Some(0));
         assert_eq!(ms.window_for(nt + 5), Some(2));
-        assert!(!ms.has_inference());
+        assert!(ms.rungs.iter().all(|r| r.m_map.is_none()));
         assert!(
             ms.resident_elems() < ms.windowed_resident_elems() + n * 3,
             "reduced ladder should be rank-sized: {} vs dense {}",

@@ -1,6 +1,9 @@
 //! The assembled digital twin: offline construction + online assimilation.
 
 use crate::config::TwinConfig;
+use crate::goal::GoalOptions;
+use crate::ladder::RungLadder;
+use crate::modespace::ModeSpaceOptions;
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
 use crate::phase3::Phase3;
@@ -87,29 +90,25 @@ impl DigitalTwin {
     /// Precompute the goal-oriented factored ladder for a window ladder:
     /// per-rung data-to-QoI operators `T_w ≈ L_w R_wᵀ` so online
     /// forecasting is folds and small GEMMs with no factor walk at all
-    /// (see [`crate::goal`]). With [`crate::goal::GoalOptions::exact`]
-    /// the ladder bit-matches [`Self::windowed`]'s forecasts.
-    pub fn goal_ladder(
-        &self,
-        windows: &[usize],
-        opts: &crate::goal::GoalOptions,
-    ) -> crate::goal::GoalLadder {
-        crate::goal::GoalLadder::build(&self.phase1, &self.phase2, &self.phase3, windows, opts)
+    /// (see [`crate::goal`]). With [`GoalOptions::exact`] the ladder
+    /// bit-matches [`Self::windowed`]'s forecasts.
+    pub fn goal_ladder(&self, windows: &[usize], opts: &GoalOptions) -> RungLadder {
+        RungLadder::compress(&self.phase1, &self.phase2, &self.phase3, windows, opts)
     }
 
-    /// Precompute the mode-space assimilation ladder for a window ladder:
-    /// per-rung inference/forecast operators projected into the rank-`r`
-    /// POD observation basis, so the online tick is `r`-sized folds and
+    /// Precompute the mode-space ladder for a window ladder: per-rung
+    /// inference/forecast operators projected into the rank-`r` POD
+    /// observation basis, so the online tick is `r`-sized folds and
     /// `r × B` GEMMs with an exactly certified truncation bound (see
     /// [`crate::modespace`]). `modes` is the shared observation basis
     /// (e.g. [`crate::PodBank::modes`]).
     pub fn mode_space_ladder(
         &self,
         windows: &[usize],
-        modes: &tsunami_linalg::DMatrix,
-        opts: &crate::modespace::ModeSpaceOptions,
-    ) -> crate::modespace::ModeSpaceLadder {
-        crate::modespace::ModeSpaceLadder::build(
+        modes: &DMatrix,
+        opts: &ModeSpaceOptions,
+    ) -> RungLadder {
+        RungLadder::project(
             &self.phase1,
             &self.phase2,
             &self.phase3,

@@ -91,7 +91,7 @@ impl WindowedForecaster {
 
 /// Clamp a requested window ladder to the horizon, sort it, and dedup it
 /// — the shared normalization of [`WindowedForecaster::build`] and
-/// [`crate::goal::GoalLadder::build`], so the two ladders built from the
+/// the [`crate::ladder::RungLadder`] builders, so ladders built from the
 /// same request always line up rung for rung.
 pub(crate) fn normalize_windows(windows: &[usize], nt: usize) -> Vec<usize> {
     let mut ws: Vec<usize> = windows

@@ -1,43 +1,65 @@
-//! The streaming engine: micro-batching concurrent sessions through the
-//! multi-RHS windowed online path, sharded by session across workers.
+//! The streaming engine: micro-batching concurrent sessions through one
+//! rung-operator tick path, sharded by session across workers.
 //!
 //! Event loop shape: producers call [`StreamEngine::push`] (exclusive) or
 //! [`StreamEngine::enqueue`] (lock-free, shared — one atomic stack push)
 //! as sensor packets arrive (any granularity — single samples, partial
 //! steps, whole bursts), and the operator drives [`StreamEngine::tick`]
-//! on its service cadence. A tick does four things, each independently
-//! per shard:
+//! on its service cadence.
 //!
-//! 1. **Inbox drain** — samples enqueued since the last tick are folded
-//!    into their sessions' rings (FIFO per shard).
-//! 2. **Sequential identification** — each session's newly arrived rows
-//!    update its per-scenario squared misfit against the bank's clean
-//!    observation curves in one blocked `rows × scenarios` GEMM
+//! ## The tick
+//!
+//! The online phase is one construction (arXiv:2501.14911): every rung
+//! `w` of the window ladder has a precomputed data-to-QoI operator
+//! factored as `T_w ≈ L_w R_wᵀ`; arriving data fold into a small state
+//! `z += R_wᵀ d`, and a rung crossing lifts `q = L_w z`. The engine is
+//! handed one ladder at construction and resolves it into per-rung views
+//! (where the lift input comes from, a borrowed lift matrix, an optional
+//! inference operator, the posterior std); the ladder handed in *is* the
+//! path selection ([`TickPath`]):
+//!
+//! | constructor | `R_w` | per-session state | certified bound |
+//! |---|---|---|---|
+//! | [`StreamEngine::new`] — dense [`WindowedForecaster`] | `I` | none (reads the ring) | exact |
+//! | [`StreamEngine::goal_oriented`] — SVD-compressed [`RungLadder`] | own factor per rung (`I` for an exact rung) | `Σ rank_w` | `‖T_w − L_w R_wᵀ‖_F · ‖d_w‖₂` |
+//! | [`StreamEngine::mode_space`] — [`RungLadder`] over a POD basis `U` | leading rows `U_k` of one basis | `r` per rung + `r` | `‖T_w (I − P_w)‖_F · ‖d_w‖₂` |
+//!
+//! A tick does five things, each independently per shard:
+//!
+//! ```text
+//!   drain ──▶ identify ──▶ fold ──▶ lift ──▶ classify
+//!   inbox     rows × B     z += Rᵀd  q = L z   band vs threshold
+//!   → rings   (or r × B)   bucketed  per rung,  → audit ring
+//!                          by range  chunked
+//! ```
+//!
+//! 1. **Drain** — samples enqueued since the last tick are appended to
+//!    their sessions' rings (FIFO per shard; stale generations dropped).
+//! 2. **Identify** — with a [`ScenarioBank`] attached, each session's
+//!    newly arrived rows update its per-scenario squared misfit in one
+//!    blocked `rows × scenarios` GEMM
 //!    ([`crate::identify::score_group_gemm`]), the sequential Bayesian
 //!    update of Nomura et al. (arXiv:2407.03631) at bank-scale cost.
-//!    With a [`PodBank`] attached and [`IdentifyBackend::ModeSpace`]
-//!    selected, the same update runs in POD mode space instead: new rows
-//!    fold into an `r`-dimensional running projection and all `B`
-//!    misfits are materialized from it at `r × B` cost — the ROM
-//!    identification of Fujita et al., with the exact path retained as
+//!    Under [`IdentifyBackend::ModeSpace`] the rows fold into an
+//!    `r`-dimensional running projection instead and all `B` misfits are
+//!    materialized from it at `r × B` cost, the exact path retained as
 //!    the oracle.
-//! 3. **Micro-batched assimilation** — sessions whose complete-step count
-//!    crossed a new rung of the window ladder are grouped *by rung* and
-//!    driven through one batched window inference + forecast per group
-//!    ([`tsunami_core::infer_window_batch`] /
-//!    [`tsunami_core::WindowedForecaster::forecast_batch`]), so the whole
-//!    group pays one leading-block factor walk per panel instead of one
-//!    per session. With a [`ModeSpaceLadder`] attached and
-//!    [`AssimilateBackend::ModeSpace`] selected, the rung groups skip
-//!    the window panels and leading-block solves entirely: drained rows
-//!    fold once into each session's rank-`r` POD projection — *shared*
-//!    with mode-space identification when both backends are mode-space,
-//!    so no row is ever folded twice ([`TickMetrics::samples_projected`])
-//!    — and inference + forecast materialize from `r × B` GEMMs against
-//!    the precomputed reduced operators, certified by per-rung
-//!    truncation bounds ([`tsunami_core::ModeSpaceRung::trunc_bound`]).
-//! 4. **Classification** — each assimilated session's forecast band is
-//!    classified against the warning threshold.
+//! 3. **Fold** — sessions with a common unfolded range are bucketed and
+//!    their new rows folded into the rank-sized lift inputs: through
+//!    each rung's own right factor (goal-oriented), or *once* through
+//!    the shared basis with the running projection snapshotted at every
+//!    rung boundary (mode-space). When identification is also mode-space
+//!    over the same basis, stage 2's projection *is* that fold — no row
+//!    is ever folded twice ([`TickMetrics::samples_projected`]). Rungs
+//!    that read the ring need no fold at all.
+//! 4. **Lift** — sessions whose complete-step count crossed a new rung
+//!    are grouped *by rung* and, in chunks, gathered into one `rows × b`
+//!    block and lifted with one GEMM; [`StreamConfig::infer`] adds the
+//!    rung's inference operator where it has one (the batched
+//!    leading-block solve on a raw window, or the reduced `M̃_w` GEMM).
+//! 5. **Classify** — each assimilated session's forecast band is
+//!    classified against the warning threshold; level changes are
+//!    recorded as [`WarningTransition`]s.
 //!
 //! ## Sharding
 //!
@@ -48,16 +70,15 @@
 //! tick** — no cross-shard locks, no per-session synchronization. With
 //! `shards = 1` (the default) the engine degenerates to the exact
 //! pre-shard sequential behavior. Shard results are invariant in the
-//! shard count: identification updates each session's misfit
-//! independently, and the batched window operators act columnwise, so
-//! K-shard and 1-shard ticks agree to roundoff.
+//! shard count: identification and folds update each session
+//! independently, and the lift acts columnwise, so K-shard and 1-shard
+//! ticks agree to roundoff.
 //!
 //! Groups are processed in bounded chunks of [`StreamConfig::chunk`]
 //! sessions: the largest dense block any shard ever materializes is
 //! `(Nd·Nt) × chunk` (data side) or `(Nm·Nt) × chunk` (parameter side),
-//! independent of the number of live sessions — chunked assimilation for
-//! `B ≫ 10³`, now with the bound holding *per shard*
-//! ([`StreamEngine::shard_panel_peaks`]).
+//! independent of the number of live sessions — and rank-sized on the
+//! reduced paths ([`StreamEngine::shard_panel_peaks`]).
 //!
 //! ## Observability
 //!
@@ -78,26 +99,22 @@
 //! Warning-level changes additionally land in a bounded audit ring
 //! ([`StreamEngine::audit`]): each [`WarningTransition`] captures the
 //! session, tick, rung, credible band, top posterior scenario, and
-//! forecast backend at classification time. Transitions are collected in
+//! tick path at classification time. Transitions are collected in
 //! per-shard scratch during the parallel fan-out and merged shard-major
 //! after the barrier, so the ring needs no locks and its order is
 //! deterministic for a given shard count.
 
 use crate::identify;
+use crate::ladder::{Ladder, TickPath};
 use crate::session::{StreamSession, WarningLevel};
+use crate::tick::{tick_shard, Shard, TickCtx, TickSpans};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tsunami_core::window::infer_window_batch;
 use tsunami_core::{
-    DigitalTwin, Forecast, ForecastBatch, GoalLadder, ModeSpaceLadder, PodBank, ScenarioBank,
-    WindowedForecaster,
+    DigitalTwin, Forecast, ForecastBatch, PodBank, RungLadder, ScenarioBank, WindowedForecaster,
 };
-use tsunami_linalg::DMatrix;
-use tsunami_obs::{AuditRing, Counter, Gauge, Histogram, Registry, Stopwatch};
+use tsunami_obs::{AuditRing, Counter, Gauge, Histogram, Registry};
 
 /// Which scenario-identification path a tick runs (see the
 /// [module docs](self)).
@@ -117,63 +134,6 @@ pub enum IdentifyBackend {
     ModeSpace,
 }
 
-/// Which forecast path a tick's assimilation stage runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ForecastBackend {
-    /// Dense windowed operators: gather each rung group's window panel
-    /// and run [`WindowedForecaster::forecast_batch`]'s GEMM over the
-    /// full window data, plus the optional windowed parameter inference.
-    /// Requires a forecaster ([`StreamEngine::new`]).
-    #[default]
-    Windowed,
-    /// Goal-oriented factored operators ([`GoalLadder`]): newly drained
-    /// samples fold incrementally into each session's per-rung state
-    /// `z += R_wᵀ d` (rank-sized, sharing the blocked
-    /// [`crate::identify::project_group`] kernel with the POD path), and
-    /// a rung crossing materializes all queued QoI means as one
-    /// `L_w · Z` GEMM plus the precomputed std — no Cholesky walk, no
-    /// window re-reads. [`StreamConfig::infer`] is ignored on this path
-    /// ([`StreamSession::m_norm`] stays `None`): skipping the factor
-    /// walk is the whole point. An exact (uncompressed) ladder
-    /// reproduces the windowed forecasts bitwise; truncated ranks are
-    /// within each rung's [`tsunami_core::GoalRung::trunc_bound`].
-    /// Requires a ladder ([`StreamEngine::goal_oriented`] /
-    /// [`StreamEngine::with_goal`]).
-    GoalOriented,
-}
-
-/// Which assimilation path a tick's stage 3 runs. Orthogonal to
-/// [`ForecastBackend`]: `FullSpace` keeps stage 3 on the configured
-/// forecast backend; `ModeSpace` supersedes it entirely.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AssimilateBackend {
-    /// Stage 3 runs the configured [`ForecastBackend`] unchanged — the
-    /// windowed path's leading-block solves act in full observation
-    /// space.
-    #[default]
-    FullSpace,
-    /// Mode-space assimilation ([`ModeSpaceLadder`]): drained samples
-    /// fold **once** into a per-session rank-`r` POD projection
-    /// (`a += U_kᵀ d`, snapshotted at every rung boundary), and a rung
-    /// crossing materializes inference + forecast + classification
-    /// entirely from `r × B` GEMMs against the precomputed reduced
-    /// operators — no full-space window panel, no leading-block solve
-    /// online. When identification is also
-    /// [`IdentifyBackend::ModeSpace`] over the *same* basis, the fold
-    /// is shared with the identification projection (each drained row
-    /// is folded exactly once per tick;
-    /// [`TickMetrics::samples_projected`] proves it). A complete
-    /// (square) basis reproduces the windowed engine within
-    /// cancellation slack; truncated ranks are certified by each rung's
-    /// [`tsunami_core::ModeSpaceRung::trunc_bound`]. Unlike
-    /// [`ForecastBackend::GoalOriented`], [`StreamConfig::infer`] is
-    /// honored: the reduced `M̃_w` GEMM fills
-    /// [`StreamSession::m_norm`] when the ladder was built with
-    /// [`tsunami_core::ModeSpaceOptions::inference`]. Requires a ladder
-    /// ([`StreamEngine::mode_space`] / [`StreamEngine::with_modespace`]).
-    ModeSpace,
-}
-
 /// Engine knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
@@ -182,9 +142,13 @@ pub struct StreamConfig {
     pub chunk: usize,
     /// Wave-height threshold (m) for the warning classification.
     pub warn_threshold: f64,
-    /// Also run the windowed parameter inference each tick (the forecast
-    /// alone is cheaper; inference adds the batched `K_w⁻¹` solve + FFT
-    /// pass and fills [`StreamSession::m_norm`]).
+    /// Also run the parameter inference at every rung that has an
+    /// inference operator, filling [`StreamSession::m_norm`]: the
+    /// batched `K_w⁻¹` solve + FFT pass on rungs that read the raw
+    /// window, the reduced `M̃_w` GEMM on rungs built with
+    /// [`tsunami_core::ModeSpaceOptions::inference`]. Rungs with neither
+    /// (SVD-compressed goal rungs — skipping the factor walk is their
+    /// point) leave `m_norm` at `None`.
     pub infer: bool,
     /// Session shards ticked in parallel (see the [module docs](self)).
     /// Must be ≥ 1; 1 recovers the exact pre-shard sequential engine.
@@ -193,14 +157,6 @@ pub struct StreamConfig {
     /// default; [`IdentifyBackend::ModeSpace`] needs an attached
     /// [`PodBank`]).
     pub identify: IdentifyBackend,
-    /// Forecast backend ([`ForecastBackend::Windowed`] by default;
-    /// [`ForecastBackend::GoalOriented`] needs an attached
-    /// [`GoalLadder`]).
-    pub forecast: ForecastBackend,
-    /// Assimilation backend ([`AssimilateBackend::FullSpace`] by
-    /// default; [`AssimilateBackend::ModeSpace`] needs an attached
-    /// [`ModeSpaceLadder`] and supersedes `forecast` in stage 3).
-    pub assimilate: AssimilateBackend,
     /// Capacity of the warning audit ring ([`StreamEngine::audit`]): the
     /// newest this many [`WarningTransition`] records are retained, older
     /// ones evicted with accounting. Must be ≥ 1.
@@ -215,8 +171,6 @@ impl Default for StreamConfig {
             infer: true,
             shards: 1,
             identify: IdentifyBackend::Exact,
-            forecast: ForecastBackend::Windowed,
-            assimilate: AssimilateBackend::FullSpace,
             audit_capacity: 1024,
         }
     }
@@ -244,14 +198,13 @@ pub struct TickMetrics {
     /// Newly arrived samples folded into scenario scores this tick.
     pub samples_scored: usize,
     /// Newly arrived samples folded into goal-oriented per-rung states
-    /// this tick (0 under [`ForecastBackend::Windowed`]).
+    /// this tick (0 on the other paths).
     pub samples_folded: usize,
     /// Newly arrived samples folded into POD running projections this
     /// tick — counted **once per row** even when mode-space
-    /// identification and mode-space assimilation share the fold (the
-    /// no-double-fold guarantee of [`AssimilateBackend::ModeSpace`]:
-    /// with both backends mode-space this equals the rows that arrived,
-    /// never 2×).
+    /// identification and a mode-space ladder share the fold (the
+    /// no-double-fold guarantee: with both in mode space this equals the
+    /// rows that arrived, never 2×).
     pub samples_projected: usize,
     /// Samples accepted from the lock-free inboxes this tick (the
     /// [`StreamEngine::enqueue`] path; direct pushes count at push time).
@@ -342,40 +295,12 @@ pub struct WarningTransition {
     /// session's identification posterior at classification time — `None`
     /// when no scenario bank is attached.
     pub top_scenario: Option<(usize, f64)>,
-    /// Forecast backend configured at classification time. When
-    /// `assimilate` is [`AssimilateBackend::ModeSpace`] the stage-3 path
-    /// was the mode-space one and this records the superseded setting.
-    pub backend: ForecastBackend,
-    /// Assimilation backend that actually produced the classified
-    /// forecast.
-    pub assimilate: AssimilateBackend,
+    /// The tick path that produced the classified forecast.
+    pub path: TickPath,
 }
 
-/// Cached per-stage span histogram handles into the engine's
-/// [`Registry`], resolved once at construction so ticks record through
-/// lock-free atomics without touching the registry's name table.
-struct TickSpans {
-    drain: Arc<Histogram>,
-    identify: Arc<Histogram>,
-    assimilate: Arc<Histogram>,
-    classify: Arc<Histogram>,
-    total: Arc<Histogram>,
-}
-
-impl TickSpans {
-    fn new(reg: &Registry) -> Self {
-        TickSpans {
-            drain: reg.histogram("stream.tick.drain"),
-            identify: reg.histogram("stream.tick.identify"),
-            assimilate: reg.histogram("stream.tick.assimilate"),
-            classify: reg.histogram("stream.tick.classify"),
-            total: reg.histogram("stream.tick.total"),
-        }
-    }
-}
-
-/// Cached counter/gauge handles (see [`TickSpans`]), refreshed at tick
-/// boundaries.
+/// Cached counter/gauge handles into the engine's [`Registry`], resolved
+/// once at construction and refreshed at tick boundaries.
 struct EngineCounters {
     ticks: Arc<Counter>,
     assimilated: Arc<Counter>,
@@ -414,238 +339,14 @@ impl EngineCounters {
     }
 }
 
-/// A node of a shard's lock-free inbox (one [`StreamEngine::enqueue`]).
-struct InboxNode {
-    /// Global session id the samples belong to.
-    id: usize,
-    /// The session slot's generation at enqueue time. Checked at drain:
-    /// a batch whose slot has since been closed (and possibly reopened
-    /// for a *different* event under the same id) carries a stale
-    /// generation and is dropped instead of contaminating the new event.
-    generation: u64,
-    samples: Vec<f64>,
-    next: *mut InboxNode,
-}
-
-/// Lock-free multi-producer inbox: a Treiber stack of sample batches.
-/// Producers push with one CAS ([`StreamEngine::enqueue`] is `&self`);
-/// the owning shard detaches the whole stack with one atomic swap at
-/// tick start and replays it in arrival (FIFO) order.
-struct Inbox {
-    head: AtomicPtr<InboxNode>,
-}
-
-// SAFETY: the raw pointers form a singly-linked list of heap nodes owned
-// exclusively by this stack — producers only prepend (CAS on `head`),
-// the consumer only detaches the entire list (swap), and nodes are never
-// aliased after detachment. Sending or sharing the inbox moves/shares
-// ownership of that whole list.
-#[allow(unsafe_code)]
-unsafe impl Send for Inbox {}
-#[allow(unsafe_code)]
-unsafe impl Sync for Inbox {}
-
-impl Inbox {
-    fn new() -> Self {
-        Inbox {
-            head: AtomicPtr::new(ptr::null_mut()),
-        }
-    }
-
-    /// Prepend one batch (lock-free, any thread).
-    fn push(&self, id: usize, generation: u64, samples: Vec<f64>) {
-        let node = Box::into_raw(Box::new(InboxNode {
-            id,
-            generation,
-            samples,
-            next: ptr::null_mut(),
-        }));
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `node` came from Box::into_raw above and is not yet
-            // published, so this thread has exclusive access to it.
-            #[allow(unsafe_code)]
-            unsafe {
-                (*node).next = head;
-            }
-            match self
-                .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(cur) => head = cur,
-            }
-        }
-    }
-
-    /// Detach everything enqueued so far and return it oldest-first.
-    fn drain(&self) -> Vec<(usize, u64, Vec<f64>)> {
-        let mut cur = self.head.swap(ptr::null_mut(), Ordering::Acquire);
-        let mut out = Vec::new();
-        while !cur.is_null() {
-            // SAFETY: after the swap this thread exclusively owns the
-            // detached list; each node was created by Box::into_raw in
-            // `push` and is reconstituted exactly once here.
-            #[allow(unsafe_code)]
-            let node = unsafe { Box::from_raw(cur) };
-            cur = node.next;
-            out.push((node.id, node.generation, node.samples));
-        }
-        out.reverse();
-        out
-    }
-}
-
-impl Drop for Inbox {
-    fn drop(&mut self) {
-        // Free any batches never drained by a tick.
-        drop(self.drain());
-    }
-}
-
-/// Partial tick results of one shard, merged by [`StreamEngine::tick`].
-#[derive(Clone, Copy, Debug, Default)]
-struct ShardTick {
-    sessions_assimilated: usize,
-    panels: usize,
-    samples_scored: usize,
-    samples_folded: usize,
-    samples_projected: usize,
-    samples_drained: usize,
-    peak_panel_elems: usize,
-}
-
-/// Per-shard assimilation scratch, reused across ticks so steady-state
-/// ticks allocate nothing: the gather block (windowed data panel `k × b`
-/// or goal-oriented fold block `r × b`) and the materialized QoI output
-/// block `nq × b`. The vecs round-trip through [`DMatrix::from_vec`] /
-/// [`DMatrix::into_vec`] each chunk; `clear` + `resize` within retained
-/// capacity never reallocates once the high-water chunk shape has been
-/// seen.
-#[derive(Default)]
-struct ShardArena {
-    panel: Vec<f64>,
-    q_block: Vec<f64>,
-    /// Mode-space reduced-inference output block `(Nm·Nt) × b` (only
-    /// touched by [`AssimilateBackend::ModeSpace`] ticks with
-    /// [`StreamConfig::infer`]).
-    m_block: Vec<f64>,
-}
-
-impl ShardArena {
-    fn bytes(&self) -> usize {
-        (self.panel.capacity() + self.q_block.capacity() + self.m_block.capacity())
-            * std::mem::size_of::<f64>()
-    }
-}
-
-/// One session shard: its slice of the session table, freelist, and
-/// lock-free inbox. Global id `id` lives in shard `id % shards` at local
-/// slot `id / shards`.
-struct Shard {
-    /// This shard's index (fixed at construction; names its span
-    /// histogram and keeps the parallel fan-out self-identifying).
-    idx: usize,
-    sessions: Vec<StreamSession>,
-    /// Local slots of closed sessions awaiting reuse.
-    free: Vec<usize>,
-    inbox: Inbox,
-    /// Partials of the most recent tick (scratch; merged by the engine).
-    last: ShardTick,
-    /// Largest dense block this shard ever materialized (elements).
-    peak_panel_elems: usize,
-    /// Reusable assimilation scratch (see [`ShardArena`]).
-    arena: ShardArena,
-    /// Warning transitions classified by this shard's current tick;
-    /// merged shard-major into the engine's audit ring after the barrier
-    /// (capacity retained across ticks).
-    audit_scratch: Vec<WarningTransition>,
-}
-
-impl Shard {
-    fn new(idx: usize) -> Self {
-        Shard {
-            idx,
-            sessions: Vec::new(),
-            free: Vec::new(),
-            inbox: Inbox::new(),
-            last: ShardTick::default(),
-            peak_panel_elems: 0,
-            arena: ShardArena::default(),
-            audit_scratch: Vec::new(),
-        }
-    }
-}
-
-/// Read-only per-tick context shared by every shard's local tick.
-struct TickCtx<'t> {
-    twin: &'t DigitalTwin,
-    forecaster: Option<&'t WindowedForecaster>,
-    goal: Option<&'t GoalLadder>,
-    bank: Option<&'t ScenarioBank>,
-    pod: Option<&'t PodBank>,
-    modespace: Option<&'t ModeSpaceLadder>,
-    sq_prefix: &'t [f64],
-    config: StreamConfig,
-    n_shards: usize,
-    /// Per-stage span histograms (shared across shards; recording is
-    /// lock-free).
-    spans: &'t TickSpans,
-    /// Per-rung assimilation span histograms, indexed by rung.
-    rung_spans: &'t [Arc<Histogram>],
-    /// Per-shard whole-tick span histograms, indexed by shard.
-    shard_spans: &'t [Arc<Histogram>],
-    /// Snapshot of [`tsunami_obs::enabled`] for this tick: when false,
-    /// shards skip every clock read and record.
-    obs_on: bool,
-    /// 0-based tick index stamped into audit records.
-    tick_no: u64,
-}
-
-impl TickCtx<'_> {
-    /// True when mode-space identification and mode-space assimilation
-    /// fold the drained rows into the *same* per-session projection
-    /// (`pod_coeff`) — the no-double-fold configuration.
-    fn shared_fold(&self) -> bool {
-        self.bank.is_some()
-            && self.config.identify == IdentifyBackend::ModeSpace
-            && self.config.assimilate == AssimilateBackend::ModeSpace
-    }
-
-    /// The active backend's window ladder (lengths in observation steps).
-    fn windows(&self) -> &[usize] {
-        if self.config.assimilate == AssimilateBackend::ModeSpace {
-            return &self
-                .modespace
-                .expect("mode-space assimilation without a ladder")
-                .windows;
-        }
-        match self.config.forecast {
-            ForecastBackend::Windowed => {
-                &self
-                    .forecaster
-                    .expect("windowed backend without a forecaster")
-                    .windows
-            }
-            ForecastBackend::GoalOriented => {
-                &self.goal.expect("goal backend without a ladder").windows
-            }
-        }
-    }
-}
-
 /// The streaming assimilation engine (see the [module docs](self)).
 pub struct StreamEngine<'a> {
     twin: &'a DigitalTwin,
-    forecaster: Option<&'a WindowedForecaster>,
-    /// Goal-oriented factored ladder (goal-oriented forecasting).
-    goal: Option<&'a GoalLadder>,
+    /// Per-rung views of the ladder the engine was constructed on.
+    ladder: Ladder<'a>,
     bank: Option<&'a ScenarioBank>,
     /// POD compression of the attached bank (mode-space identification).
     pod: Option<&'a PodBank>,
-    /// Reduced per-rung operators over the POD observation basis
-    /// (mode-space assimilation).
-    modespace: Option<&'a ModeSpaceLadder>,
     /// Prefix sums of the bank's squared clean observations
     /// ([`identify::sq_prefix`]), computed once at attach time.
     bank_sq_prefix: Vec<f64>,
@@ -660,8 +361,7 @@ pub struct StreamEngine<'a> {
     spans: TickSpans,
     /// Cached counter/gauge handles into `obs`.
     counters: EngineCounters,
-    /// Per-rung assimilation span histograms, grown to the active
-    /// ladder's length on first tick.
+    /// Per-rung assimilation span histograms.
     rung_spans: Vec<Arc<Histogram>>,
     /// Per-shard whole-tick span histograms.
     shard_spans: Vec<Arc<Histogram>>,
@@ -673,80 +373,65 @@ pub struct StreamEngine<'a> {
 }
 
 impl<'a> StreamEngine<'a> {
-    /// A new engine over a precomputed twin and window ladder.
+    /// An engine on the dense windowed ladder ([`TickPath::Windowed`]):
+    /// every rung gathers the raw window and applies `Q_w` — the exact
+    /// path, and the oracle for the reduced ones.
     pub fn new(
         twin: &'a DigitalTwin,
         forecaster: &'a WindowedForecaster,
         config: StreamConfig,
     ) -> Self {
-        assert_eq!(
-            forecaster.nd,
-            twin.solver.sensors.len(),
-            "forecaster and twin disagree on the sensor count"
-        );
-        Self::with_backends(twin, Some(forecaster), None, config)
+        Self::on_ladder(twin, Ladder::windowed(forecaster, config.infer), config)
     }
 
-    /// A goal-oriented engine: forecasting runs entirely through the
-    /// precomputed factored ladder ([`ForecastBackend::GoalOriented`] is
-    /// forced), so no dense [`WindowedForecaster`] — and none of its
-    /// `O(Nq · Σ w·Nd)` resident memory — is needed at all. This is the
-    /// memory-feasible service configuration the offline/online split
-    /// exists for.
+    /// An engine on a factored ladder: no dense [`WindowedForecaster`] —
+    /// and none of its `O(Nq · Σ w·Nd)` resident memory — is needed at
+    /// all, and a tick is rank-sized folds plus small GEMMs. The path is
+    /// read off the ladder: [`TickPath::ModeSpace`] when its rungs share
+    /// an observation basis, else [`TickPath::GoalOriented`].
+    ///
+    /// [`Self::mode_space`] is the same constructor: the two ladder
+    /// kinds are one type, and both names stay only because the frozen
+    /// `perf_report` harness spells them.
     pub fn goal_oriented(
         twin: &'a DigitalTwin,
-        goal: &'a GoalLadder,
-        mut config: StreamConfig,
-    ) -> Self {
-        assert_eq!(
-            goal.nd,
-            twin.solver.sensors.len(),
-            "goal ladder and twin disagree on the sensor count"
-        );
-        config.forecast = ForecastBackend::GoalOriented;
-        Self::with_backends(twin, None, Some(goal), config)
-    }
-
-    /// A mode-space engine: assimilation runs entirely through the
-    /// precomputed reduced ladder ([`AssimilateBackend::ModeSpace`] is
-    /// forced), so no dense [`WindowedForecaster`] is needed and every
-    /// online stage — drain, identify, fold, assimilate, classify — is
-    /// rank-sized. The full-space engine stays available as the oracle
-    /// via [`StreamEngine::new`].
-    pub fn mode_space(
-        twin: &'a DigitalTwin,
-        ms: &'a ModeSpaceLadder,
-        mut config: StreamConfig,
-    ) -> Self {
-        config.assimilate = AssimilateBackend::ModeSpace;
-        Self::with_backends(twin, None, None, config).with_modespace(ms)
-    }
-
-    fn with_backends(
-        twin: &'a DigitalTwin,
-        forecaster: Option<&'a WindowedForecaster>,
-        goal: Option<&'a GoalLadder>,
+        ladder: &'a RungLadder,
         config: StreamConfig,
     ) -> Self {
+        Self::on_ladder(twin, Ladder::reduced(ladder, config.infer), config)
+    }
+
+    /// See [`Self::goal_oriented`].
+    pub fn mode_space(twin: &'a DigitalTwin, ladder: &'a RungLadder, config: StreamConfig) -> Self {
+        Self::goal_oriented(twin, ladder, config)
+    }
+
+    fn on_ladder(twin: &'a DigitalTwin, ladder: Ladder<'a>, config: StreamConfig) -> Self {
         assert!(config.chunk >= 1, "chunk must be at least 1");
         assert!(config.shards >= 1, "shards must be at least 1");
         assert!(
             config.audit_capacity >= 1,
             "audit_capacity must be at least 1"
         );
+        assert_eq!(
+            ladder.nd,
+            twin.solver.sensors.len(),
+            "ladder and twin disagree on the sensor count"
+        );
         let obs = Registry::new();
         let spans = TickSpans::new(&obs);
         let counters = EngineCounters::new(&obs);
+        let rung_spans = (0..ladder.rungs.len())
+            .map(|w| obs.histogram(&format!("stream.rung.{w}.assimilate")))
+            .collect();
         let shard_spans = (0..config.shards)
             .map(|i| obs.histogram(&format!("stream.shard.{i}.tick")))
             .collect();
         StreamEngine {
             twin,
-            forecaster,
-            goal,
+            ladder,
             bank: None,
             pod: None,
-            modespace: None,
             bank_sq_prefix: Vec::new(),
             config,
             shards: (0..config.shards).map(Shard::new).collect(),
@@ -755,89 +440,11 @@ impl<'a> StreamEngine<'a> {
             obs,
             spans,
             counters,
-            rung_spans: Vec::new(),
+            rung_spans,
             shard_spans,
             audit: AuditRing::new(config.audit_capacity),
             last_pool: rayon::pool_stats(),
         }
-    }
-
-    /// Attach a goal-oriented factored ladder to a windowed engine,
-    /// enabling [`ForecastBackend::GoalOriented`] ticks alongside the
-    /// dense path (A/B comparison; a pure goal-oriented service should
-    /// use [`Self::goal_oriented`] instead and skip building the dense
-    /// forecaster entirely). Every session gains the ladder's
-    /// rank-sized fold state.
-    pub fn with_goal(mut self, goal: &'a GoalLadder) -> Self {
-        assert_eq!(
-            goal.nd,
-            self.twin.solver.sensors.len(),
-            "goal ladder and twin disagree on the sensor count"
-        );
-        if let Some(wf) = self.forecaster {
-            assert_eq!(
-                goal.windows, wf.windows,
-                "goal ladder and forecaster disagree on the window ladder"
-            );
-        }
-        for s in self.shards.iter().flat_map(|sh| &sh.sessions) {
-            assert!(
-                s.samples() == 0,
-                "attach the goal ladder before any samples arrive"
-            );
-        }
-        let fold_len = goal.fold_len();
-        for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
-            s.goal_fold.clear();
-            s.goal_fold.resize(fold_len, 0.0);
-        }
-        self.goal = Some(goal);
-        self
-    }
-
-    /// Attach a mode-space assimilation ladder, enabling
-    /// [`AssimilateBackend::ModeSpace`] ticks. Every session gains the
-    /// rank-sized per-rung fold state. When a [`PodBank`] is also
-    /// attached (either order), the two must share the observation basis
-    /// bit for bit — that is what lets mode-space identification and
-    /// assimilation fold each drained row exactly once.
-    pub fn with_modespace(mut self, ms: &'a ModeSpaceLadder) -> Self {
-        assert_eq!(
-            ms.nd,
-            self.twin.solver.sensors.len(),
-            "mode-space ladder and twin disagree on the sensor count"
-        );
-        if let Some(wf) = self.forecaster {
-            assert_eq!(
-                ms.windows, wf.windows,
-                "mode-space ladder and forecaster disagree on the window ladder"
-            );
-        }
-        if let Some(goal) = self.goal {
-            assert_eq!(
-                ms.windows, goal.windows,
-                "mode-space ladder and goal ladder disagree on the window ladder"
-            );
-        }
-        if let Some(pod) = self.pod {
-            assert_same_basis(pod, ms);
-        }
-        for s in self.shards.iter().flat_map(|sh| &sh.sessions) {
-            assert!(
-                s.samples() == 0,
-                "attach the mode-space ladder before any samples arrive"
-            );
-        }
-        let (nr, r) = (ms.windows.len(), ms.rank());
-        for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
-            s.ms_fold.clear();
-            s.ms_fold.resize(nr * r, 0.0);
-            s.ms_proj.clear();
-            s.ms_proj.resize(r, 0.0);
-            s.ms_folded = 0;
-        }
-        self.modespace = Some(ms);
-        self
     }
 
     /// Attach a scenario bank: every arrived sample then also updates the
@@ -871,7 +478,11 @@ impl<'a> StreamEngine<'a> {
     /// [`IdentifyBackend::ModeSpace`] ticks. Must agree with the attached
     /// bank in shape (call [`Self::with_bank`] first). Every session gains
     /// an `r`-dimensional running projection; the exact path stays
-    /// available as the oracle via [`StreamConfig::identify`].
+    /// available as the oracle via [`StreamConfig::identify`]. On a
+    /// shared-basis ladder the POD modes must *be* that basis, bit for
+    /// bit — mode-space identification then folds drained rows into the
+    /// per-session projection once, and the ladder's rung snapshots are
+    /// cut from that same fold.
     pub fn with_pod(mut self, pod: &'a PodBank) -> Self {
         let bank = self
             .bank
@@ -892,8 +503,12 @@ impl<'a> StreamEngine<'a> {
                 "attach the POD bank before any samples arrive"
             );
         }
-        if let Some(ms) = self.modespace {
-            assert_same_basis(pod, ms);
+        if let Some(basis) = self.ladder.basis {
+            assert!(
+                pod.modes().ncols() == basis.ncols() && pod.modes().as_slice() == basis.as_slice(),
+                "mode-space ladder and PodBank must share the observation basis bit for bit \
+                 (build the ladder from PodBank::modes())"
+            );
         }
         let r = pod.rank();
         for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
@@ -902,6 +517,15 @@ impl<'a> StreamEngine<'a> {
         }
         self.pod = Some(pod);
         self
+    }
+
+    /// True when mode-space identification and a shared-basis ladder
+    /// fold the drained rows into the *same* per-session projection
+    /// (`pod_coeff`) — the no-double-fold configuration.
+    fn shared_fold(&self) -> bool {
+        self.bank.is_some()
+            && self.config.identify == IdentifyBackend::ModeSpace
+            && self.ladder.basis.is_some()
     }
 
     /// Map a session id to its `(shard, local slot)`, panicking with the
@@ -930,22 +554,20 @@ impl<'a> StreamEngine<'a> {
         let n = self.shards.len();
         let n_scen = self.bank.map_or(0, |b| b.len());
         let n_modes = self.pod.map_or(0, |p| p.rank());
-        let fold_len = self.goal.map_or(0, |g| g.fold_len());
-        let (ms_rungs, ms_rank) = self
-            .modespace
-            .map_or((0, 0), |m| (m.windows.len(), m.rank()));
+        let fold_len = self.ladder.fold_len;
+        let acc_len = self.ladder.basis.map_or(0, |u| u.ncols());
         let si = self.next_open % n;
         self.next_open += 1;
-        let nd = self.twin.solver.sensors.len();
+        let nd = self.ladder.nd;
         let capacity = self.twin.n_data();
         let shard = &mut self.shards[si];
         if let Some(local) = shard.free.pop() {
-            shard.sessions[local].reopen(n_scen, n_modes, fold_len, ms_rungs, ms_rank);
+            shard.sessions[local].reopen(n_scen, n_modes, fold_len, acc_len);
             return shard.sessions[local].id;
         }
         let id = si + shard.sessions.len() * n;
         shard.sessions.push(StreamSession::new(
-            id, capacity, nd, n_scen, n_modes, fold_len, ms_rungs, ms_rank,
+            id, capacity, nd, n_scen, n_modes, fold_len, acc_len,
         ));
         self.metrics.rings_allocated += 1;
         id
@@ -1059,25 +681,21 @@ impl<'a> StreamEngine<'a> {
     /// benchmarking support (identification scores are *not* reset — they
     /// are a pure function of the arrived samples).
     ///
-    /// The goal-oriented and mode-space fold states *are* reset (they are
-    /// re-derived from the ring; zeroing avoids double-folding the same
-    /// samples), so the next tick refolds `[0, filled)` in one pass —
-    /// bit-identical to a fresh engine that received the whole stream in
-    /// one push. Under the shared mode-space fold (identification *and*
-    /// assimilation both [`IdentifyBackend::ModeSpace`] /
-    /// [`AssimilateBackend::ModeSpace`]), the identification projection
-    /// carries the assimilation state, so `scored`, the running
-    /// projection, and the data energy reset with it — safe because the
-    /// mode-space misfit is *materialized* from the projection each pass,
-    /// never accumulated, and the refold reproduces it exactly.
+    /// The fold state *is* reset (it is re-derived from the ring; zeroing
+    /// avoids double-folding the same samples), so the next tick refolds
+    /// `[0, filled)` in one pass — bit-identical to a fresh engine that
+    /// received the whole stream in one push. Under the shared fold the
+    /// identification projection carries the fold, so `scored`, the
+    /// running projection, and the data energy reset with it — safe
+    /// because the mode-space misfit is *materialized* from the
+    /// projection each pass, never accumulated, and the refold
+    /// reproduces it exactly.
     ///
     /// Warning levels reset to [`WarningLevel::AllClear`] as well, so a
     /// replay re-classifies from scratch and the audit ring records the
     /// same transition sequence the original stream produced.
     pub fn rewind(&mut self) {
-        let shared = self.bank.is_some()
-            && self.config.identify == IdentifyBackend::ModeSpace
-            && self.config.assimilate == AssimilateBackend::ModeSpace;
+        let shared = self.shared_fold();
         for s in self
             .shards
             .iter_mut()
@@ -1086,10 +704,8 @@ impl<'a> StreamEngine<'a> {
         {
             s.window_idx = None;
             s.folded = 0;
-            s.goal_fold.fill(0.0);
-            s.ms_fold.fill(0.0);
-            s.ms_proj.fill(0.0);
-            s.ms_folded = 0;
+            s.fold.fill(0.0);
+            s.fold_acc.fill(0.0);
             if shared {
                 s.scored = 0;
                 s.pod_coeff.fill(0.0);
@@ -1101,10 +717,10 @@ impl<'a> StreamEngine<'a> {
     }
 
     /// Process everything that arrived since the last tick (see the
-    /// [module docs](self) for the four stages). Shards tick
-    /// independently — in parallel across the persistent worker pool when
-    /// `shards > 1`, with one barrier at the end — and their partial
-    /// metrics are merged here.
+    /// [module docs](self) for the stages). Shards tick independently —
+    /// in parallel across the persistent worker pool when `shards > 1`,
+    /// with one barrier at the end — and their partial metrics are merged
+    /// here.
     pub fn tick(&mut self) -> TickMetrics {
         let t0 = Instant::now();
         let on = tsunami_obs::enabled();
@@ -1112,54 +728,14 @@ impl<'a> StreamEngine<'a> {
             self.config.identify == IdentifyBackend::Exact || self.pod.is_some(),
             "mode-space identification requires an attached PodBank (with_pod)"
         );
-        match self.config.assimilate {
-            AssimilateBackend::ModeSpace => {
-                let ms = self.modespace.expect(
-                    "mode-space assimilation requires an attached ModeSpaceLadder \
-                     (mode_space / with_modespace)",
-                );
-                assert!(
-                    !self.config.infer || ms.has_inference(),
-                    "infer: true under mode-space assimilation needs a ladder built \
-                     with ModeSpaceOptions {{ inference: true, .. }}"
-                );
-            }
-            AssimilateBackend::FullSpace => match self.config.forecast {
-                ForecastBackend::Windowed => assert!(
-                    self.forecaster.is_some(),
-                    "windowed forecasting requires a WindowedForecaster (StreamEngine::new)"
-                ),
-                ForecastBackend::GoalOriented => assert!(
-                    self.goal.is_some(),
-                    "goal-oriented forecasting requires an attached GoalLadder \
-                     (goal_oriented / with_goal)"
-                ),
-            },
-        }
-        // Grow the per-rung span table to the active ladder before the
-        // fan-out, so shards never touch the registry's name table
-        // (one-time work: idempotent after the first tick).
-        let n_rungs = match self.config.assimilate {
-            AssimilateBackend::ModeSpace => self.modespace.expect("asserted above").windows.len(),
-            AssimilateBackend::FullSpace => match self.config.forecast {
-                ForecastBackend::Windowed => self.forecaster.expect("asserted above").windows.len(),
-                ForecastBackend::GoalOriented => self.goal.expect("asserted above").windows.len(),
-            },
-        };
-        while self.rung_spans.len() < n_rungs {
-            let w = self.rung_spans.len();
-            self.rung_spans
-                .push(self.obs.histogram(&format!("stream.rung.{w}.assimilate")));
-        }
         let ctx = TickCtx {
             twin: self.twin,
-            forecaster: self.forecaster,
-            goal: self.goal,
+            ladder: &self.ladder,
             bank: self.bank,
             pod: self.pod,
-            modespace: self.modespace,
             sq_prefix: &self.bank_sq_prefix,
             config: self.config,
+            shared_fold: self.shared_fold(),
             n_shards: self.shards.len(),
             spans: &self.spans,
             rung_spans: &self.rung_spans,
@@ -1338,604 +914,6 @@ pub fn superpose_forecasts(matches: &[ScenarioMatch], bank_forecasts: &ForecastB
     }
 }
 
-/// One shard's tick: drain the inbox, score, assimilate, classify — all
-/// against this shard's sessions only. Runs on a pool worker when the
-/// engine ticks shards in parallel (nested bulk operations inside the
-/// batched window math then stay serial on that worker), or inline on
-/// the caller for `shards = 1`.
-fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
-    let Shard {
-        idx: shard_idx,
-        sessions,
-        inbox,
-        arena,
-        last,
-        peak_panel_elems,
-        audit_scratch,
-        free: _,
-    } = shard;
-    let mut p = ShardTick::default();
-    audit_scratch.clear();
-    // Span clock: off, it never reads the system clock and every lap is
-    // 0; stage accumulators then stay 0 and nothing is recorded.
-    let on = ctx.obs_on;
-    let mut sw = Stopwatch::start(on);
-    let mut assim_ns = 0u64;
-    let mut classify_ns = 0u64;
-
-    // 1. Drain the lock-free inbox in arrival order. Batches whose
-    //    generation stamp no longer matches their slot — the session was
-    //    closed, or closed *and reopened for a new event*, since enqueue
-    //    — are dropped; horizon clamping happens in the ring exactly as
-    //    for direct pushes.
-    for (id, generation, samples) in inbox.drain() {
-        let s = &mut sessions[id / ctx.n_shards];
-        if s.active && s.generation == generation {
-            p.samples_drained += s.ring.push(&samples);
-        }
-    }
-    let drain_ns = sw.lap();
-
-    // 2. Sequential identification of newly arrived samples: sessions
-    //    whose unscored range coincides (the common lockstep case) are
-    //    bucketed and scored together, so the shared operand (clean
-    //    block, or POD basis + coefficients) is streamed once per tick
-    //    rather than once per session; stragglers fall back to a group
-    //    of one.
-    if let Some(bank) = ctx.bank {
-        let mut buckets: BTreeMap<(usize, usize), Vec<&mut StreamSession>> = BTreeMap::new();
-        for s in sessions.iter_mut().filter(|s| s.active) {
-            let filled = s.ring.filled();
-            if s.scored < filled {
-                buckets.entry((s.scored, filled)).or_default().push(s);
-            }
-        }
-        match ctx.config.identify {
-            IdentifyBackend::Exact => {
-                // One grouped rows × scenarios GEMM per bucket against
-                // the full clean block; misfits accumulate per range.
-                let clean = bank.clean_observations();
-                for ((i0, i1), sessions) in buckets {
-                    let mut group: Vec<(&[f64], &mut [f64])> = sessions
-                        .into_iter()
-                        .map(|s| {
-                            s.scored = i1;
-                            let StreamSession { ring, misfit, .. } = s;
-                            (ring.prefix(i1), &mut misfit[..])
-                        })
-                        .collect();
-                    identify::score_group_gemm(clean, ctx.sq_prefix, i0, i1, &mut group);
-                    p.samples_scored += (i1 - i0) * group.len();
-                }
-            }
-            IdentifyBackend::ModeSpace => {
-                // Two grouped passes per bucket: fold the new rows into
-                // each session's running projection a = Uᵀd (and data
-                // energy ‖d‖², compensated), then materialize all B
-                // misfits from the r-dimensional projection — the
-                // bank-width work shrinks from rows × B to r × B.
-                let pod = ctx
-                    .pod
-                    .expect("mode-space tick without an attached PodBank");
-                // Shared fold: when assimilation is also mode-space, its
-                // per-rung inputs are snapshots of this same running
-                // projection, so the fold is segmented at the rung
-                // boundaries inside the range and the projection is
-                // copied out as each one is crossed — every drained row
-                // folds exactly once per tick. With full-space
-                // assimilation the boundary list is empty and the loop
-                // degenerates to the single-call fold.
-                let shared = ctx.shared_fold();
-                let bounds: Vec<usize> = if shared {
-                    let ms = ctx
-                        .modespace
-                        .expect("shared fold without a mode-space ladder");
-                    ms.windows.iter().map(|&w| w * ms.nd).collect()
-                } else {
-                    Vec::new()
-                };
-                let r = pod.rank();
-                for ((i0, i1), mut sessions) in buckets {
-                    let mut cuts: Vec<usize> = bounds
-                        .iter()
-                        .copied()
-                        .filter(|&k| k > i0 && k <= i1)
-                        .collect();
-                    cuts.push(i1);
-                    cuts.dedup();
-                    let mut prev = i0;
-                    for &cut in &cuts {
-                        if cut > prev {
-                            let mut proj: Vec<(&[f64], &mut [f64])> = sessions
-                                .iter_mut()
-                                .map(|s| {
-                                    let StreamSession {
-                                        ring, pod_coeff, ..
-                                    } = &mut **s;
-                                    (ring.prefix(cut), &mut pod_coeff[..])
-                                })
-                                .collect();
-                            identify::project_group(pod.modes(), prev, cut, &mut proj);
-                            prev = cut;
-                        }
-                        for (w, &kw) in bounds.iter().enumerate() {
-                            if kw == cut {
-                                for s in sessions.iter_mut() {
-                                    let StreamSession {
-                                        pod_coeff, ms_fold, ..
-                                    } = &mut **s;
-                                    ms_fold[w * r..(w + 1) * r].copy_from_slice(pod_coeff);
-                                }
-                            }
-                        }
-                    }
-                    for s in sessions.iter_mut() {
-                        s.scored = i1;
-                        if shared {
-                            s.ms_folded = i1;
-                        }
-                        s.accumulate_energy(i0, i1);
-                    }
-                    p.samples_projected += (i1 - i0) * sessions.len();
-                    let mut score: Vec<(f64, &[f64], &mut [f64])> = sessions
-                        .iter_mut()
-                        .map(|s| {
-                            let StreamSession {
-                                data_energy,
-                                pod_coeff,
-                                misfit,
-                                ..
-                            } = &mut **s;
-                            (*data_energy, &pod_coeff[..], &mut misfit[..])
-                        })
-                        .collect();
-                    identify::score_group_pod(pod.mode_coeffs(), ctx.sq_prefix, i1, &mut score);
-                    p.samples_scored += (i1 - i0) * sessions.len();
-                }
-            }
-        }
-    }
-    let identify_ns = sw.lap();
-
-    // 2b. Goal-oriented fold: each session's newly arrived samples fold
-    //     into its per-rung running state `z_w += R_wᵀ d` — the
-    //     rank-sized online state of the goal-oriented split. Sessions
-    //     with a common unfolded range are bucketed so each rung's right
-    //     factor streams once per bucket (the same blocked projection
-    //     kernel as the POD path); exact rungs carry an implicit
-    //     identity right factor, so their fold is a straight copy of the
-    //     new rows. Ranges are clipped to each rung's window, which also
-    //     skips rungs a session has already fully folded.
-    if ctx.config.forecast == ForecastBackend::GoalOriented {
-        let goal = ctx.goal.expect("goal backend without a ladder");
-        let mut buckets: BTreeMap<(usize, usize), Vec<&mut StreamSession>> = BTreeMap::new();
-        for s in sessions.iter_mut().filter(|s| s.active) {
-            let filled = s.ring.filled();
-            if s.folded < filled {
-                buckets.entry((s.folded, filled)).or_default().push(s);
-            }
-        }
-        for ((i0, i1), mut members) in buckets {
-            for (ri, rung) in goal.rungs.iter().enumerate() {
-                let k = goal.windows[ri] * goal.nd;
-                let (i0w, i1w) = (i0.min(k), i1.min(k));
-                if i0w >= i1w {
-                    continue;
-                }
-                let off = goal.fold_offset(ri);
-                match rung.map.right() {
-                    None => {
-                        for s in members.iter_mut() {
-                            let StreamSession {
-                                ring, goal_fold, ..
-                            } = &mut **s;
-                            goal_fold[off + i0w..off + i1w]
-                                .copy_from_slice(&ring.prefix(i1w)[i0w..i1w]);
-                        }
-                    }
-                    Some(rw) => {
-                        let rank = rw.ncols();
-                        let mut group: Vec<(&[f64], &mut [f64])> = members
-                            .iter_mut()
-                            .map(|s| {
-                                let StreamSession {
-                                    ring, goal_fold, ..
-                                } = &mut **s;
-                                (ring.prefix(i1w), &mut goal_fold[off..off + rank])
-                            })
-                            .collect();
-                        identify::project_group(rw, i0w, i1w, &mut group);
-                    }
-                }
-            }
-            for s in members.iter_mut() {
-                s.folded = i1;
-            }
-            p.samples_folded += (i1 - i0) * members.len();
-        }
-    }
-
-    // 2c. Mode-space assimilation fold, non-shared path: when
-    //     identification is not already folding the projection (exact
-    //     identify, or no bank at all), drained rows fold into each
-    //     session's own running projection with the same rung-boundary
-    //     segmentation and snapshots as the shared path — so the two
-    //     configurations produce bitwise-identical per-rung folds. Rows
-    //     beyond the widest rung carry no assimilation information and
-    //     are clipped, not folded.
-    if ctx.config.assimilate == AssimilateBackend::ModeSpace && !ctx.shared_fold() {
-        let ms = ctx
-            .modespace
-            .expect("mode-space assimilation without a ladder");
-        let r = ms.rank();
-        let bounds: Vec<usize> = ms.windows.iter().map(|&w| w * ms.nd).collect();
-        let max_k = *bounds.last().expect("ladder has at least one rung");
-        let mut buckets: BTreeMap<(usize, usize), Vec<&mut StreamSession>> = BTreeMap::new();
-        for s in sessions.iter_mut().filter(|s| s.active) {
-            let filled = s.ring.filled();
-            if s.ms_folded < filled {
-                buckets.entry((s.ms_folded, filled)).or_default().push(s);
-            }
-        }
-        for ((i0, i1), mut members) in buckets {
-            let (i0w, i1w) = (i0.min(max_k), i1.min(max_k));
-            let mut cuts: Vec<usize> = bounds
-                .iter()
-                .copied()
-                .filter(|&k| k > i0w && k <= i1w)
-                .collect();
-            cuts.push(i1w);
-            cuts.dedup();
-            let mut prev = i0w;
-            for &cut in &cuts {
-                if cut > prev {
-                    let mut group: Vec<(&[f64], &mut [f64])> = members
-                        .iter_mut()
-                        .map(|s| {
-                            let StreamSession { ring, ms_proj, .. } = &mut **s;
-                            (ring.prefix(cut), &mut ms_proj[..])
-                        })
-                        .collect();
-                    identify::project_group(ms.modes(), prev, cut, &mut group);
-                    prev = cut;
-                }
-                for (w, &kw) in bounds.iter().enumerate() {
-                    if kw == cut && kw > i0w {
-                        for s in members.iter_mut() {
-                            let StreamSession {
-                                ms_proj, ms_fold, ..
-                            } = &mut **s;
-                            ms_fold[w * r..(w + 1) * r].copy_from_slice(ms_proj);
-                        }
-                    }
-                }
-            }
-            for s in members.iter_mut() {
-                s.ms_folded = i1;
-            }
-            p.samples_projected += (i1w - i0w) * members.len();
-        }
-    }
-
-    // 3. Group sessions that crossed a new rung of the active backend's
-    //    ladder, by rung index, then assimilate each group in bounded
-    //    chunks over the shard's reusable scratch arena (clear + resize
-    //    within retained capacity: steady-state ticks allocate nothing).
-    let windows = ctx.windows();
-    let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (idx, s) in sessions.iter().enumerate().filter(|(_, s)| s.active) {
-        if let Some(w) = windows.iter().rposition(|&wl| wl <= s.steps()) {
-            if s.window_idx.is_none_or(|cur| w > cur) {
-                groups.entry(w).or_default().push(idx);
-            }
-        }
-    }
-    // Goal-oriented folds, mode-space folds, and rung grouping count
-    // toward assimilation.
-    assim_ns += sw.lap();
-    if ctx.config.assimilate == AssimilateBackend::ModeSpace {
-        // Rank-sized assimilation: gather each chunk's per-rung fold
-        // snapshots and materialize forecast (and optionally reduced
-        // inference) as `r × b` GEMMs. The full-space `k × b` window
-        // panel never exists on this path, so the recorded peak working
-        // set is the reduced one.
-        let ms = ctx
-            .modespace
-            .expect("mode-space assimilation without a ladder");
-        let r = ms.rank();
-        for (w, members) in groups {
-            let rung = &ms.rungs[w];
-            let nq = rung.q_map.nrows();
-            let m_rows = rung.m_map.as_ref().map_or(0, |m| m.nrows());
-            for chunk in members.chunks(ctx.config.chunk) {
-                let b = chunk.len();
-                let t0 = Instant::now();
-                let mut buf = std::mem::take(&mut arena.panel);
-                buf.clear();
-                buf.resize(r * b, 0.0);
-                let mut a = DMatrix::from_vec(r, b, buf);
-                for (c, &idx) in chunk.iter().enumerate() {
-                    for (row, &v) in sessions[idx].ms_fold[w * r..(w + 1) * r].iter().enumerate() {
-                        a[(row, c)] = v;
-                    }
-                }
-                p.peak_panel_elems = p.peak_panel_elems.max(r * b).max(nq * b);
-
-                let mut qbuf = std::mem::take(&mut arena.q_block);
-                qbuf.clear();
-                qbuf.resize(nq * b, 0.0);
-                let mut q = DMatrix::from_vec(nq, b, qbuf);
-                rung.q_map.matmul_into(&a, &mut q);
-                let fc_seconds = t0.elapsed().as_secs_f64() / b as f64;
-
-                let m_block = ctx.config.infer.then(|| {
-                    let m_map = rung.m_map.as_ref().expect("checked at tick start");
-                    let mut mbuf = std::mem::take(&mut arena.m_block);
-                    mbuf.clear();
-                    mbuf.resize(m_rows * b, 0.0);
-                    let mut m = DMatrix::from_vec(m_rows, b, mbuf);
-                    m_map.matmul_into(&a, &mut m);
-                    m
-                });
-                if m_block.is_some() {
-                    p.peak_panel_elems = p.peak_panel_elems.max(m_rows * b);
-                }
-                let work_ns = sw.lap();
-                assim_ns += work_ns;
-
-                // 4. Scatter results + classify.
-                for (c, &idx) in chunk.iter().enumerate() {
-                    let s = &mut sessions[idx];
-                    scatter_forecast(s, &q, c, &ms.q_stds[w], fc_seconds);
-                    let band = forecast_band(s.forecast.as_ref().expect("forecast just scattered"));
-                    let prev = s.level;
-                    s.level = classify_band(band, ctx.config.warn_threshold);
-                    if s.level != prev {
-                        audit_scratch.push(WarningTransition {
-                            session: s.id,
-                            tick: ctx.tick_no,
-                            rung: w,
-                            from: prev,
-                            to: s.level,
-                            band_lo: band.0,
-                            band_hi: band.1,
-                            top_scenario: ctx.bank.and_then(|bk| top_posterior(&s.misfit, bk)),
-                            backend: ctx.config.forecast,
-                            assimilate: ctx.config.assimilate,
-                        });
-                    }
-                    if let Some(m) = &m_block {
-                        let norm = (0..m.nrows())
-                            .map(|row| {
-                                let v = m[(row, c)];
-                                v * v
-                            })
-                            .sum::<f64>()
-                            .sqrt();
-                        s.m_norm = Some(norm);
-                    }
-                    s.window_idx = Some(w);
-                }
-                let cls_ns = sw.lap();
-                classify_ns += cls_ns;
-                if on {
-                    ctx.rung_spans[w].record(work_ns + cls_ns);
-                }
-                arena.panel = a.into_vec();
-                arena.q_block = q.into_vec();
-                if let Some(m) = m_block {
-                    arena.m_block = m.into_vec();
-                }
-                p.panels += 1;
-                p.sessions_assimilated += b;
-            }
-        }
-    } else {
-        match ctx.config.forecast {
-            ForecastBackend::Windowed => {
-                let fct = ctx
-                    .forecaster
-                    .expect("windowed backend without a forecaster");
-                for (w, members) in groups {
-                    let k = fct.windows[w] * fct.nd;
-                    let nq = fct.q_maps[w].nrows();
-                    for chunk in members.chunks(ctx.config.chunk) {
-                        let b = chunk.len();
-                        let t0 = Instant::now();
-                        let mut buf = std::mem::take(&mut arena.panel);
-                        buf.clear();
-                        buf.resize(k * b, 0.0);
-                        let mut panel = DMatrix::from_vec(k, b, buf);
-                        for (c, &idx) in chunk.iter().enumerate() {
-                            for (r, &v) in sessions[idx].ring.prefix(k).iter().enumerate() {
-                                panel[(r, c)] = v;
-                            }
-                        }
-                        p.peak_panel_elems = p.peak_panel_elems.max(k * b).max(nq * b);
-
-                        let mut qbuf = std::mem::take(&mut arena.q_block);
-                        qbuf.clear();
-                        qbuf.resize(nq * b, 0.0);
-                        let mut q = DMatrix::from_vec(nq, b, qbuf);
-                        fct.q_maps[w].matmul_into(&panel, &mut q);
-                        let fc_seconds = t0.elapsed().as_secs_f64() / b as f64;
-
-                        let inf = ctx.config.infer.then(|| {
-                            infer_window_batch(
-                                &ctx.twin.phase1,
-                                &ctx.twin.phase2,
-                                &panel,
-                                fct.windows[w],
-                            )
-                        });
-                        if let Some(inf) = &inf {
-                            // The windowed inference internally zero-pads the
-                            // panel to the full horizon (`(Nd·Nt) × b`) before
-                            // the FFT pass and returns an `(Nm·Nt) × b` block;
-                            // both are part of the tick's real working set.
-                            p.peak_panel_elems = p
-                                .peak_panel_elems
-                                .max(ctx.twin.n_data() * b)
-                                .max(inf.m_map.nrows() * b);
-                        }
-                        let work_ns = sw.lap();
-                        assim_ns += work_ns;
-
-                        // 4. Scatter results + classify.
-                        for (c, &idx) in chunk.iter().enumerate() {
-                            let s = &mut sessions[idx];
-                            scatter_forecast(s, &q, c, &fct.q_stds[w], fc_seconds);
-                            let band = forecast_band(
-                                s.forecast.as_ref().expect("forecast just scattered"),
-                            );
-                            let prev = s.level;
-                            s.level = classify_band(band, ctx.config.warn_threshold);
-                            if s.level != prev {
-                                audit_scratch.push(WarningTransition {
-                                    session: s.id,
-                                    tick: ctx.tick_no,
-                                    rung: w,
-                                    from: prev,
-                                    to: s.level,
-                                    band_lo: band.0,
-                                    band_hi: band.1,
-                                    top_scenario: ctx
-                                        .bank
-                                        .and_then(|bk| top_posterior(&s.misfit, bk)),
-                                    backend: ctx.config.forecast,
-                                    assimilate: ctx.config.assimilate,
-                                });
-                            }
-                            if let Some(inf) = &inf {
-                                let norm = (0..inf.m_map.nrows())
-                                    .map(|r| {
-                                        let v = inf.m_map[(r, c)];
-                                        v * v
-                                    })
-                                    .sum::<f64>()
-                                    .sqrt();
-                                s.m_norm = Some(norm);
-                            }
-                            s.window_idx = Some(w);
-                        }
-                        let cls_ns = sw.lap();
-                        classify_ns += cls_ns;
-                        if on {
-                            ctx.rung_spans[w].record(work_ns + cls_ns);
-                        }
-                        arena.panel = panel.into_vec();
-                        arena.q_block = q.into_vec();
-                        p.panels += 1;
-                        p.sessions_assimilated += b;
-                    }
-                }
-            }
-            ForecastBackend::GoalOriented => {
-                // No window panels, no Cholesky walk: gather each chunk's
-                // rank-sized fold states and materialize all QoI means as
-                // one `L_w · Z` GEMM plus the precomputed std.
-                let goal = ctx.goal.expect("goal backend without a ladder");
-                for (w, members) in groups {
-                    let rung = &goal.rungs[w];
-                    let r = rung.map.rank();
-                    let nq = rung.map.out_dim();
-                    let off = goal.fold_offset(w);
-                    for chunk in members.chunks(ctx.config.chunk) {
-                        let b = chunk.len();
-                        let t0 = Instant::now();
-                        let mut buf = std::mem::take(&mut arena.panel);
-                        buf.clear();
-                        buf.resize(r * b, 0.0);
-                        let mut z = DMatrix::from_vec(r, b, buf);
-                        for (c, &idx) in chunk.iter().enumerate() {
-                            for (row, &v) in
-                                sessions[idx].goal_fold[off..off + r].iter().enumerate()
-                            {
-                                z[(row, c)] = v;
-                            }
-                        }
-                        p.peak_panel_elems = p.peak_panel_elems.max(r * b).max(nq * b);
-
-                        let mut qbuf = std::mem::take(&mut arena.q_block);
-                        qbuf.clear();
-                        qbuf.resize(nq * b, 0.0);
-                        let mut q = DMatrix::from_vec(nq, b, qbuf);
-                        rung.map.materialize_into(&z, &mut q);
-                        let fc_seconds = t0.elapsed().as_secs_f64() / b as f64;
-                        let work_ns = sw.lap();
-                        assim_ns += work_ns;
-
-                        // 4. Scatter results + classify (no parameter
-                        //    inference on this path: m_norm stays None).
-                        for (c, &idx) in chunk.iter().enumerate() {
-                            let s = &mut sessions[idx];
-                            scatter_forecast(s, &q, c, &goal.q_stds[w], fc_seconds);
-                            let band = forecast_band(
-                                s.forecast.as_ref().expect("forecast just scattered"),
-                            );
-                            let prev = s.level;
-                            s.level = classify_band(band, ctx.config.warn_threshold);
-                            if s.level != prev {
-                                audit_scratch.push(WarningTransition {
-                                    session: s.id,
-                                    tick: ctx.tick_no,
-                                    rung: w,
-                                    from: prev,
-                                    to: s.level,
-                                    band_lo: band.0,
-                                    band_hi: band.1,
-                                    top_scenario: ctx
-                                        .bank
-                                        .and_then(|bk| top_posterior(&s.misfit, bk)),
-                                    backend: ctx.config.forecast,
-                                    assimilate: ctx.config.assimilate,
-                                });
-                            }
-                            s.window_idx = Some(w);
-                        }
-                        let cls_ns = sw.lap();
-                        classify_ns += cls_ns;
-                        if on {
-                            ctx.rung_spans[w].record(work_ns + cls_ns);
-                        }
-                        arena.panel = z.into_vec();
-                        arena.q_block = q.into_vec();
-                        p.panels += 1;
-                        p.sessions_assimilated += b;
-                    }
-                }
-            }
-        }
-    }
-
-    if on {
-        ctx.spans.drain.record(drain_ns);
-        ctx.spans.identify.record(identify_ns);
-        ctx.spans.assimilate.record(assim_ns);
-        ctx.spans.classify.record(classify_ns);
-        ctx.shard_spans[*shard_idx].record(drain_ns + identify_ns + assim_ns + classify_ns);
-    }
-    *peak_panel_elems = (*peak_panel_elems).max(p.peak_panel_elems);
-    *last = p;
-}
-
-/// Write chunk column `c` of the materialized QoI block into the
-/// session's forecast *in place*: the per-session vectors are sized by
-/// the first assimilation and reused afterwards, so steady-state
-/// scattering allocates nothing.
-fn scatter_forecast(s: &mut StreamSession, q: &DMatrix, c: usize, q_std: &[f64], seconds: f64) {
-    let fc = s.forecast.get_or_insert_with(|| Forecast {
-        q_map: Vec::new(),
-        q_std: Vec::new(),
-        seconds: 0.0,
-    });
-    fc.q_map.clear();
-    fc.q_map.extend((0..q.nrows()).map(|r| q[(r, c)]));
-    fc.q_std.clear();
-    fc.q_std.extend_from_slice(q_std);
-    fc.seconds = seconds;
-}
-
 /// The peak of a forecast's 95% credible band across its QoIs: the
 /// largest lower bound and the largest upper bound. This is the pair
 /// [`classify_forecast`] decides on, exposed separately so audit records
@@ -1972,50 +950,10 @@ pub fn classify_band((lo_max, hi_max): (f64, f64), threshold: f64) -> WarningLev
     }
 }
 
-/// The shared-fold contract: a [`PodBank`] and a [`ModeSpaceLadder`]
-/// attached to the same engine must hold the *same* observation basis
-/// bit for bit — mode-space identification folds drained rows into the
-/// per-session projection once, and mode-space assimilation reads its
-/// rung snapshots from that same fold.
-fn assert_same_basis(pod: &PodBank, ms: &ModeSpaceLadder) {
-    assert!(
-        pod.modes().nrows() == ms.modes().nrows()
-            && pod.modes().ncols() == ms.modes().ncols()
-            && pod.modes().as_slice() == ms.modes().as_slice(),
-        "mode-space ladder and PodBank must share the observation basis bit for bit \
-         (build the ladder from PodBank::modes())"
-    );
-}
-
-/// The bank scenario with the highest posterior probability under a
-/// session's accumulated misfit (uniform prior) — `O(B)`, evaluated only
-/// when a warning transition needs an audit record.
-fn top_posterior(misfit: &[f64], bank: &ScenarioBank) -> Option<(usize, f64)> {
-    if misfit.is_empty() {
-        return None;
-    }
-    let sigma2 = bank.noise_std() * bank.noise_std();
-    let mut best = 0usize;
-    let mut best_ll = f64::NEG_INFINITY;
-    for (j, &mis) in misfit.iter().enumerate() {
-        let ll = -mis / (2.0 * sigma2);
-        if ll > best_ll {
-            best = j;
-            best_ll = ll;
-        }
-    }
-    // Softmax normalizer relative to the best scenario: its own weight is
-    // exactly 1, so its posterior is 1/z.
-    let z: f64 = misfit
-        .iter()
-        .map(|&mis| (-mis / (2.0 * sigma2) - best_ll).exp())
-        .sum();
-    Some((best, 1.0 / z))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsunami_linalg::DMatrix;
 
     #[test]
     fn classify_thresholds_partition_severity() {
@@ -2028,23 +966,6 @@ mod tests {
         assert_eq!(classify_forecast(&fc, 2.0), WarningLevel::AllClear);
         assert_eq!(classify_forecast(&fc, 1.1), WarningLevel::Watch);
         assert_eq!(classify_forecast(&fc, 0.5), WarningLevel::Warning);
-    }
-
-    #[test]
-    fn inbox_drains_fifo_and_frees_undrained_batches() {
-        let inbox = Inbox::new();
-        inbox.push(0, 0, vec![1.0]);
-        inbox.push(3, 1, vec![2.0, 3.0]);
-        inbox.push(0, 0, vec![4.0]);
-        let drained = inbox.drain();
-        assert_eq!(
-            drained,
-            vec![(0, 0, vec![1.0]), (3, 1, vec![2.0, 3.0]), (0, 0, vec![4.0])]
-        );
-        assert!(inbox.drain().is_empty());
-        // Left-over batches are reclaimed by Drop (checked under Miri-less
-        // builds simply by not leaking in the allocator-counting tests).
-        inbox.push(1, 0, vec![5.0]);
     }
 
     #[test]

@@ -1,27 +1,37 @@
 //! Streaming assimilation engine: many concurrent observation streams,
-//! micro-batched through the multi-RHS online spine.
+//! micro-batched through one rung-operator tick path.
 //!
 //! The paper's defining constraint is *real time*: pressure data arrive
 //! sensor sample by sensor sample, and the forecast must sharpen as the
 //! observation window grows. The goal-oriented companion work
-//! (arXiv:2501.14911) precomputes window-laddered forecast operators so
-//! that inference reduces to cheap online applies, and Nomura et al.
-//! (arXiv:2407.03631) show that sequential Bayesian update against a
-//! database of precomputed scenarios is the right shape for live event
-//! identification. This crate is the subsystem that drives *live,
-//! partially observed, concurrent* streams through those precomputed
-//! operators:
+//! (arXiv:2501.14911) states the online phase in its general form —
+//! factor each window's data-to-QoI operator `T_w ≈ L_w R_wᵀ` offline,
+//! fold `z += R_wᵀ d` as data arrive, lift `q = L_w z` on demand, carry
+//! an exact Frobenius bound — and Nomura et al. (arXiv:2407.03631) show
+//! that sequential Bayesian update against a database of precomputed
+//! scenarios is the right shape for live event identification. This
+//! crate drives *live, partially observed, concurrent* streams through
+//! those precomputed operators:
 //!
 //! - [`StreamSession`] holds one stream's state: the time-major ring of
 //!   arrived sensor samples, its position on the window ladder, its
-//!   accumulated per-scenario misfit, and its latest forecast/warning.
+//!   accumulated per-scenario misfit, its rank-sized fold state, and its
+//!   latest forecast/warning.
 //! - [`StreamEngine`] accepts [`StreamEngine::push`] events (or lock-free
 //!   [`StreamEngine::enqueue`] calls from concurrent producer threads)
-//!   and, on each [`StreamEngine::tick`], groups every session that
-//!   crossed the same window boundary into a single batched window
-//!   inference + forecast (multi-RHS leading-block solves + one dense
-//!   `Q_w · D` product), instead of one factor traversal and one matvec
-//!   per session.
+//!   and, on each [`StreamEngine::tick`], runs drain → identify → fold →
+//!   lift → classify: sessions that crossed the same window rung are
+//!   gathered into one block and lifted with one GEMM, instead of one
+//!   operator application per session.
+//! - The engine is constructed on one ladder, and that ladder *is* the
+//!   path ([`TickPath`]): the dense [`tsunami_core::WindowedForecaster`]
+//!   ([`StreamEngine::new`]; `R = I`, reads the ring, exact), an
+//!   SVD-compressed [`tsunami_core::RungLadder`]
+//!   ([`StreamEngine::goal_oriented`]; per-rung right factors, an exact
+//!   ladder bit-matches the windowed path), or a `RungLadder` over a
+//!   shared POD basis ([`StreamEngine::mode_space`]; every row folds
+//!   once for all rungs). Truncated ranks carry exactly computed per-rung
+//!   Frobenius bounds certified down to the warning decision boundary.
 //! - Sessions are sharded by id across [`StreamConfig::shards`] shards,
 //!   each with its own session table, freelist, and inbox; a tick fans
 //!   the shards out across the persistent rayon-shim worker pool with one
@@ -43,35 +53,14 @@
 //!   into an `r`-dimensional running projection and all `B` misfits are
 //!   materialized at `r × B` cost per tick
 //!   ([`identify::project_group`] / [`identify::score_group_pod`]), with
-//!   the exact GEMM kept as the oracle path. The identification
-//!   posterior also drives a Fujita-style posterior-weighted
-//!   **superposition forecast** ([`superpose_forecasts`] /
-//!   [`StreamEngine::superposed_forecast`]) that mixes the bank's
-//!   precomputed forecasts — honest credible bands while identification
-//!   is still ambiguous, and better point forecasts than any single
-//!   best-fit scenario for events between bank members.
-//! - With a [`tsunami_core::ModeSpaceLadder`] attached
-//!   ([`StreamEngine::mode_space`] / [`StreamEngine::with_modespace`])
-//!   and [`AssimilateBackend::ModeSpace`] selected, *assimilation* runs
-//!   in mode space too: drained rows fold once per tick into each
-//!   session's rank-`r` POD projection (shared with the identification
-//!   fold when both backends are mode-space), and rung crossings
-//!   materialize inference + forecast + classification from `r × B`
-//!   GEMMs against precomputed Gram-absorbed reduced operators — no
-//!   full-space window panel, no leading-block solve online. A complete
-//!   basis reproduces the windowed engine within cancellation slack;
-//!   truncated ranks carry exactly computed per-rung Frobenius bounds
-//!   certified down to the warning decision boundary.
-//! - With a [`tsunami_core::GoalLadder`] attached
-//!   ([`StreamEngine::goal_oriented`] / [`StreamEngine::with_goal`]) and
-//!   [`ForecastBackend::GoalOriented`] selected, forecasting runs the
-//!   goal-oriented offline/online split of arXiv:2501.14911: newly
-//!   arrived samples fold into rank-sized per-rung states `z += R_wᵀ d`
-//!   and rung crossings materialize all QoI means as one `L_w · Z` GEMM
-//!   plus the precomputed posterior std — a tick is a handful of small
-//!   GEMMs, with no leading-block Cholesky solve at all. The exact
-//!   (uncompressed) ladder bit-matches the windowed path; truncated
-//!   ranks carry a certified per-rung error bound.
+//!   the exact GEMM kept as the oracle path. On a mode-space ladder over
+//!   the same basis that projection *is* the fold — each row is folded
+//!   once per tick. The identification posterior also drives a
+//!   Fujita-style posterior-weighted **superposition forecast**
+//!   ([`superpose_forecasts`] / [`StreamEngine::superposed_forecast`])
+//!   that mixes the bank's precomputed forecasts — honest credible bands
+//!   while identification is still ambiguous, and better point forecasts
+//!   than any single best-fit scenario for events between bank members.
 //! - [`TickMetrics`] / [`EngineMetrics`] record per-tick latency,
 //!   throughput, the peak materialized panel (per shard), and the
 //!   persistent-pool dispatch counters ([`rayon::pool_stats`] deltas).
@@ -84,11 +73,14 @@
 
 pub mod engine;
 pub mod identify;
+mod inbox;
+mod ladder;
 pub mod session;
+mod tick;
 
 pub use engine::{
-    classify_band, classify_forecast, forecast_band, superpose_forecasts, AssimilateBackend,
-    EngineMetrics, ForecastBackend, IdentifyBackend, ScenarioMatch, StreamConfig, StreamEngine,
-    TickMetrics, WarningTransition,
+    classify_band, classify_forecast, forecast_band, superpose_forecasts, EngineMetrics,
+    IdentifyBackend, ScenarioMatch, StreamConfig, StreamEngine, TickMetrics, WarningTransition,
 };
+pub use ladder::TickPath;
 pub use session::{SampleRing, StreamSession, WarningLevel};

@@ -112,27 +112,20 @@ pub struct StreamSession {
     /// Running POD projection `a = Uᵀd` over the scored samples (empty
     /// unless a [`tsunami_core::PodBank`] is attached).
     pub(crate) pod_coeff: Vec<f64>,
-    /// Concatenated per-rung goal-oriented fold state `z_w = R_wᵀ d_w`
-    /// over the folded samples (empty unless a
-    /// [`tsunami_core::GoalLadder`] is attached; rung `w`'s slice lives
-    /// at the ladder's fold offset).
-    pub(crate) goal_fold: Vec<f64>,
-    /// Samples already folded into `goal_fold`.
+    /// Concatenated per-rung fold slots — the whole per-session lift
+    /// input of every rung that does not read the ring directly: a
+    /// goal-oriented rung's running state `z_w = R_wᵀ d_w`, or a
+    /// shared-basis rung's snapshot `a_w = U_kᵀ d_k`, written the moment
+    /// the stream crosses that rung's boundary and frozen afterwards.
+    /// Empty on a ladder whose rungs all read the ring.
+    pub(crate) fold: Vec<f64>,
+    /// Running projection `a = Uᵀd` through the ladder's shared basis
+    /// over the first `min(folded, widest rung boundary)` samples (empty
+    /// without one). Idle under the shared fold, where identification's
+    /// `pod_coeff` is that projection.
+    pub(crate) fold_acc: Vec<f64>,
+    /// Samples already consumed by the fold stage.
     pub(crate) folded: usize,
-    /// Concatenated per-rung mode-space fold snapshots `a_w = U_kᵀ d_k`
-    /// (rung `w`'s `r`-slice at `w·r`; empty unless a
-    /// [`tsunami_core::ModeSpaceLadder`] is attached). Each slice is
-    /// written the moment the stream crosses that rung's boundary and
-    /// frozen afterwards — it is the *entire* per-session input of a
-    /// mode-space assimilation.
-    pub(crate) ms_fold: Vec<f64>,
-    /// Running mode-space projection `a = U_kᵀ d` over the first
-    /// `min(ms_folded, max rung boundary)` samples — the non-shared fold
-    /// path's accumulator (under shared folding, `pod_coeff` plays this
-    /// role and `ms_proj` stays zero).
-    pub(crate) ms_proj: Vec<f64>,
-    /// Samples already consumed by the mode-space assimilation fold.
-    pub(crate) ms_folded: usize,
     /// Running data energy `‖d‖²` over the scored samples, with its Kahan
     /// compensation term — accumulated across ticks, so compensated for
     /// the same long-horizon reason as the clean-energy prefix sums.
@@ -143,9 +136,10 @@ pub struct StreamSession {
     /// on mismatch, so a batch staged for a closed event can never leak
     /// into the next event reusing the slot (and its id).
     pub(crate) generation: u64,
-    /// Latest windowed forecast (with credible intervals).
+    /// Latest forecast (with credible intervals).
     pub forecast: Option<Forecast>,
-    /// `‖m_map‖₂` of the latest windowed inference.
+    /// `‖m_map‖₂` of the parameter inference behind the latest forecast
+    /// (`None` when that rung ran none).
     pub m_norm: Option<f64>,
     /// Latest warning classification.
     pub level: WarningLevel,
@@ -155,7 +149,6 @@ pub struct StreamSession {
 }
 
 impl StreamSession {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: usize,
         capacity: usize,
@@ -163,30 +156,29 @@ impl StreamSession {
         n_scenarios: usize,
         n_modes: usize,
         fold_len: usize,
-        ms_rungs: usize,
-        ms_rank: usize,
+        acc_len: usize,
     ) -> Self {
-        StreamSession {
+        let mut s = StreamSession {
             id,
             ring: SampleRing::new(capacity),
             nd,
             window_idx: None,
             scored: 0,
-            misfit: vec![0.0; n_scenarios],
-            pod_coeff: vec![0.0; n_modes],
-            goal_fold: vec![0.0; fold_len],
+            misfit: Vec::new(),
+            pod_coeff: Vec::new(),
+            fold: Vec::new(),
+            fold_acc: Vec::new(),
             folded: 0,
-            ms_fold: vec![0.0; ms_rungs * ms_rank],
-            ms_proj: vec![0.0; ms_rank],
-            ms_folded: 0,
             data_energy: 0.0,
             data_energy_comp: 0.0,
             generation: 0,
             forecast: None,
             m_norm: None,
             level: WarningLevel::AllClear,
-            active: true,
-        }
+            active: false,
+        };
+        s.reopen(n_scenarios, n_modes, fold_len, acc_len);
+        s
     }
 
     /// Reset a closed session for a fresh event, reusing the ring and
@@ -200,31 +192,44 @@ impl StreamSession {
         n_scenarios: usize,
         n_modes: usize,
         fold_len: usize,
-        ms_rungs: usize,
-        ms_rank: usize,
+        acc_len: usize,
     ) {
         debug_assert!(!self.active, "reopen of an open session");
         self.ring.clear();
         self.window_idx = None;
         self.scored = 0;
-        self.misfit.clear();
-        self.misfit.resize(n_scenarios, 0.0);
-        self.pod_coeff.clear();
-        self.pod_coeff.resize(n_modes, 0.0);
-        self.goal_fold.clear();
-        self.goal_fold.resize(fold_len, 0.0);
+        for (v, len) in [
+            (&mut self.misfit, n_scenarios),
+            (&mut self.pod_coeff, n_modes),
+            (&mut self.fold, fold_len),
+            (&mut self.fold_acc, acc_len),
+        ] {
+            v.clear();
+            v.resize(len, 0.0);
+        }
         self.folded = 0;
-        self.ms_fold.clear();
-        self.ms_fold.resize(ms_rungs * ms_rank, 0.0);
-        self.ms_proj.clear();
-        self.ms_proj.resize(ms_rank, 0.0);
-        self.ms_folded = 0;
         self.data_energy = 0.0;
         self.data_energy_comp = 0.0;
         self.forecast = None;
         self.m_norm = None;
         self.level = WarningLevel::AllClear;
         self.active = true;
+    }
+
+    /// The operands of the segmented basis fold, split-borrowed: the
+    /// ring, the running projection (identification's `pod_coeff` when
+    /// `into_pod`, else `fold_acc`), and the fold slots the projection
+    /// is snapshotted into.
+    pub(crate) fn basis_operands(
+        &mut self,
+        into_pod: bool,
+    ) -> (&SampleRing, &mut [f64], &mut [f64]) {
+        let acc = if into_pod {
+            &mut self.pod_coeff
+        } else {
+            &mut self.fold_acc
+        };
+        (&self.ring, acc, &mut self.fold)
     }
 
     /// Fold ring rows `[i0, i1)` into the running data energy `‖d‖²`
@@ -267,6 +272,13 @@ impl StreamSession {
         &self.misfit
     }
 
+    /// The rank-sized per-rung fold slots, concatenated — empty when
+    /// every rung of the engine's ladder reads the ring directly (the
+    /// windowed path, an exact goal-oriented ladder).
+    pub fn fold_state(&self) -> &[f64] {
+        &self.fold
+    }
+
     /// Ladder index of the widest window assimilated so far (`None`
     /// before the first boundary crossing).
     pub fn window(&self) -> Option<usize> {
@@ -299,7 +311,7 @@ mod tests {
 
     #[test]
     fn session_counts_complete_steps_only() {
-        let mut s = StreamSession::new(0, 12, 4, 0, 0, 0, 0, 0);
+        let mut s = StreamSession::new(0, 12, 4, 0, 0, 0, 0);
         s.ring.push(&[0.5; 6]);
         assert_eq!(s.samples(), 6);
         assert_eq!(s.steps(), 1, "partial second step must not count");

@@ -731,7 +731,6 @@ fn enqueue_for_an_unknown_id_panics_with_context() {
 // ---------------------------------------------------------------------------
 
 use tsunami_core::GoalOptions;
-use tsunami_stream::ForecastBackend;
 
 #[test]
 fn goal_oriented_exact_ladder_bit_matches_the_windowed_engine() {
@@ -751,7 +750,7 @@ fn goal_oriented_exact_ladder_bit_matches_the_windowed_engine() {
         ..StreamConfig::default()
     };
     let mut windowed = StreamEngine::new(&twin, &wf, win_cfg);
-    let mut goal = StreamEngine::goal_oriented(&twin, &gl, StreamConfig::default());
+    let mut goal = StreamEngine::goal_oriented(&twin, &gl, win_cfg);
     let ids: Vec<usize> = (0..bank.len()).map(|_| windowed.open()).collect();
     for _ in 0..bank.len() {
         goal.open();
@@ -881,7 +880,7 @@ fn goal_backend_crossing_two_rungs_in_one_tick_lands_on_the_widest() {
 }
 
 #[test]
-fn goal_fold_state_is_clean_on_a_reused_generation_stamped_slot() {
+fn goal_rung_fold_state_is_clean_on_a_reused_generation_stamped_slot() {
     // A truncated-ladder fold *accumulates* (z += Rᵀd), so any stale
     // state left on a reused slot — or a stale inbox batch leaking past
     // its generation stamp — would silently corrupt the next event's
@@ -1039,28 +1038,61 @@ fn rewind_replay_is_bit_identical_to_a_fresh_engine_under_both_backends() {
 }
 
 #[test]
-fn goal_config_is_selectable_on_a_windowed_engine_via_with_goal() {
-    // A/B configuration: the same engine construction can carry both
-    // backends; selecting GoalOriented in the config routes ticks
-    // through the ladder.
-    let (twin, bank) = setup_bank(1, 19);
+fn exact_goal_ladder_carries_no_fold_state_and_bit_matches_the_windowed_engine() {
+    // An exact rung's right factor is the identity, so its lift input is
+    // the ring prefix itself: the engine keeps no per-session fold state
+    // for it, and feeds the same values to the same GEMM as the windowed
+    // engine — at every push granularity and shard count, inference
+    // norms included.
+    let (twin, bank) = setup_bank(5, 23);
     let nt = twin.solver.grid.nt_obs;
-    let wf = twin.windowed(&[nt]);
-    let gl = tsunami_core::GoalLadder::from_forecaster(&wf, &GoalOptions::exact());
-    let cfg = StreamConfig {
-        forecast: ForecastBackend::GoalOriented,
-        ..StreamConfig::default()
-    };
-    let mut engine = StreamEngine::new(&twin, &wf, cfg).with_goal(&gl);
-    let id = engine.open();
-    engine.push(id, &bank.observations().col(0));
-    let tm = engine.tick();
-    assert_eq!(tm.sessions_assimilated, 1);
-    assert_eq!(tm.samples_folded, twin.n_data());
+    let ladder = [2, nt / 2, nt];
+    let wf = twin.windowed(&ladder);
+    let gl = twin.goal_ladder(&ladder, &GoalOptions::exact());
+    let horizon = twin.n_data();
 
-    let one_shot = wf.forecast(0, &bank.observations().col(0));
-    let live = engine.session(id).forecast.as_ref().unwrap();
-    assert_eq!(live.q_map, one_shot.q_map, "exact A/B must bit-match");
+    for shards in [1usize, 2, 4] {
+        for step in [1, 7, horizon] {
+            let cfg = StreamConfig {
+                shards,
+                ..StreamConfig::default()
+            };
+            let mut windowed = StreamEngine::new(&twin, &wf, cfg);
+            let mut goal = StreamEngine::goal_oriented(&twin, &gl, cfg);
+            let ids: Vec<usize> = (0..bank.len()).map(|_| windowed.open()).collect();
+            for &id in &ids {
+                assert_eq!(goal.open(), id);
+                assert!(
+                    goal.session(id).fold_state().is_empty(),
+                    "exact rungs must not allocate fold state"
+                );
+            }
+            let mut fed = 0;
+            while fed < horizon {
+                let hi = (fed + step).min(horizon);
+                for (j, &id) in ids.iter().enumerate() {
+                    windowed.push(id, &bank.observations().col(j)[fed..hi]);
+                    goal.push(id, &bank.observations().col(j)[fed..hi]);
+                }
+                fed = hi;
+                let (tw, tg) = (windowed.tick(), goal.tick());
+                assert_eq!(tw.sessions_assimilated, tg.sessions_assimilated);
+                assert_eq!(tw.peak_panel_elems, tg.peak_panel_elems);
+                for &id in &ids {
+                    let (sw, sg) = (windowed.session(id), goal.session(id));
+                    assert_eq!(sw.window(), sg.window());
+                    assert_eq!(
+                        sw.forecast.as_ref().map(|f| (&f.q_map, &f.q_std)),
+                        sg.forecast.as_ref().map(|f| (&f.q_map, &f.q_std)),
+                        "{shards} shards, step {step}: exact ladder must bit-match"
+                    );
+                    assert_eq!(sw.m_norm, sg.m_norm);
+                    assert_eq!(sw.level, sg.level);
+                }
+            }
+            assert_eq!(goal.session(ids[0]).window(), Some(ladder.len() - 1));
+        }
+    }
 }
 
 #[test]
@@ -1161,7 +1193,7 @@ fn rewind_replay_reproduces_the_audit_trail_of_a_fresh_engine() {
 
 use tsunami_core::ModeSpaceOptions;
 use tsunami_linalg::{randomized_svd, svd::orthonormalize, DMatrix, SvdOptions};
-use tsunami_stream::forecast_band;
+use tsunami_stream::{forecast_band, TickPath};
 
 /// A deterministic complete orthogonal basis of the data space: every
 /// rung restriction has orthonormal rows, so mode-space assimilation
@@ -1516,6 +1548,10 @@ fn mode_space_rewind_replay_is_bit_identical_to_a_fresh_engine() {
             replay_trail,
             strip_tick(&fresh, 0),
             "{tag}: audit trail diverged"
+        );
+        assert!(
+            replay_trail.iter().all(|t| t.path == TickPath::ModeSpace),
+            "{tag}: the audit record must name the path that ran"
         );
     };
 

@@ -133,7 +133,7 @@ fn main() {
             .unwrap_or_else(|| "-".into());
         println!(
             "  tick {:>2} rung {}: {:<9} -> {:<9} | band [{:>6.2}, {:>6.2}] m | top {top} | {:?}",
-            tr.tick, tr.rung, tr.from, tr.to, tr.band_lo, tr.band_hi, tr.backend
+            tr.tick, tr.rung, tr.from, tr.to, tr.band_lo, tr.band_hi, tr.path
         );
     }
 

@@ -58,9 +58,10 @@ pub use tsunami_stream as stream;
 pub mod prelude {
     pub use tsunami_core::{
         greedy_design, infer_window, infer_window_batch, BankAssimilation, Criterion, DigitalTwin,
-        Forecast, ForecastBatch, GoalLadder, GoalOptions, GoalRung, Inference, InferenceBatch,
-        LtiBayesEngine, LtiModel, ModeSpaceLadder, ModeSpaceOptions, OedCandidates, PodBank,
-        ScenarioBank, ScenarioSpec, SpaceTimePrior, SyntheticEvent, TwinConfig, WindowedForecaster,
+        Forecast, ForecastBatch, GoalLadder, GoalOptions, Inference, InferenceBatch,
+        LtiBayesEngine, LtiModel, ModeSpaceLadder, ModeSpaceOptions, OedCandidates, PodBank, Rung,
+        RungLadder, ScenarioBank, ScenarioSpec, SpaceTimePrior, SyntheticEvent, TwinConfig,
+        WindowedForecaster,
     };
     pub use tsunami_elastic::{
         DippingFault, ElasticGrid, ElasticSolver, LayeredMedium, ShakeTwin, SlipScenario,
@@ -75,8 +76,7 @@ pub mod prelude {
     pub use tsunami_rupture::KinematicRupture;
     pub use tsunami_solver::{PhysicalParams, WaveSolver};
     pub use tsunami_stream::{
-        superpose_forecasts, AssimilateBackend, EngineMetrics, ForecastBackend, IdentifyBackend,
-        ScenarioMatch, StreamConfig, StreamEngine, StreamSession, TickMetrics, WarningLevel,
-        WarningTransition,
+        superpose_forecasts, EngineMetrics, IdentifyBackend, ScenarioMatch, StreamConfig,
+        StreamEngine, StreamSession, TickMetrics, TickPath, WarningLevel, WarningTransition,
     };
 }

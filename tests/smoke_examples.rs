@@ -296,7 +296,7 @@ fn telemetry_dashboard_example_flow_runs_to_completion_on_tiny_config() {
         assert!(tr.rung < windows.len());
         assert_ne!(tr.from, tr.to);
         assert!(tr.band_lo.is_finite() && tr.band_hi.is_finite());
-        assert_eq!(tr.backend, ForecastBackend::GoalOriented);
+        assert_eq!(tr.path, TickPath::GoalOriented);
     }
 }
 
