@@ -1,8 +1,7 @@
 //! Criterion bench: Cholesky factorization of the data-space Hessian `K`
-//! (the paper's 22 s cuSOLVERMp step, Table III Phase 2), plus the
-//! multi-RHS triangular solves — RHS-major panel sweeps against the
-//! retained column-major reference at the batch widths the online path
-//! runs (B = 16/64; acceptance: the RHS-major path is no slower).
+//! (the paper's 22 s cuSOLVERMp step, Table III Phase 2) and the
+//! single-RHS solve. The multi-RHS solves are measured by `perf_report`
+//! (`linalg.cholesky.solve_multi.gflops`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -37,32 +36,6 @@ fn bench_cholesky(c: &mut Criterion) {
         let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
         group.bench_with_input(BenchmarkId::new("solve", n), &n, |b, _| {
             b.iter(|| black_box(ch.solve(black_box(&rhs))));
-        });
-    }
-    group.finish();
-
-    // Multi-RHS solves on the streaming bench's 512-dim data space:
-    // the RHS-major panel path (what `solve_multi` now runs) vs the
-    // column-major reference sweeps it replaced. Serial comparison —
-    // run with RAYON_NUM_THREADS=1 to measure the sweeps themselves.
-    let mut group = c.benchmark_group("multi_rhs_solve");
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(300));
-    group.sample_size(10);
-    let n = 512;
-    let a = spd(n);
-    let ch = Cholesky::factor(&a).unwrap();
-    for &nrhs in &[16usize, 64] {
-        let b = DMatrix::from_fn(n, nrhs, |i, j| ((i * 3 + 7 * j) as f64 * 0.19).sin());
-        group.bench_with_input(BenchmarkId::new("rhs_major", nrhs), &nrhs, |bch, _| {
-            bch.iter(|| black_box(ch.solve_multi(black_box(&b))));
-        });
-        group.bench_with_input(BenchmarkId::new("colmajor_ref", nrhs), &nrhs, |bch, _| {
-            bch.iter(|| {
-                let mut x = b.clone();
-                ch.solve_leading_multi_colmajor_in_place(n, &mut x);
-                black_box(x)
-            });
         });
     }
     group.finish();

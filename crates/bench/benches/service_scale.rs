@@ -1,29 +1,21 @@
-//! Service-scale bench: persistent-pool dispatch cost and sharded-engine
-//! tick latency across the open-session ladder.
+//! Service-scale bench: sharded-engine tick latency across the
+//! open-session ladder. (Pool dispatch cost is `perf_report`'s
+//! `rayon.dispatch.us`.)
 //!
-//! Two measurements:
-//!
-//! 1. **`pool_dispatch`** (criterion group) — a deliberately tiny bulk
-//!    operation under a 4-thread install, once with the persistent pool
-//!    and once with the scoped per-call spawn/join baseline
-//!    (`set_bulk_mode`). The op's arithmetic is µs-scale, so the
-//!    difference *is* the dispatch cost: condvar handoff to parked
-//!    workers vs OS thread spawn/join per call.
-//!
-//! 2. **`service_scale`** (hand-rolled sweep, printed table) — a
-//!    [`StreamEngine`] over the tiny twin with a synthetic identification
-//!    bank, swept over open-session counts 10³–10⁵ (extendable to 10⁶
-//!    via `SERVICE_SCALE_MAX`) × shard counts {1, 4, 8}. Every tick
-//!    pushes one observation step into every session and ticks; per-tick
-//!    latencies give p50/p95/p99 and sessions/sec, and the per-shard
-//!    panel peaks demonstrate the bounded working set
-//!    ([`StreamEngine::shard_panel_peaks`]).
+//! **`service_scale`** (hand-rolled sweep, printed table) — a
+//! [`StreamEngine`] over the tiny twin with a synthetic identification
+//! bank, swept over open-session counts 10³–10⁵ (extendable to 10⁶
+//! via `SERVICE_SCALE_MAX`) × shard counts {1, 4, 8}. Every tick
+//! pushes one observation step into every session and ticks; per-tick
+//! latencies give p50/p95/p99 and sessions/sec, and the per-shard
+//! panel peaks demonstrate the bounded working set
+//! ([`StreamEngine::shard_panel_peaks`]).
 //!
 //! Set `BENCH_SMOKE=1` for a CI smoke run (10³ sessions, shards {1, 2},
 //! 3 ticks). Shard parallelism only helps with >1 worker; pin
 //! `RAYON_NUM_THREADS=4` (or install) for the headline numbers.
 //!
-//! A third measurement, **`obs_gate`**, is a correctness gate rather
+//! A second measurement, **`obs_gate`**, is a correctness gate rather
 //! than a table: it re-assimilates the same engine with observability on
 //! and off ([`tsunami_obs::set_enabled`]) and asserts the off tick time
 //! is within 1% of the on tick time (min-of-N, so noise-robust) — the
@@ -34,56 +26,12 @@
 //! ([`tsunami_bench::emit`]).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tsunami_bench::emit;
 use tsunami_bench::fixtures::smoke_mode;
 use tsunami_core::{DigitalTwin, ScenarioBank, TwinConfig};
 use tsunami_linalg::DMatrix;
 use tsunami_stream::{StreamConfig, StreamEngine};
-
-use rayon::prelude::*;
-
-/// Dispatch-cost A/B: the same tiny bulk op through the persistent pool
-/// and through scoped spawn/join. µs/op either way; the gap is pure
-/// handoff machinery.
-fn bench_pool_dispatch(c: &mut Criterion) {
-    let smoke = smoke_mode();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .unwrap();
-    let v: Vec<f64> = (0..512).map(|i| (i as f64 * 0.13).sin()).collect();
-
-    let mut group = c.benchmark_group("pool_dispatch");
-    group.warm_up_time(Duration::from_millis(if smoke { 10 } else { 200 }));
-    group.sample_size(if smoke { 1 } else { 10 });
-    for (name, mode) in [
-        ("persistent", rayon::BulkMode::Persistent),
-        ("scoped", rayon::BulkMode::Scoped),
-    ] {
-        rayon::set_bulk_mode(mode);
-        group.bench_function(name, |bench| {
-            bench.iter(|| {
-                pool.install(|| {
-                    black_box(
-                        black_box(&v)
-                            .par_iter()
-                            .map(|x| x * 1.5 - 0.25)
-                            .sum::<f64>(),
-                    )
-                })
-            });
-        });
-    }
-    rayon::set_bulk_mode(rayon::BulkMode::Persistent);
-    group.finish();
-    let st = rayon::pool_stats();
-    println!(
-        "pool stats: {} jobs, {} handoffs (spawn/joins avoided), {} workers spawned",
-        st.jobs, st.handoffs, st.workers_spawned
-    );
-}
 
 /// A bank of `n_scen` deterministic synthetic curves over the twin's data
 /// space — identification load without the offline scenario solves.
@@ -311,14 +259,9 @@ fn obs_off_gate() {
     );
 }
 
-fn bench_obs_gate(_c: &mut Criterion) {
-    obs_off_gate();
-}
-
-fn bench_service_scale(c: &mut Criterion) {
-    bench_pool_dispatch(c);
+fn bench_service_scale(_c: &mut Criterion) {
     service_scale_sweep();
-    bench_obs_gate(c);
+    obs_off_gate();
 }
 
 criterion_group!(benches, bench_service_scale);

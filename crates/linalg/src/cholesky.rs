@@ -179,18 +179,9 @@ impl Cholesky {
         self.l.nrows()
     }
 
-    /// Borrow the factor (lower triangle holds `L`, strict upper triangle
-    /// its mirror `Lᵀ`).
-    pub fn factor_matrix(&self) -> &DMatrix {
-        &self.l
-    }
-
-    /// Solve `A x = b` in place (`b` is overwritten with `x`).
-    pub fn solve_in_place(&self, b: &mut [f64]) {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "cholesky solve: rhs dim");
-        // Forward: L y = b
-        for i in 0..n {
+    /// Scalar forward sweep `L[..k,..k] y = b` in place.
+    fn forward(&self, k: usize, b: &mut [f64]) {
+        for i in 0..k {
             let mut s = b[i];
             let row = self.l.row(i);
             for j in 0..i {
@@ -198,17 +189,25 @@ impl Cholesky {
             }
             b[i] = s / row[i];
         }
-        // Backward: Lᵀ x = y. Reads L[j][i] from the mirrored upper
-        // triangle — same values, same subtraction order as the column
-        // walk (bit-identical), but unit-stride.
-        for i in (0..n).rev() {
+    }
+
+    /// Scalar backward sweep `Lᵀ[..k,..k] x = y` in place. Reads `L[j][i]`
+    /// from the mirrored upper triangle, so the walk is unit-stride.
+    fn backward(&self, k: usize, b: &mut [f64]) {
+        for i in (0..k).rev() {
             let row = self.l.row(i);
             let mut s = b[i];
-            for j in (i + 1)..n {
+            for j in (i + 1)..k {
                 s -= row[j] * b[j];
             }
             b[i] = s / row[i];
         }
+    }
+
+    /// Solve `A x = b` in place (`b` is overwritten with `x`).
+    pub fn solve_in_place(&self, b: &mut [f64]) {
+        assert_eq!(b.len(), self.dim(), "cholesky solve: rhs dim");
+        self.solve_leading_in_place(self.dim(), b);
     }
 
     /// Solve `A x = b`, returning a fresh vector.
@@ -219,60 +218,17 @@ impl Cholesky {
     }
 
     /// Solve `A X = B` for a multi-RHS block. `B` is `n × nrhs`; returns
-    /// `X` of the same shape.
-    ///
-    /// Columns are processed in RHS-major panels of up to `SOLVE_PANEL`
-    /// right-hand sides: each panel is transposed **once** into an
-    /// [`RhsPanel`] (one RHS per contiguous row), swept forward and
-    /// backward with unit-stride microkernels that walk the factor once
-    /// per panel, and transposed back. Panels run in parallel. `nrhs = 1`
-    /// dispatches to the scalar [`Self::solve_in_place`] path, so B=1
-    /// wrappers stay bit-identical to the single-RHS solve.
+    /// `X` of the same shape. The full-width case of
+    /// [`Self::solve_leading_multi`].
     pub fn solve_multi(&self, b: &DMatrix) -> DMatrix {
         assert_eq!(b.nrows(), self.dim(), "solve_multi: rhs rows");
         self.solve_leading_multi(self.dim(), b)
     }
 
-    /// Solve `A X = B` in place on an `n × nrhs` block: the whole block
-    /// crosses into the RHS-major layout once, is swept forward
-    /// (`L Y = B`) and backward (`Lᵀ X = Y`), and crosses back.
-    pub fn solve_multi_in_place(&self, b: &mut DMatrix) {
-        assert_eq!(b.nrows(), self.dim(), "solve_multi_in_place: rhs rows");
-        self.solve_leading_multi_in_place(self.dim(), b);
-    }
-
-    /// Forward substitution `L Y = B` in place for an `n × nrhs` block.
-    /// The multi-RHS analogue of [`Self::solve_lower_in_place`]: the block
-    /// is transposed once into an [`RhsPanel`] and swept RHS-major.
-    /// `nrhs = 1` stays on the scalar path (bit-identical).
-    pub fn solve_lower_multi_in_place(&self, b: &mut DMatrix) {
-        let n = self.dim();
-        assert_eq!(b.nrows(), n, "solve_lower_multi: rhs rows");
-        if b.ncols() == 1 {
-            self.solve_lower_in_place(b.as_mut_slice());
-            return;
-        }
-        let mut p = RhsPanel::from_matrix(b);
-        self.forward_leading_rhs_major(n, &mut p);
-        p.scatter_cols(b, 0);
-    }
-
-    /// Solve `A X = B` in place on an RHS-major panel (one RHS per
-    /// contiguous row): one forward and one backward sweep, each walking
-    /// the factor once for the whole panel.
-    pub fn solve_panel_in_place(&self, p: &mut RhsPanel) {
-        self.solve_leading_panel_in_place(self.dim(), p);
-    }
-
-    /// Forward substitution `L Y = B` in place on an RHS-major panel.
-    pub fn solve_lower_panel_in_place(&self, p: &mut RhsPanel) {
-        assert_eq!(p.dim(), self.dim(), "solve_lower_panel: rhs dim");
-        self.forward_leading_rhs_major(self.dim(), p);
-    }
-
     /// Solve `A[..k, ..k] X = B` in place on an RHS-major panel whose rows
-    /// have length `k` — the panel-native form of
-    /// [`Self::solve_leading_multi_in_place`].
+    /// have length `k` (one RHS per contiguous row): one forward and one
+    /// backward sweep, each walking the truncated factor once for the
+    /// whole panel.
     pub fn solve_leading_panel_in_place(&self, k: usize, p: &mut RhsPanel) {
         assert!(k <= self.dim(), "leading block exceeds dimension");
         assert_eq!(p.dim(), k, "solve_leading_panel: rhs dim");
@@ -302,9 +258,7 @@ impl Cholesky {
     /// mirrored upper triangle *is* row `i` of `Lᵀ`, so each update is a
     /// *unit-stride* dot of two contiguous row suffixes
     /// ([`vec_ops::dot_lanes`]) — the same shape as the forward sweep,
-    /// with no store traffic. This replaces the column-major sweep's
-    /// stride-`n` walk down column `i` of the factor (the load pattern
-    /// the ROADMAP called out).
+    /// with no store traffic and no stride-`n` walk down a factor column.
     fn backward_leading_rhs_major(&self, k: usize, p: &mut RhsPanel) {
         let n = self.l.ncols();
         let ld = self.l.as_slice();
@@ -318,67 +272,11 @@ impl Cholesky {
         }
     }
 
-    /// Column-major reference for the leading-block multi-RHS solve: the
-    /// pre-RHS-major sweeps (factor entries applied across `nrhs`-wide
-    /// rows of the untransposed block; backward sweep pays stride-`n`
-    /// factor column loads). Retained for equivalence tests and as the
-    /// bench baseline the RHS-major path is measured against.
-    pub fn solve_leading_multi_colmajor_in_place(&self, k: usize, b: &mut DMatrix) {
-        assert!(k <= self.dim(), "leading block exceeds dimension");
-        assert_eq!(b.nrows(), k, "solve_leading_multi: rhs rows");
-        let nrhs = b.ncols();
-        let data = b.as_mut_slice();
-        for i in 0..k {
-            let lrow = self.l.row(i);
-            let (done, rest) = data.split_at_mut(i * nrhs);
-            let bi = &mut rest[..nrhs];
-            for (j, &lij) in lrow[..i].iter().enumerate() {
-                if lij == 0.0 {
-                    continue;
-                }
-                let bj = &done[j * nrhs..(j + 1) * nrhs];
-                for (x, &y) in bi.iter_mut().zip(bj) {
-                    *x -= lij * y;
-                }
-            }
-            let piv = lrow[i];
-            for x in bi.iter_mut() {
-                *x /= piv;
-            }
-        }
-        for i in (0..k).rev() {
-            let (head, tail) = data.split_at_mut((i + 1) * nrhs);
-            let bi = &mut head[i * nrhs..];
-            for j in (i + 1)..k {
-                let lji = self.l[(j, i)];
-                if lji == 0.0 {
-                    continue;
-                }
-                let bj = &tail[(j - i - 1) * nrhs..(j - i) * nrhs];
-                for (x, &y) in bi.iter_mut().zip(bj) {
-                    *x -= lji * y;
-                }
-            }
-            let piv = self.l[(i, i)];
-            for x in bi.iter_mut() {
-                *x /= piv;
-            }
-        }
-    }
-
     /// Forward substitution only: solve `L y = b` in place. Used by
     /// whitening transforms and sampling.
     pub fn solve_lower_in_place(&self, b: &mut [f64]) {
-        let n = self.dim();
-        assert_eq!(b.len(), n);
-        for i in 0..n {
-            let mut s = b[i];
-            let row = self.l.row(i);
-            for j in 0..i {
-                s -= row[j] * b[j];
-            }
-            b[i] = s / row[i];
-        }
+        assert_eq!(b.len(), self.dim());
+        self.forward(self.dim(), b);
     }
 
     /// Apply the factor: `y = L x`. With `x ~ N(0, I)` this yields
@@ -415,58 +313,25 @@ impl Cholesky {
     pub fn solve_leading_in_place(&self, k: usize, b: &mut [f64]) {
         assert!(k <= self.dim(), "leading block exceeds dimension");
         assert_eq!(b.len(), k, "solve_leading: rhs dim");
-        for i in 0..k {
-            let mut s = b[i];
-            let row = self.l.row(i);
-            for j in 0..i {
-                s -= row[j] * b[j];
-            }
-            b[i] = s / row[i];
-        }
-        // Backward over the mirrored upper triangle (unit-stride,
-        // bit-identical to the former column walk).
-        for i in (0..k).rev() {
-            let row = self.l.row(i);
-            let mut s = b[i];
-            for j in (i + 1)..k {
-                s -= row[j] * b[j];
-            }
-            b[i] = s / row[i];
-        }
+        self.forward(k, b);
+        self.backward(k, b);
     }
 
-    /// Solve `A[..k, ..k] X = B` in place for a multi-RHS block restricted
-    /// to the leading `k × k` principal block (`b` is `k × nrhs`). The
-    /// multi-RHS analogue of [`Self::solve_leading_in_place`]: the block
-    /// crosses into the RHS-major layout once, one forward and one
-    /// backward RHS-major sweep each walk the truncated factor *once* for
-    /// the whole panel, and the result crosses back — so a batch of
-    /// truncated-window right-hand sides pays a single factor traversal
-    /// (and a single layout transpose) instead of one per stream. Pivot
-    /// division is retained, and `nrhs = 1` dispatches to the scalar
-    /// [`Self::solve_leading_in_place`], so B=1 wrappers stay bit-identical
-    /// to the single-RHS leading solve.
-    pub fn solve_leading_multi_in_place(&self, k: usize, b: &mut DMatrix) {
-        assert!(k <= self.dim(), "leading block exceeds dimension");
-        assert_eq!(b.nrows(), k, "solve_leading_multi: rhs rows");
-        if b.ncols() == 1 {
-            self.solve_leading_in_place(k, b.as_mut_slice());
-            return;
-        }
-        let mut p = RhsPanel::from_matrix(b);
-        self.solve_leading_panel_in_place(k, &mut p);
-        p.scatter_cols(b, 0);
-    }
-
-    /// Solve `A[..k, ..k] X = B` for a multi-RHS block, returning `X`.
-    /// Columns are processed in RHS-major panels exactly like
-    /// [`Self::solve_multi`] (narrowed when the thread pool is wider than
-    /// the batch), each panel gathered/scattered across the layout
-    /// boundary once and solved by [`Self::solve_leading_panel_in_place`];
+    /// Solve `A[..k, ..k] X = B` for a multi-RHS block (`b` is
+    /// `k × nrhs`), returning `X` — so a batch of truncated-window
+    /// right-hand sides pays one factor traversal per panel instead of one
+    /// per stream.
+    ///
+    /// Columns are processed in RHS-major panels of up to `SOLVE_PANEL`
+    /// right-hand sides (narrowed when the thread pool is wider than the
+    /// batch): each panel is gathered **once** into an [`RhsPanel`], solved
+    /// by [`Self::solve_leading_panel_in_place`], and scattered back;
     /// panels run in parallel. Because every RHS row is swept
     /// independently, the panel split does not change any column's
-    /// arithmetic — the result is bit-identical to the single-panel
-    /// in-place solve.
+    /// arithmetic — the result is bit-identical to a single-panel solve.
+    /// `nrhs = 1` dispatches to the scalar
+    /// [`Self::solve_leading_in_place`], so B=1 wrappers stay bit-identical
+    /// to the single-RHS solve.
     pub fn solve_leading_multi(&self, k: usize, b: &DMatrix) -> DMatrix {
         assert!(k <= self.dim(), "leading block exceeds dimension");
         assert_eq!(b.nrows(), k, "solve_leading_multi: rhs rows");
@@ -499,20 +364,6 @@ impl Cholesky {
         }
         x
     }
-
-    /// Forward substitution on the leading block only: `L[..k,..k] y = b`.
-    pub fn solve_lower_leading_in_place(&self, k: usize, b: &mut [f64]) {
-        assert!(k <= self.dim(), "leading block exceeds dimension");
-        assert_eq!(b.len(), k);
-        for i in 0..k {
-            let mut s = b[i];
-            let row = self.l.row(i);
-            for j in 0..i {
-                s -= row[j] * b[j];
-            }
-            b[i] = s / row[i];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -543,7 +394,7 @@ mod tests {
             let mut l = DMatrix::zeros(n, n);
             for i in 0..n {
                 for j in 0..=i {
-                    l[(i, j)] = ch.factor_matrix()[(i, j)];
+                    l[(i, j)] = ch.l[(i, j)];
                 }
             }
             let rec = l.matmul_nt(&l);
@@ -611,39 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_lower_multi_matches_single() {
-        let n = 41;
-        let a = spd(n, 8);
-        let ch = Cholesky::factor(&a).unwrap();
-        let b = DMatrix::from_fn(n, 9, |i, j| ((i + 11 * j) as f64 * 0.23).cos());
-        let mut y = b.clone();
-        ch.solve_lower_multi_in_place(&mut y);
-        for j in 0..9 {
-            let mut yj = b.col(j);
-            ch.solve_lower_in_place(&mut yj);
-            for i in 0..n {
-                assert!((y[(i, j)] - yj[i]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn solve_multi_in_place_matches_solve_multi() {
-        let n = 37;
-        let a = spd(n, 17);
-        let ch = Cholesky::factor(&a).unwrap();
-        let b = DMatrix::from_fn(n, 12, |i, j| ((2 * i + j) as f64 * 0.31).sin());
-        let x1 = ch.solve_multi(&b);
-        let mut x2 = b;
-        ch.solve_multi_in_place(&mut x2);
-        for i in 0..n {
-            for j in 0..12 {
-                assert!((x1[(i, j)] - x2[(i, j)]).abs() < 1e-13);
-            }
-        }
-    }
-
-    #[test]
     fn b1_multi_paths_bit_identical_to_scalar() {
         // Every multi-RHS entry point at nrhs = 1 must reproduce the
         // single-RHS solve to the last ulp (the pivot-division path the
@@ -656,68 +474,24 @@ mod tests {
 
         let x_scalar = ch.solve(&bvec);
         let x_multi = ch.solve_multi(&b);
-        let mut x_ip = b.clone();
-        ch.solve_multi_in_place(&mut x_ip);
         for i in 0..n {
             assert_eq!(x_multi[(i, 0)], x_scalar[i], "solve_multi row {i}");
-            assert_eq!(x_ip[(i, 0)], x_scalar[i], "in-place row {i}");
-        }
-
-        let mut y = b.clone();
-        ch.solve_lower_multi_in_place(&mut y);
-        let mut y_ref = bvec.clone();
-        ch.solve_lower_in_place(&mut y_ref);
-        for i in 0..n {
-            assert_eq!(y[(i, 0)], y_ref[i], "forward row {i}");
         }
 
         let k = 37;
         let bk = DMatrix::from_vec(k, 1, bvec[..k].to_vec());
         let xk = ch.solve_leading_multi(k, &bk);
-        let mut xk_ip = bk.clone();
-        ch.solve_leading_multi_in_place(k, &mut xk_ip);
         let mut xk_ref = bvec[..k].to_vec();
         ch.solve_leading_in_place(k, &mut xk_ref);
         for i in 0..k {
             assert_eq!(xk[(i, 0)], xk_ref[i], "leading row {i}");
-            assert_eq!(xk_ip[(i, 0)], xk_ref[i], "leading in-place row {i}");
-        }
-    }
-
-    #[test]
-    fn rhs_major_matches_colmajor_reference_across_panel_boundaries() {
-        // The RHS-major sweeps against the retained column-major
-        // reference, at widths straddling SOLVE_PANEL (ragged final
-        // panel included) and truncation depths straddling NB. The two
-        // layouts reassociate the update sums, so agreement is to
-        // roundoff, not bitwise.
-        let n = 97;
-        let a = spd(n, 55);
-        let ch = Cholesky::factor(&a).unwrap();
-        for &k in &[1usize, 17, 64, 97] {
-            for &nrhs in &[2usize, 31, 32, 33, 70] {
-                let b = DMatrix::from_fn(k, nrhs, |i, j| ((i * 5 + 3 * j) as f64 * 0.23).sin());
-                let x = ch.solve_leading_multi(k, &b);
-                let mut x_ref = b.clone();
-                ch.solve_leading_multi_colmajor_in_place(k, &mut x_ref);
-                for i in 0..k {
-                    for j in 0..nrhs {
-                        assert!(
-                            (x[(i, j)] - x_ref[(i, j)]).abs() < 1e-11,
-                            "k={k} nrhs={nrhs} ({i},{j}): {} vs {}",
-                            x[(i, j)],
-                            x_ref[(i, j)]
-                        );
-                    }
-                }
-            }
         }
     }
 
     #[test]
     fn panel_api_matches_matrix_api_exactly() {
-        // The RHS-major panel entry points and the DMatrix wrappers run
-        // the same sweeps; crossing the layout boundary must not change a
+        // The RHS-major panel entry point and the DMatrix wrappers run the
+        // same sweeps; crossing the layout boundary must not change a
         // single bit.
         let n = 53;
         let a = spd(n, 61);
@@ -726,14 +500,8 @@ mod tests {
 
         let x = ch.solve_multi(&b);
         let mut p = crate::RhsPanel::from_matrix(&b);
-        ch.solve_panel_in_place(&mut p);
+        ch.solve_leading_panel_in_place(n, &mut p);
         assert_eq!(p.to_matrix(), x);
-
-        let mut y = b.clone();
-        ch.solve_lower_multi_in_place(&mut y);
-        let mut pf = crate::RhsPanel::from_matrix(&b);
-        ch.solve_lower_panel_in_place(&mut pf);
-        assert_eq!(pf.to_matrix(), y);
 
         let k = 31;
         let bk = DMatrix::from_fn(k, 9, |i, j| ((i + 3 * j) as f64 * 0.29).sin());
@@ -809,11 +577,15 @@ mod tests {
         let a = spd(n, 29);
         let ch = Cholesky::factor(&a).unwrap();
         for &k in &[1usize, 17, 64, 97] {
-            for &nrhs in &[1usize, 31, 32, 33, 70] {
+            for &nrhs in &[1usize, 2, 31, 32, 33, 70] {
                 let b = DMatrix::from_fn(k, nrhs, |i, j| ((i * 7 + 3 * j) as f64 * 0.13).sin());
                 let x = ch.solve_leading_multi(k, &b);
-                let mut x2 = b.clone();
-                ch.solve_leading_multi_in_place(k, &mut x2);
+                if nrhs > 1 {
+                    // The panel split must not change a bit of any column.
+                    let mut whole = crate::RhsPanel::from_matrix(&b);
+                    ch.solve_leading_panel_in_place(k, &mut whole);
+                    assert_eq!(whole.to_matrix(), x, "one panel vs panel split");
+                }
                 for j in 0..nrhs {
                     let mut xj = b.col(j);
                     ch.solve_leading_in_place(k, &mut xj);
@@ -822,7 +594,6 @@ mod tests {
                             (x[(i, j)] - xj[i]).abs() < 1e-11,
                             "k={k} nrhs={nrhs} col {j} row {i}"
                         );
-                        assert_eq!(x2[(i, j)], x[(i, j)], "in-place vs panel split");
                     }
                 }
             }
@@ -841,24 +612,6 @@ mod tests {
             for j in 0..9 {
                 assert!((x1[(i, j)] - x2[(i, j)]).abs() < 1e-13);
             }
-        }
-    }
-
-    #[test]
-    fn solve_lower_leading_matches_subfactor_forward() {
-        let n = 29;
-        let a = spd(n, 5);
-        let ch = Cholesky::factor(&a).unwrap();
-        let k = 17;
-        let sub = DMatrix::from_fn(k, k, |i, j| a[(i, j)]);
-        let ch_sub = Cholesky::factor(&sub).unwrap();
-        let b: Vec<f64> = (0..k).map(|i| (i as f64 * 1.3).sin()).collect();
-        let mut y1 = b.clone();
-        ch.solve_lower_leading_in_place(k, &mut y1);
-        let mut y2 = b;
-        ch_sub.solve_lower_in_place(&mut y2);
-        for (u, v) in y1.iter().zip(&y2) {
-            assert!((u - v).abs() < 1e-12);
         }
     }
 

@@ -24,8 +24,7 @@
 //! - **Kill switch**: `OBS=off` (or `0`/`false`) disables all
 //!   instrumentation ([`enabled`]); instrumented code gates its clock
 //!   reads and records on it, so the off path costs one relaxed atomic
-//!   load per tick. [`set_enabled`] overrides in-process (bench A/B),
-//!   mirroring the rayon shim's `RAYON_POOL` / `set_bulk_mode` pattern.
+//!   load per tick. [`set_enabled`] overrides in-process (bench A/B).
 
 pub mod audit;
 pub mod metric;

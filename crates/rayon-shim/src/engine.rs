@@ -1,13 +1,15 @@
-//! Execution engine: a chunk-splitting scheduler over `std::thread::scope`.
+//! Execution engine: a chunk-splitting scheduler over the persistent
+//! worker pool ([`crate::pool`]).
 //!
 //! Every bulk operation (`for_each`, `reduce`, `collect`, …) funnels into
 //! [`drive_with`]: the parallel iterator is pre-split into more pieces than
 //! workers (so fast workers dynamically claim the slack left by slow ones —
 //! the load-balancing half of work stealing, without a deque per thread),
-//! the pieces go into claim-once slots, and `threads` scoped workers race an
-//! atomic cursor to drain them. Piece results are stored by piece index, so
-//! order-sensitive terminals (`collect`, ordered reductions) see pieces in
-//! deterministic left-to-right order regardless of which worker ran them.
+//! the pieces go into claim-once slots, and the caller plus up to
+//! `threads − 1` parked pool workers race an atomic cursor to drain them.
+//! Piece results are stored by piece index, so order-sensitive terminals
+//! (`collect`, ordered reductions) see pieces in deterministic
+//! left-to-right order regardless of which worker ran them.
 //!
 //! Thread-count resolution, in precedence order:
 //! 1. an enclosing [`crate::ThreadPool::install`] (thread-local),
@@ -23,7 +25,7 @@
 //! threads (mirroring how rayon keeps nested work on one pool).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::iter::ParallelIterator;
@@ -44,52 +46,6 @@ thread_local! {
     static INSTALL_THREADS: Cell<usize> = const { Cell::new(0) };
     /// True on threads executing pieces of an enclosing bulk operation.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// How bulk operations fan work out to extra threads.
-///
-/// The serial fast path (resolved thread count 1, nested bulk op, or
-/// nothing to split) is identical in both modes and never touches a pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BulkMode {
-    /// Hand pieces to persistent, condvar-parked workers (the `pool`
-    /// module) — no per-call OS thread spawn/join. The default.
-    Persistent,
-    /// Spawn scoped workers per bulk operation (the pre-pool execution
-    /// model). Selected by `RAYON_POOL=scoped`, kept as the conformance
-    /// baseline and for measuring what the pool saves.
-    Scoped,
-}
-
-/// Resolved bulk-dispatch mode: 0 = unresolved, 1 = persistent, 2 = scoped.
-static BULK_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// The active dispatch mode: an explicit [`set_bulk_mode`] wins, then the
-/// `RAYON_POOL` environment variable (`scoped` selects the scoped
-/// baseline), then the persistent-pool default.
-pub fn bulk_mode() -> BulkMode {
-    match BULK_MODE.load(Ordering::Relaxed) {
-        1 => BulkMode::Persistent,
-        2 => BulkMode::Scoped,
-        _ => {
-            let resolved = match std::env::var("RAYON_POOL").as_deref() {
-                Ok("scoped") => 2,
-                _ => 1,
-            };
-            // First resolution sticks; a concurrent set_bulk_mode wins.
-            let _ = BULK_MODE.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed);
-            bulk_mode()
-        }
-    }
-}
-
-/// Override the bulk-dispatch mode (bench/test hook; see [`bulk_mode`]).
-pub fn set_bulk_mode(mode: BulkMode) {
-    let v = match mode {
-        BulkMode::Persistent => 1,
-        BulkMode::Scoped => 2,
-    };
-    BULK_MODE.store(v, Ordering::Relaxed);
 }
 
 fn default_threads() -> usize {
@@ -157,10 +113,11 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// Extra OS threads currently alive on behalf of `join`/`scope` spawns,
-/// process-wide. Real rayon queues such tasks onto a fixed pool; the shim
-/// spawns scoped threads instead, so this budget is what stops recursive
-/// `join` trees or wide `scope` loops from creating unbounded threads.
+/// Extra threads currently busy on behalf of bulk jobs and `join`/`scope`
+/// spawns, process-wide. Real rayon queues `join`/`scope` tasks onto a
+/// fixed pool; the shim spawns scoped threads for them instead, so this
+/// budget is what stops recursive `join` trees or wide `scope` loops from
+/// creating unbounded threads.
 static EXTRA_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Permission to run one task on a spawned thread; returning it (drop) on
@@ -218,7 +175,8 @@ fn split_into<I: ParallelIterator>(it: I, target: usize) -> Vec<I> {
 }
 
 /// Execute a bulk operation: split `it` into pieces, drain them across
-/// scoped workers, and return the per-piece results **in piece order**.
+/// the caller and pool workers, and return the per-piece results **in
+/// piece order**.
 ///
 /// `make_local` runs at most once per worker that claims at least one piece
 /// (the `for_each_init` scratch contract); `consume` drives one piece's
@@ -257,36 +215,19 @@ where
     // instead of multiplying. With the budget exhausted the caller simply
     // drains every piece itself.
     let tickets: Vec<SpawnTicket> = (1..workers).map_while(|_| try_spawn_ticket()).collect();
-    match bulk_mode() {
-        BulkMode::Persistent => {
-            // Hand the drain loop to parked pool workers: no spawn/join.
-            // Workers wrap it in the caller's effective thread count so
-            // `current_num_threads()` agrees across all pieces; tickets
-            // stay held until the job quiesces, mirroring the scoped
-            // accounting.
-            let body = || {
-                with_install_threads(threads, || {
-                    run_worker(&slots, &results, &cursor, make_local, consume)
-                })
-            };
-            pool::run_job(tickets.len(), &body, || {
-                // The calling thread is worker 0.
-                run_worker(&slots, &results, &cursor, make_local, consume);
-            });
-            drop(tickets);
-        }
-        BulkMode::Scoped => std::thread::scope(|scope| {
-            for ticket in tickets {
-                scope.spawn(|| {
-                    let _slot = ticket;
-                    with_install_threads(threads, || {
-                        run_worker(&slots, &results, &cursor, make_local, consume)
-                    });
-                });
-            }
-            run_worker(&slots, &results, &cursor, make_local, consume);
-        }),
-    }
+    // Hand the drain loop to parked pool workers. Workers wrap it in the
+    // caller's effective thread count so `current_num_threads()` agrees
+    // across all pieces; tickets stay held until the job quiesces.
+    let body = || {
+        with_install_threads(threads, || {
+            run_worker(&slots, &results, &cursor, make_local, consume)
+        })
+    };
+    pool::run_job(tickets.len(), &body, || {
+        // The calling thread is worker 0.
+        run_worker(&slots, &results, &cursor, make_local, consume);
+    });
+    drop(tickets);
     results
         .into_iter()
         .map(|slot| {

@@ -3,19 +3,17 @@
 //!
 //! The workspace builds without registry access, so the `par_iter` /
 //! `into_par_iter` / `par_chunks{,_mut}` entry points used across the hot
-//! paths resolve here. Since PR 2 they are **genuinely parallel**: each
+//! paths resolve here. They are **genuinely parallel**: each
 //! producer is a splittable, exactly-sized parallel iterator ([`iter`],
 //! [`mod@slice`]), and every terminal (`for_each`, `for_each_init`, `map` +
 //! `collect`, `fold`/`reduce`, `sum`, `count`) fans pieces out across a
 //! chunk-splitting scheduler (`engine` internals): the iterator is
 //! pre-split into more pieces than workers, and workers dynamically claim
 //! pieces off a shared cursor, so fast workers absorb the slack of slow
-//! ones. Since PR 6 the workers are **persistent**: parked on a condvar
-//! and handed jobs without any per-call OS thread spawn/join
-//! ([`BulkMode::Persistent`], the default; `RAYON_POOL=scoped` or
-//! [`set_bulk_mode`] restores the per-call `std::thread::scope` baseline,
-//! and [`pool_stats`] counts the spawns avoided). [`join`] and [`scope`]
-//! still run their closures on scoped threads.
+//! ones. The workers are **persistent**: parked on a condvar and handed
+//! jobs without any per-call OS thread spawn/join ([`pool_stats`] counts
+//! the jobs and handoffs). [`join`] and [`scope`] run their closures on
+//! scoped threads.
 //!
 //! ## Execution model
 //!
@@ -23,7 +21,7 @@
 //!   > `RAYON_NUM_THREADS` > `std::thread::available_parallelism()`.
 //! - **`RAYON_NUM_THREADS=1` recovers the serial fast path**: the whole
 //!   iterator runs as one piece on the caller's thread, bit-for-bit
-//!   deterministic and identical to the PR-1 serial shim.
+//!   identical to the `std` iterator chain.
 //! - Elementwise operations (`for_each`, `map`+`collect`,
 //!   `par_chunks_mut` writes) produce results identical to serial execution
 //!   at any thread count; float `sum`/`reduce` may differ by rounding only
@@ -45,14 +43,12 @@ pub mod iter;
 pub(crate) mod pool;
 pub mod slice;
 
-pub use engine::{bulk_mode, set_bulk_mode, BulkMode};
 pub use pool::PoolStats;
 
 /// Lifetime counters of the persistent worker pool: jobs dispatched,
-/// parked-worker handoffs (each one a spawn/join the scoped baseline
-/// would have paid), condvar wakeups, and worker threads spawned.
-/// All-zero until the first multi-threaded bulk operation in
-/// [`BulkMode::Persistent`].
+/// parked-worker handoffs (worker entries into a job, none of which
+/// spawns an OS thread), condvar wakeups, and worker threads spawned.
+/// All-zero until the first multi-threaded bulk operation.
 pub fn pool_stats() -> PoolStats {
     pool::stats()
 }

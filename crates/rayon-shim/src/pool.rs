@@ -1,29 +1,27 @@
 //! Persistent worker pool: parked threads with condvar job handoff.
 //!
-//! The scoped execution path (see [`crate::engine`]) pays a
-//! `std::thread::scope` spawn/join on **every** bulk operation — for the
-//! RK4 hot path that is one spawn/join per color per stage per timestep,
-//! and for a high-rate streaming tick it is one per GEMM group and panel.
-//! This module removes that cost: worker threads are spawned lazily on
-//! first use, park on a condvar when idle, and a bulk operation becomes a
-//! *job publication* — the caller type-erases its piece-drain loop, posts
-//! it with a participation budget, wakes the workers, drains pieces
-//! itself, and then waits for the workers that joined to quiesce.
+//! A `std::thread::scope` spawn/join on **every** bulk operation would
+//! cost tens of µs — for the RK4 hot path that is one per color per stage
+//! per timestep, and for a high-rate streaming tick one per GEMM group and
+//! panel. Here worker threads are spawned lazily on first use, park on a
+//! condvar when idle, and a bulk operation becomes a *job publication* —
+//! the caller type-erases its piece-drain loop, posts it with a
+//! participation budget, wakes the workers, drains pieces itself, and then
+//! waits for the workers that joined to quiesce.
 //!
-//! Guarantees preserved from the scoped path:
+//! Guarantees:
 //!
 //! - A resolved thread count of 1 never reaches this module: the serial
 //!   fast path short-circuits in `drive_with` before any job is built, so
 //!   `RAYON_NUM_THREADS=1` stays bit-for-bit identical to serial.
 //! - Participation is budgeted by the same process-wide
-//!   [`crate::engine::SpawnTicket`] accounting as scoped spawns and
-//!   `join`/`scope` arms, so composed parallelism cannot multiply
-//!   concurrent threads past the configured count.
+//!   [`crate::engine::SpawnTicket`] accounting as `join`/`scope` arms, so
+//!   composed parallelism cannot multiply concurrent threads past the
+//!   configured count.
 //! - Nested bulk operations on a worker stay serial: the job body enters
-//!   the worker guard exactly as a scoped worker would.
+//!   the worker guard, as the caller's own drain does.
 //! - Panics in a job body are captured and re-raised on the publishing
-//!   thread after the job quiesces (the scoped path got this from
-//!   `std::thread::scope` join semantics).
+//!   thread after the job quiesces.
 //!
 //! The pool never shrinks; workers are detached OS threads that live for
 //! the process. The publisher's borrow of its stack job is protected by
@@ -37,8 +35,7 @@ use std::sync::{Condvar, Mutex, OnceLock};
 
 /// Jobs published to the pool over the process lifetime.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
-/// Worker entries into published jobs — each one is an OS-thread
-/// spawn/join pair the scoped baseline would have paid.
+/// Worker entries into published jobs (none spawns an OS thread).
 static HANDOFFS: AtomicUsize = AtomicUsize::new(0);
 /// Times a parked worker woke from the condvar (useful or spurious).
 static WAKEUPS: AtomicUsize = AtomicUsize::new(0);
@@ -50,8 +47,8 @@ static WORKERS: AtomicUsize = AtomicUsize::new(0);
 pub struct PoolStats {
     /// Bulk operations dispatched to the pool as jobs.
     pub jobs: usize,
-    /// Worker participations handed off without an OS thread spawn — the
-    /// spawn/join pairs avoided relative to the scoped baseline.
+    /// Worker participations handed off to parked workers, without an OS
+    /// thread spawn.
     pub handoffs: usize,
     /// Condvar wakeups of parked workers (useful and spurious).
     pub wakeups: usize,
@@ -224,8 +221,8 @@ fn worker_loop(pool: &'static Pool) {
             HANDOFFS.fetch_add(1, Ordering::Relaxed);
             drop(st);
             // The drain loop enters the worker guard itself (nested bulk
-            // ops stay serial) — identical to a scoped worker. Panics are
-            // ferried back to the publisher rather than killing the pool.
+            // ops stay serial). Panics are ferried back to the publisher
+            // rather than killing the pool.
             let result = catch_unwind(AssertUnwindSafe(|| (task.0)()));
             st = pool.state.lock().expect("rayon shim: pool mutex poisoned");
             let job = st.jobs[id].as_mut().expect("rayon shim: job vanished");

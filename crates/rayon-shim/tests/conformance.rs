@@ -434,6 +434,33 @@ fn extreme_i32_range_len_does_not_overflow() {
     assert_eq!(negatives, 2000);
 }
 
+#[test]
+fn piece_ordered_combination_is_deterministic() {
+    // Piece splitting depends only on the thread count, and piece results
+    // combine in piece order whichever worker ran them: the float `sum`
+    // repeats bitwise run to run, and the elementwise terminals equal the
+    // 1-thread serial result exactly.
+    let v: Vec<f64> = (0..10_000).map(|i| (i as f64 * 0.37).sin()).collect();
+    let run = |threads: usize| {
+        pool(threads).install(|| {
+            let sum: f64 = v.par_iter().map(|x| x * 1.5 - 0.25).sum();
+            let mapped: Vec<f64> = v.par_iter().map(|x| x.cos() * 3.0).collect();
+            let mut chunked = vec![0.0f64; v.len()];
+            chunked
+                .par_chunks_mut(7)
+                .enumerate()
+                .for_each(|(k, c)| c.iter_mut().for_each(|s| *s = k as f64));
+            (sum, mapped, chunked)
+        })
+    };
+    let (first, second, serial) = (run(4), run(4), run(1));
+    assert_eq!(first.0.to_bits(), second.0.to_bits(), "sum drift");
+    assert_eq!(first.1, second.1, "map+collect drift");
+    assert_eq!(first.2, second.2, "chunked writes drift");
+    assert_eq!(first.1, serial.1, "map+collect differs from serial");
+    assert_eq!(first.2, serial.2, "chunked writes differ from serial");
+}
+
 // ---- property tests (in-tree proptest shim) ----------------------------
 
 proptest! {
@@ -529,105 +556,4 @@ proptest! {
         let par: Vec<f64> = pool(threads).install(|| v.par_iter().map(|x| x * x - 0.5).collect());
         prop_assert_eq!(par, serial);
     }
-}
-
-// ---- persistent pool vs scoped baseline --------------------------------
-
-/// Serialize the tests that flip the process-global bulk mode, and
-/// restore the mode they found on drop (panic included).
-fn with_bulk_mode_lock<R>(f: impl FnOnce() -> R) -> R {
-    use std::sync::Mutex;
-    static MODE_LOCK: Mutex<()> = Mutex::new(());
-    let guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let before = rayon_shim::bulk_mode();
-    struct Restore(rayon_shim::BulkMode);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            rayon_shim::set_bulk_mode(self.0);
-        }
-    }
-    let _restore = Restore(before);
-    let out = f();
-    drop(guard);
-    out
-}
-
-#[test]
-fn persistent_pool_matches_scoped_bit_for_bit() {
-    // The persistent pool is pure dispatch: piece splitting, the claim
-    // cursor, and piece-ordered combination are identical to the scoped
-    // path, so every terminal must agree bitwise at any thread count —
-    // including float reductions, whose piece partials combine in piece
-    // order either way.
-    with_bulk_mode_lock(|| {
-        let v: Vec<f64> = (0..10_000).map(|i| (i as f64 * 0.37).sin()).collect();
-        for threads in [1usize, 4] {
-            let run = |mode: rayon_shim::BulkMode| {
-                rayon_shim::set_bulk_mode(mode);
-                pool(threads).install(|| {
-                    let sum: f64 = v.par_iter().map(|x| x * 1.5 - 0.25).sum();
-                    let mapped: Vec<f64> = v.par_iter().map(|x| x.cos() * 3.0).collect();
-                    let mut chunked = vec![0.0f64; v.len()];
-                    chunked
-                        .par_chunks_mut(7)
-                        .enumerate()
-                        .for_each(|(k, c)| c.iter_mut().for_each(|s| *s = k as f64));
-                    (sum, mapped, chunked)
-                })
-            };
-            let p = run(rayon_shim::BulkMode::Persistent);
-            let s = run(rayon_shim::BulkMode::Scoped);
-            assert!(
-                p.0.to_bits() == s.0.to_bits(),
-                "sum drift at {threads} threads"
-            );
-            assert_eq!(p.1, s.1, "map+collect drift at {threads} threads");
-            assert_eq!(p.2, s.2, "chunked writes drift at {threads} threads");
-        }
-    });
-}
-
-#[test]
-fn persistent_pool_engages_and_counts_handoffs() {
-    with_bulk_mode_lock(|| {
-        rayon_shim::set_bulk_mode(rayon_shim::BulkMode::Persistent);
-        let before = rayon_shim::pool_stats();
-        let total: u64 = pool(4).install(|| (0..4096u64).into_par_iter().sum());
-        assert_eq!(total, 4096 * 4095 / 2);
-        let after = rayon_shim::pool_stats();
-        assert!(
-            after.jobs > before.jobs,
-            "multi-threaded bulk op must dispatch a pool job"
-        );
-        assert!(after.handoffs >= before.handoffs);
-        assert!(after.workers_spawned >= 1);
-
-        // Thread count 1 short-circuits before the pool: no job published.
-        let before = rayon_shim::pool_stats();
-        let serial: u64 = pool(1).install(|| (0..4096u64).into_par_iter().sum());
-        assert_eq!(serial, total);
-        assert_eq!(
-            rayon_shim::pool_stats().jobs,
-            before.jobs,
-            "serial fast path must never touch the pool"
-        );
-    });
-}
-
-#[test]
-fn persistent_pool_propagates_worker_panics() {
-    with_bulk_mode_lock(|| {
-        rayon_shim::set_bulk_mode(rayon_shim::BulkMode::Persistent);
-        let caught = std::panic::catch_unwind(|| {
-            pool(4).install(|| {
-                (0..1024usize).into_par_iter().for_each(|i| {
-                    assert!(i != 700, "injected failure");
-                });
-            });
-        });
-        assert!(caught.is_err(), "panic inside a pool job must propagate");
-        // The pool survives the panic and keeps serving jobs.
-        let sum: usize = pool(4).install(|| (0..100usize).into_par_iter().sum());
-        assert_eq!(sum, 4950);
-    });
 }

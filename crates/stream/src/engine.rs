@@ -217,8 +217,8 @@ pub struct TickMetrics {
     /// stored previous read) — 0 when the tick ran serially and nothing
     /// else used the pool in between.
     pub pool_jobs: usize,
-    /// Parked-worker handoffs since the previous tick boundary — each one
-    /// an OS-thread spawn/join the scoped baseline would have paid.
+    /// Parked-worker handoffs since the previous tick boundary: worker
+    /// entries into those jobs, each served without an OS-thread spawn.
     pub pool_handoffs: usize,
     /// Wall-clock seconds for the whole tick.
     pub seconds: f64,
@@ -252,8 +252,8 @@ pub struct EngineMetrics {
     /// boundaries over its lifetime ([`rayon::pool_stats`] tick-boundary
     /// deltas, summed).
     pub pool_jobs: usize,
-    /// Parked-worker handoffs between tick boundaries — spawn/joins
-    /// avoided relative to the scoped baseline.
+    /// Parked-worker handoffs between tick boundaries (worker entries
+    /// into those jobs), summed over the engine's lifetime.
     pub pool_handoffs: usize,
     /// Fresh sample rings allocated over the engine's lifetime. Stays flat
     /// under open→close→open churn (closed sessions return their ring to a

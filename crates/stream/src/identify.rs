@@ -4,8 +4,7 @@
 //! A session's per-scenario squared misfit over its scored samples is
 //! `mis_j = Σ_i (d_i − c_ij)²` with `c` the bank's stacked clean block
 //! (`(Nd·Nt) × B`, row `i` = every scenario's prediction for the same
-//! (sensor, time) slot). The scalar reference walks one sample at a time.
-//! The production path expands the square,
+//! (sensor, time) slot). Scoring expands the square,
 //!
 //! ```text
 //!   Σ_i (d_i − c_ij)²  =  Σ_i d_i²  −  2 Σ_i d_i c_ij  +  Σ_i c_ij²,
@@ -17,8 +16,8 @@
 //! `rows × scenarios` GEMM ([`tsunami_linalg::vec_ops::block_axpy`]) whose
 //! passes over the `B`-wide misfit accumulator are amortized over four
 //! clean rows instead of re-paid per sample. That is what keeps
-//! identification cheap when banks grow to 10³+ scenarios — the
-//! `bank_identification` bench measures the two paths against each other.
+//! identification cheap when banks grow to 10³+ scenarios. The tests pin
+//! it against the per-sample definition.
 
 use tsunami_linalg::vec_ops::{axpy, block_axpy, block_axpy2, block_axpy4};
 use tsunami_linalg::DMatrix;
@@ -53,21 +52,6 @@ pub fn sq_prefix(clean: &DMatrix) -> Vec<f64> {
     out
 }
 
-/// Scalar per-sample reference: for each newly arrived sample
-/// `i ∈ [scored, d_prefix.len())`, `misfit[j] += (d_i − c_ij)²`. This is
-/// the pre-GEMM streaming loop, retained as the equivalence oracle and
-/// the bench baseline.
-pub fn score_samples_scalar(clean: &DMatrix, d_prefix: &[f64], scored: usize, misfit: &mut [f64]) {
-    assert!(d_prefix.len() <= clean.nrows(), "more samples than rows");
-    assert_eq!(misfit.len(), clean.ncols(), "misfit width");
-    for (i, &di) in d_prefix.iter().enumerate().skip(scored) {
-        for (mis, &pred) in misfit.iter_mut().zip(clean.row(i)) {
-            let r = di - pred;
-            *mis += r * r;
-        }
-    }
-}
-
 /// Clean rows scored per pass of the cross-term GEMM: small enough that a
 /// `ROW_BLOCK × B` block of clean rows stays cache-resident while every
 /// stream in a group is scored against it, large enough to amortize the
@@ -83,28 +67,6 @@ const ROW_BLOCK: usize = 16;
 /// rows worth of tile) ≈ 160 KiB, comfortably inside L2.
 const COL_TILE: usize = 1024;
 
-/// Blocked GEMM scoring of one stream's newly arrived rows `[scored,
-/// d_prefix.len())` (see the [module docs](self)): one scalar data-energy
-/// term, one prefix-sum range lookup, and one rank-R
-/// [`block_axpy`] over the contiguous clean rows. Agrees with
-/// [`score_samples_scalar`] to roundoff (the expansion reassociates the
-/// sums), at any sample granularity.
-pub fn score_samples_gemm(
-    clean: &DMatrix,
-    sq_prefix: &[f64],
-    d_prefix: &[f64],
-    scored: usize,
-    misfit: &mut [f64],
-) {
-    score_group_gemm(
-        clean,
-        sq_prefix,
-        scored,
-        d_prefix.len(),
-        &mut [(d_prefix, misfit)],
-    );
-}
-
 /// Blocked GEMM scoring of a *group* of streams that all need the same
 /// row range `[i0, i1)` scored — the `(streams × rows) · (rows ×
 /// scenarios)` GEMM proper. `group` pairs each stream's sample prefix
@@ -115,9 +77,9 @@ pub fn score_samples_gemm(
 /// hierarchy once and reused by every stream in the group, so a tick that
 /// scores `S` lockstep sessions against a 10³⁺-scenario bank streams the
 /// bank once instead of `S` times — at bank sizes where the clean block
-/// spills out of cache, that is the entire cost. The per-sample scalar
-/// loop, by contrast, re-streams the bank per stream *and* re-walks the
-/// misfit row per sample.
+/// spills out of cache, that is the entire cost. Agrees with the
+/// per-sample definition `misfit[j] += (d_i − c_ij)²` to roundoff (the
+/// expansion reassociates the sums), at any sample granularity.
 pub fn score_group_gemm(
     clean: &DMatrix,
     sq_prefix: &[f64],
@@ -294,6 +256,19 @@ pub fn score_group_pod(
 mod tests {
     use super::*;
 
+    /// Per-sample reference: for each newly arrived sample
+    /// `i ∈ [scored, d_prefix.len())`, `misfit[j] += (d_i − c_ij)²`.
+    fn score_samples_scalar(clean: &DMatrix, d_prefix: &[f64], scored: usize, misfit: &mut [f64]) {
+        assert!(d_prefix.len() <= clean.nrows(), "more samples than rows");
+        assert_eq!(misfit.len(), clean.ncols(), "misfit width");
+        for (i, &di) in d_prefix.iter().enumerate().skip(scored) {
+            for (mis, &pred) in misfit.iter_mut().zip(clean.row(i)) {
+                let r = di - pred;
+                *mis += r * r;
+            }
+        }
+    }
+
     fn clean_block(n: usize, b: usize) -> DMatrix {
         DMatrix::from_fn(n, b, |i, j| ((i * 7 + 3 * j) as f64 * 0.13).sin())
     }
@@ -326,7 +301,7 @@ mod tests {
         score_samples_scalar(&c, &d, 0, &mut ref_mis);
 
         let mut one_shot = vec![0.0; b];
-        score_samples_gemm(&c, &p, &d, 0, &mut one_shot);
+        score_group_gemm(&c, &p, 0, n, &mut [(&d[..], &mut one_shot[..])]);
 
         let mut chunked = vec![0.0; b];
         let mut scored = 0;
@@ -335,7 +310,7 @@ mod tests {
                 break;
             }
             let next = (scored + step).min(n);
-            score_samples_gemm(&c, &p, &d[..next], scored, &mut chunked);
+            score_group_gemm(&c, &p, scored, next, &mut [(&d[..next], &mut chunked[..])]);
             scored = next;
         }
 
@@ -467,7 +442,7 @@ mod tests {
         let mut oracle = vec![0.0; b];
         score_samples_scalar(&c, &d, i0, &mut oracle);
         let mut gemm = vec![0.0; b];
-        score_samples_gemm(&c, &p, &d, i0, &mut gemm);
+        score_group_gemm(&c, &p, i0, n, &mut [(&d[..], &mut gemm[..])]);
         for j in 0..b {
             let err = (gemm[j] - oracle[j]).abs();
             assert!(
@@ -622,7 +597,7 @@ mod tests {
         let p = sq_prefix(&c);
         let d: Vec<f64> = (0..3).map(|i| i as f64).collect();
         let mut mis = vec![1.5; 4];
-        score_samples_gemm(&c, &p, &d, 3, &mut mis);
+        score_group_gemm(&c, &p, 3, d.len(), &mut [(&d[..], &mut mis[..])]);
         assert_eq!(mis, vec![1.5; 4]);
     }
 
@@ -635,7 +610,7 @@ mod tests {
         let p = sq_prefix(&c);
         let d = c.col(2);
         let mut mis = vec![0.0; b];
-        score_samples_gemm(&c, &p, &d, 0, &mut mis);
+        score_group_gemm(&c, &p, 0, n, &mut [(&d[..], &mut mis[..])]);
         assert!(
             mis[2].abs() < 1e-10,
             "own-scenario misfit should vanish: {}",

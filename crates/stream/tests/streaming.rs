@@ -6,7 +6,7 @@
 
 use tsunami_core::window::infer_window;
 use tsunami_core::{DigitalTwin, ScenarioBank, TwinConfig};
-use tsunami_stream::{identify, IdentifyBackend, StreamConfig, StreamEngine, WarningLevel};
+use tsunami_stream::{IdentifyBackend, StreamConfig, StreamEngine, WarningLevel};
 
 fn rel_err(a: &[f64], b: &[f64]) -> f64 {
     let num: f64 = a
@@ -282,8 +282,10 @@ fn gemm_identification_matches_scalar_loop_at_awkward_granularities() {
         engine.tick();
     }
 
-    let mut mis_ref = vec![0.0; bank.len()];
-    identify::score_samples_scalar(bank.clean_observations(), &d, 0, &mut mis_ref);
+    let clean = bank.clean_observations();
+    let mis_ref: Vec<f64> = (0..bank.len())
+        .map(|j| (0..d.len()).map(|i| (d[i] - clean[(i, j)]).powi(2)).sum())
+        .collect();
     let sigma2 = bank.noise_std() * bank.noise_std();
     let ranked = engine.ranked_matches(id);
     for m in &ranked {
