@@ -29,7 +29,7 @@
 use crate::ladder::{rung_svd, Rung, RungLadder};
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
-use crate::phase3::Phase3;
+use crate::phase3::{rung_operator, Phase3};
 use crate::window::{self, WindowedForecaster};
 use rayon::prelude::*;
 use tsunami_linalg::{DMatrix, FactoredMap, SvdOptions};
@@ -69,7 +69,7 @@ impl GoalOptions {
 impl RungLadder {
     /// Precompute the SVD-compressed ladder from the offline phases.
     /// Each rung's dense `T_w` is materialized once
-    /// (`window::rung_operator` — bitwise the windowed forecaster's
+    /// (`phase3::rung_operator` — bitwise the windowed forecaster's
     /// operator), compressed, and dropped, so peak memory is a few dense
     /// rungs, not the whole dense ladder.
     pub fn compress(
@@ -84,7 +84,7 @@ impl RungLadder {
         let per_rung = ws
             .par_iter()
             .map(|&w| {
-                let (t_w, std) = window::rung_operator(p2, p3, w * nd);
+                let (t_w, _, std) = rung_operator(&p2.k_chol, &p3.b, &p3.a0, w * nd);
                 (compress_rung(t_w, w, opts), std)
             })
             .collect();

@@ -12,8 +12,9 @@
 //! minimal contract a forward model must satisfy to plug into the engine:
 //! report its dimensions and provide full-horizon adjoint applications
 //! `Fᵀw` and `Fqᵀw`. [`build_maps`] then extracts the Toeplitz blocks with
-//! `Nd + Nq` adjoint solves exactly as in the acoustic case, and
-//! [`LtiBayesEngine`] packages the offline/online decomposition.
+//! `Nd + Nq` adjoint solves — the acoustic case goes through the very same
+//! routine, [`BlockToeplitz::from_adjoint`] — and [`LtiBayesEngine`]
+//! packages the offline/online decomposition.
 //!
 //! The acoustic–gravity [`WaveSolver`] implements the trait here; the
 //! elastic fault-slip model in `tsunami-elastic` implements it there.
@@ -23,10 +24,8 @@ use crate::phase2::Phase2;
 use crate::phase3::Phase3;
 use crate::phase4::{self, Forecast, Inference};
 use crate::stprior::SpaceTimePrior;
-use rayon::prelude::*;
 use tsunami_fft::BlockToeplitz;
 use tsunami_hpc::TimerRegistry;
-use tsunami_linalg::DMatrix;
 use tsunami_prior::MaternPrior;
 use tsunami_solver::WaveSolver;
 
@@ -77,43 +76,14 @@ impl LtiModel for WaveSolver {
 }
 
 /// Build the p2o and p2q block-Toeplitz maps of any [`LtiModel`] with
-/// `Nd + Nq` adjoint solves (one per output row), run in parallel.
-///
-/// The gradient of the *final* observation of output `r` with respect to
-/// parameter bin `j` is the defining-block entry `T_{Nt−1−j}[r, ·]`, so a
-/// single full-horizon adjoint solve recovers that output's row of every
-/// block — the paper's Phase 1.
+/// `Nd + Nq` adjoint solves — the paper's Phase 1, through the same
+/// [`BlockToeplitz::from_adjoint`] extraction as
+/// `tsunami_solver::{build_p2o, build_p2q}`.
 pub fn build_maps<M: LtiModel>(model: &M) -> (BlockToeplitz, BlockToeplitz) {
-    let f = build_one_map(model.n_sensors(), model.n_m(), model.nt_obs(), |w| {
-        model.adjoint_data(w)
-    });
-    let fq = build_one_map(model.n_qoi_outputs(), model.n_m(), model.nt_obs(), |w| {
-        model.adjoint_qoi(w)
-    });
+    let (nt, nm) = (model.nt_obs(), model.n_m());
+    let f = BlockToeplitz::from_adjoint(nt, model.n_sensors(), nm, |w| model.adjoint_data(w));
+    let fq = BlockToeplitz::from_adjoint(nt, model.n_qoi_outputs(), nm, |w| model.adjoint_qoi(w));
     (f, fq)
-}
-
-fn build_one_map(
-    n_out: usize,
-    nm: usize,
-    nt: usize,
-    adjoint: impl Fn(&[f64]) -> Vec<f64> + Sync,
-) -> BlockToeplitz {
-    let rows: Vec<Vec<f64>> = (0..n_out)
-        .into_par_iter()
-        .map(|r| {
-            let mut w = vec![0.0; n_out * nt];
-            w[(nt - 1) * n_out + r] = 1.0;
-            adjoint(&w)
-        })
-        .collect();
-    let blocks: Vec<DMatrix> = (0..nt)
-        .map(|k| {
-            let j = nt - 1 - k;
-            DMatrix::from_fn(n_out, nm, |r, c| rows[r][j * nm + c])
-        })
-        .collect();
-    BlockToeplitz::new(blocks, n_out, nm)
 }
 
 /// The offline products of the goal-oriented framework for an arbitrary
@@ -143,7 +113,8 @@ impl LtiBayesEngine {
         let (f, fq) = timers.time("Phase 1: adjoint solves (generic LTI)", || {
             build_maps(model)
         });
-        Self::from_blocks(f, fq, spatial_prior, noise_std, timers)
+        let phase1 = Phase1::assemble(f, fq, &timers);
+        Self::from_phase1(phase1, spatial_prior, noise_std, timers)
     }
 
     /// Offline pipeline starting from precomputed Toeplitz blocks.
@@ -153,26 +124,27 @@ impl LtiBayesEngine {
         spatial_prior: MaternPrior,
         noise_std: f64,
     ) -> Self {
-        Self::from_blocks(f, fq, spatial_prior, noise_std, TimerRegistry::new())
+        let phase1 = Phase1::from_blocks(f, fq);
+        Self::from_phase1(phase1, spatial_prior, noise_std, TimerRegistry::new())
     }
 
-    fn from_blocks(
-        f: BlockToeplitz,
-        fq: BlockToeplitz,
+    /// Phases 2–3 and the space-time prior on top of a finished Phase 1 —
+    /// the one offline assembly, shared with
+    /// [`crate::twin::DigitalTwin::offline`].
+    pub(crate) fn from_phase1(
+        phase1: Phase1,
         spatial_prior: MaternPrior,
         noise_std: f64,
         timers: TimerRegistry,
     ) -> Self {
         assert_eq!(
             spatial_prior.n(),
-            f.in_dim,
+            phase1.f.in_dim,
             "prior dimension must match the spatial parameter dimension"
         );
-        let nt = f.nt;
-        let phase1 = timers.time("Phase 1: FFT spectra", || Phase1::from_blocks(f, fq));
         let phase2 = Phase2::build(&phase1, &spatial_prior, noise_std, &timers);
         let phase3 = Phase3::build(&phase1, &phase2, &timers);
-        let prior = SpaceTimePrior::new(spatial_prior, nt);
+        let prior = SpaceTimePrior::new(spatial_prior, phase1.f.nt);
         LtiBayesEngine {
             phase1,
             phase2,
@@ -221,23 +193,19 @@ mod tests {
 
     #[test]
     fn generic_builder_matches_solver_specific_builder() {
-        // build_maps over the LtiModel trait must reproduce
-        // tsunami_solver::{build_p2o, build_p2q} exactly.
+        // build_maps over the LtiModel trait and
+        // tsunami_solver::{build_p2o, build_p2q} are the same extraction:
+        // every block agrees bit for bit.
         let cfg = TwinConfig::tiny();
         let solver = cfg.build_solver();
         let (f_gen, fq_gen) = build_maps(&solver);
         let f_ref = tsunami_solver::build_p2o(&solver);
         let fq_ref = tsunami_solver::build_p2q(&solver);
-        assert_eq!(f_gen.nt, f_ref.nt);
-        for (a, b) in f_gen.blocks.iter().zip(&f_ref.blocks) {
-            let mut d = a.clone();
-            d.add_scaled(-1.0, b);
-            assert!(d.norm_fro() < 1e-14 * b.norm_fro().max(1e-300));
-        }
-        for (a, b) in fq_gen.blocks.iter().zip(&fq_ref.blocks) {
-            let mut d = a.clone();
-            d.add_scaled(-1.0, b);
-            assert!(d.norm_fro() < 1e-14 * b.norm_fro().max(1e-300));
+        for (gen, reference) in [(&f_gen, &f_ref), (&fq_gen, &fq_ref)] {
+            assert_eq!(gen.nt, reference.nt);
+            for (a, b) in gen.blocks.iter().zip(&reference.blocks) {
+                assert_eq!(a.as_slice(), b.as_slice());
+            }
         }
     }
 

@@ -42,7 +42,7 @@
 //! bound, and data lying in the basis's span (`(I − P_w) d_k = 0`, e.g.
 //! clean curves of a losslessly compressed bank) are forecast exactly
 //! at *any* rank. The posterior std is data-independent and carried
-//! over unchanged from `crate::window::rung_operator` — bitwise the
+//! over unchanged from `crate::phase3::rung_operator` — bitwise the
 //! windowed forecaster's.
 //!
 //! With [`ModeSpaceOptions::inference`] set, the same Gram-absorbed
@@ -58,7 +58,7 @@
 use crate::ladder::{leading_rows, rung_svd, Rung, RungLadder};
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
-use crate::phase3::Phase3;
+use crate::phase3::{rung_operator, Phase3};
 use crate::window::{self, infer_window_batch};
 use rayon::prelude::*;
 use tsunami_linalg::{randomized_svd, DMatrix, FactoredMap, SvdOptions};
@@ -99,7 +99,7 @@ impl RungLadder {
     /// observation basis (`modes`: `(Nd·Nt) × r`, e.g.
     /// [`crate::PodBank::modes`]), which the ladder keeps as its shared
     /// [`Self::basis`]. Each rung's dense `T_w` is materialized once
-    /// (`window::rung_operator` — bitwise the windowed forecaster's
+    /// (`phase3::rung_operator` — bitwise the windowed forecaster's
     /// operator), projected, bounded, and dropped.
     pub fn project(
         p1: &Phase1,
@@ -140,7 +140,7 @@ fn reduce_rung(
     opts: &ModeSpaceOptions,
 ) -> (Rung, Vec<f64>) {
     let k = w * nd;
-    let (t_w, std) = window::rung_operator(p2, p3, k);
+    let (t_w, _, std) = rung_operator(&p2.k_chol, &p3.b, &p3.a0, k);
     let u_k = leading_rows(modes, k);
     let svd = randomized_svd(&u_k, modes.ncols(), rung_svd(opts.svd, w));
     // X = U_k (U_kᵀU_k)⁺ (k × r): the offline Gram absorption. The online

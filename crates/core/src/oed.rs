@@ -28,7 +28,7 @@
 //!   `(1 − 1/e)` guarantee.
 
 use crate::phase1::Phase1;
-use crate::phase2::{form_k, Phase2};
+use crate::phase2::{toeplitz_gram, Phase2};
 use crate::phase3::Phase3;
 use rayon::prelude::*;
 use tsunami_linalg::{Cholesky, DMatrix};
@@ -75,9 +75,10 @@ impl OedCandidates {
     /// built over the *candidate* array (its Phase 1/2/3 treat every
     /// candidate as a live sensor).
     pub fn build(p1: &Phase1, p2: &Phase2, p3: &Phase3) -> Self {
-        // P = K − σ²I, but re-forming it via FFT matvecs with zero noise
-        // avoids needing K itself (Phase 2 only keeps its factor).
-        let p = form_k(&p1.fast_f, &p2.fast_g, 0.0);
+        // P = K − σ²I, re-formed via FFT matvecs: Phase 2 only keeps the
+        // factor of K.
+        let mut p = toeplitz_gram(&p2.fast_g, &p1.fast_f);
+        p.symmetrize();
         OedCandidates {
             p,
             b: p3.b.clone(),

@@ -18,22 +18,12 @@ pub struct Phase1 {
 
 impl Phase1 {
     /// Run the `Nd + Nq` adjoint solves (parallelized) and precompute the
-    /// circulant spectra. Timers: `"Phase 1: form F"` / `"Phase 1: form Fq"`.
+    /// circulant spectra. Timers: `"Phase 1: form F (adjoint solves)"` /
+    /// `"… Fq …"`, then `"Phase 1: FFT spectra of F"` / `"… of Fq"`.
     pub fn build(solver: &WaveSolver, timers: &TimerRegistry) -> Self {
         let f = timers.time("Phase 1: form F (adjoint solves)", || build_p2o(solver));
         let fq = timers.time("Phase 1: form Fq (adjoint solves)", || build_p2q(solver));
-        let fast_f = timers.time("Phase 1: FFT spectra of F", || {
-            FftBlockToeplitz::from_blocks(&f)
-        });
-        let fast_fq = timers.time("Phase 1: FFT spectra of Fq", || {
-            FftBlockToeplitz::from_blocks(&fq)
-        });
-        Phase1 {
-            f,
-            fq,
-            fast_f,
-            fast_fq,
-        }
+        Self::assemble(f, fq, timers)
     }
 
     /// Assemble Phase 1 products from externally built Toeplitz blocks.
@@ -43,13 +33,23 @@ impl Phase1 {
     /// in many different settings") — e.g. the elastic fault-slip model in
     /// `tsunami-elastic`, or blocks loaded from disk.
     pub fn from_blocks(f: BlockToeplitz, fq: BlockToeplitz) -> Self {
+        Self::assemble(f, fq, &TimerRegistry::new())
+    }
+
+    /// The one assembly behind [`Self::build`] and [`Self::from_blocks`]:
+    /// check that the two maps agree, then take their spectra.
+    pub(crate) fn assemble(f: BlockToeplitz, fq: BlockToeplitz, timers: &TimerRegistry) -> Self {
         assert_eq!(f.nt, fq.nt, "p2o and p2q must share the time horizon");
         assert_eq!(
             f.in_dim, fq.in_dim,
             "p2o and p2q must share the parameter space"
         );
-        let fast_f = FftBlockToeplitz::from_blocks(&f);
-        let fast_fq = FftBlockToeplitz::from_blocks(&fq);
+        let fast_f = timers.time("Phase 1: FFT spectra of F", || {
+            FftBlockToeplitz::from_blocks(&f)
+        });
+        let fast_fq = timers.time("Phase 1: FFT spectra of Fq", || {
+            FftBlockToeplitz::from_blocks(&fq)
+        });
         Phase1 {
             f,
             fq,

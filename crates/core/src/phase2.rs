@@ -12,7 +12,9 @@
 //! dimension `Nd·Nt`: still large, but *tractable*, unlike the `Nm·Nt`
 //! parameter-space Hessian. It is formed column-block-wise with FFT
 //! matvecs (the paper's 252,000 matvecs in 100 minutes) and
-//! Cholesky-factorized (cuSOLVERMp's 22 s step).
+//! Cholesky-factorized (cuSOLVERMp's 22 s step). The column-block-wise
+//! product is `toeplitz_gram`, which also serves Phase 3 (`B`, `A0`) and
+//! the sensor-design Gram of [`crate::oed`].
 
 use crate::phase1::Phase1;
 use rayon::prelude::*;
@@ -86,26 +88,39 @@ pub fn smooth_blocks(t: &BlockToeplitz, prior: &MaternPrior) -> BlockToeplitz {
     BlockToeplitz::new(blocks, t.out_dim, t.in_dim)
 }
 
-/// Form `K = σ²I + G Fᵀ` column-block-wise: for each block of unit vectors
-/// `E`, compute `G (Fᵀ E)` with batched FFT matvecs.
-pub fn form_k(fast_f: &FftBlockToeplitz, fast_g: &FftBlockToeplitz, sigma2: f64) -> DMatrix {
-    let n = fast_f.nrows();
-    let mut k = DMatrix::zeros(n, n);
-    let chunk = 256.min(n);
-    for c0 in (0..n).step_by(chunk) {
-        let c1 = (c0 + chunk).min(n);
+/// Columns pushed through the FFT pair per pass of [`toeplitz_gram`].
+const GRAM_CHUNK: usize = 256;
+
+/// Toeplitz Gram `left · rightᵀ` (`left.nrows() × right.nrows()`), formed
+/// column-chunk-wise: each block of unit vectors `E` goes through
+/// `left (rightᵀ E)` as two batched FFT applies, so the parameter-space
+/// intermediate is `GRAM_CHUNK` columns wide, never the full width. Every
+/// column is bitwise independent of the chunking. This is the one place
+/// identity columns are pushed through the maps: `K`, Phase 3's `B` and
+/// `A0`, and the sensor-design Gram all come from here.
+pub(crate) fn toeplitz_gram(left: &FftBlockToeplitz, right: &FftBlockToeplitz) -> DMatrix {
+    let n = right.nrows();
+    let mut gram = DMatrix::zeros(left.nrows(), n);
+    for c0 in (0..n).step_by(GRAM_CHUNK) {
+        let c1 = (c0 + GRAM_CHUNK).min(n);
         let mut e = DMatrix::zeros(n, c1 - c0);
-        for (jj, c) in (c0..c1).enumerate() {
-            e[(c, jj)] = 1.0;
+        for c in c0..c1 {
+            e[(c, c - c0)] = 1.0;
         }
-        let x = fast_f.matmat_transpose(&e); // (Nm·Nt) × nc
-        let y = fast_g.matmat(&x); // (Nd·Nt) × nc
-        for (jj, c) in (c0..c1).enumerate() {
-            for r in 0..n {
-                k[(r, c)] = y[(r, jj)];
+        let y = left.matmat(&right.matmat_transpose(&e));
+        for r in 0..gram.nrows() {
+            for c in c0..c1 {
+                gram[(r, c)] = y[(r, c - c0)];
             }
         }
     }
+    gram
+}
+
+/// Form `K = σ²I + G Fᵀ`: the `toeplitz_gram` of `G` and `F`, shifted by
+/// the noise variance.
+pub fn form_k(fast_f: &FftBlockToeplitz, fast_g: &FftBlockToeplitz, sigma2: f64) -> DMatrix {
+    let mut k = toeplitz_gram(fast_g, fast_f);
     k.shift_diag(sigma2);
     // FΓFᵀ is symmetric up to FFT roundoff; enforce it before Cholesky.
     k.symmetrize();
@@ -197,6 +212,52 @@ mod tests {
         assert!(
             diff.norm_fro() < 1e-8 * k_dense.norm_fro(),
             "K mismatch: {}",
+            diff.norm_fro()
+        );
+
+        // The same Gram for a non-symmetric pair: B = Gq Fᵀ = Fq Γ Fᵀ.
+        let gq = FftBlockToeplitz::from_blocks(&smooth_blocks(&p1.fq, &stp.spatial));
+        let b_fast = toeplitz_gram(&gq, &p1.fast_f);
+        let b_dense = p1.fq.to_dense().matmul(&gamma_dense).matmul_nt(&f_dense);
+        assert_eq!(
+            (b_fast.nrows(), b_fast.ncols()),
+            (p1.fq.nrows(), p1.f.nrows())
+        );
+        let mut diff = b_fast;
+        diff.add_scaled(-1.0, &b_dense);
+        assert!(
+            diff.norm_fro() < 1e-8 * b_dense.norm_fro(),
+            "B mismatch: {}",
+            diff.norm_fro()
+        );
+    }
+
+    #[test]
+    fn gram_chunking_handles_a_ragged_last_chunk() {
+        // 33 steps × 8 rows = 264 columns: one full GRAM_CHUNK plus 8, for
+        // a rectangular (5-row vs 8-row) pair of maps.
+        let toeplitz = |out_dim: usize, seed: usize| {
+            let blocks = (0..33)
+                .map(|k| {
+                    DMatrix::from_fn(out_dim, 3, |r, c| {
+                        ((seed + 7 * k + 3 * r + c) as f64 * 0.37).sin()
+                    })
+                })
+                .collect();
+            BlockToeplitz::new(blocks, out_dim, 3)
+        };
+        let (left, right) = (toeplitz(5, 1), toeplitz(8, 2));
+        assert!(right.nrows() > GRAM_CHUNK && right.nrows() % GRAM_CHUNK != 0);
+        let gram = toeplitz_gram(
+            &FftBlockToeplitz::from_blocks(&left),
+            &FftBlockToeplitz::from_blocks(&right),
+        );
+        let dense = left.to_dense().matmul_nt(&right.to_dense());
+        let mut diff = gram;
+        diff.add_scaled(-1.0, &dense);
+        assert!(
+            diff.norm_fro() < 1e-10 * dense.norm_fro(),
+            "Gram mismatch: {}",
             diff.norm_fro()
         );
     }

@@ -1,6 +1,7 @@
 //! Phase 3 (offline): QoI posterior covariance and the data-to-QoI map.
 //!
-//! With `B := Fq Γprior Fᵀ = Gq Fᵀ` and `A0 := Fq Γprior Fqᵀ = Gq Fqᵀ`,
+//! With `B := Fq Γprior Fᵀ = Gq Fᵀ` and `A0 := Fq Γprior Fqᵀ = Gq Fqᵀ` (both
+//! from Phase 2's `toeplitz_gram`),
 //!
 //! ```text
 //!   Γpost(q) = A0 − B K⁻¹ Bᵀ,      Q = Fq Γpost Fᵀ Γnoise⁻¹ = B K⁻¹,
@@ -14,9 +15,9 @@
 //! infrastructure" (§VIII).
 
 use crate::phase1::Phase1;
-use crate::phase2::Phase2;
+use crate::phase2::{toeplitz_gram, Phase2};
 use tsunami_hpc::TimerRegistry;
-use tsunami_linalg::DMatrix;
+use tsunami_linalg::{Cholesky, DMatrix};
 
 /// QoI posterior pieces.
 pub struct Phase3 {
@@ -35,42 +36,18 @@ pub struct Phase3 {
 }
 
 impl Phase3 {
-    /// Assemble `B`, `A0`, `Γpost(q)`, and `Q`.
+    /// Assemble `B`, `A0`, `Γpost(q)`, and `Q` — the last two as the
+    /// full-horizon rung of `rung_operator`.
     pub fn build(p1: &Phase1, p2: &Phase2, timers: &TimerRegistry) -> Self {
-        let n_q = p1.fast_fq.nrows();
-        let n_d = p1.fast_f.nrows();
-        // B = Gq Fᵀ (n_q × n_d): columns via batched FFT matvecs.
         let b = timers.time("Phase 3: form B = Fq*Post basis", || {
-            let mut e = DMatrix::zeros(n_d, n_d);
-            for i in 0..n_d {
-                e[(i, i)] = 1.0;
-            }
-            let x = p1.fast_f.matmat_transpose(&e);
-            p2.fast_gq.matmat(&x)
+            toeplitz_gram(&p2.fast_gq, &p1.fast_f)
         });
-        // A0 = Gq Fqᵀ (n_q × n_q).
         let a0 = timers.time("Phase 3: form A0 = Fq*Prior*Fq'", || {
-            let mut e = DMatrix::zeros(n_q, n_q);
-            for i in 0..n_q {
-                e[(i, i)] = 1.0;
-            }
-            let x = p1.fast_fq.matmat_transpose(&e);
-            p2.fast_gq.matmat(&x)
+            toeplitz_gram(&p2.fast_gq, &p1.fast_fq)
         });
-        let (gamma_post_q, q_map) = timers.time("Phase 3: Gamma_post(q) and Q", || {
-            // X = K⁻¹ Bᵀ  (n_d × n_q); Q = Xᵀ; Γpost(q) = A0 − B X.
-            let x = p2.k_chol.solve_multi(&b.transpose());
-            let mut gpq = a0.clone();
-            let bx = b.matmul(&x);
-            gpq.add_scaled(-1.0, &bx);
-            gpq.symmetrize();
-            (gpq, x.transpose())
+        let (q_map, gamma_post_q, q_std) = timers.time("Phase 3: Gamma_post(q) and Q", || {
+            rung_operator(&p2.k_chol, &b, &a0, b.ncols())
         });
-        let q_std = gamma_post_q
-            .diag()
-            .iter()
-            .map(|&v| v.max(0.0).sqrt())
-            .collect();
         Phase3 {
             q_map,
             gamma_post_q,
@@ -81,12 +58,37 @@ impl Phase3 {
     }
 }
 
+/// The posterior given the first `k` data entries (time-major, so a whole
+/// number of observation steps): the dense data-to-QoI operator `T_w = B_w
+/// K_w⁻¹` (`Nq·Nt × k`) via one panel-blocked leading solve `X = K_w⁻¹
+/// B_wᵀ` (the factor is walked once per panel, not once per QoI row),
+/// `Γpost(q; w) = A0 − B_w X`, and its pointwise std. The leading
+/// principal block of the Cholesky factor of `K` is the factor of `K_w`,
+/// so one factorization serves every `k`; `k = Nd·Nt` is Phase 3 itself.
+/// The windowed forecaster and both reduced ladders take their rungs from
+/// here, so all derive bitwise the same operator from the same offline
+/// phases.
+pub(crate) fn rung_operator(
+    k_chol: &Cholesky,
+    b: &DMatrix,
+    a0: &DMatrix,
+    k: usize,
+) -> (DMatrix, DMatrix, Vec<f64>) {
+    let bw = DMatrix::from_fn(b.nrows(), k, |r, c| b[(r, c)]);
+    let x = k_chol.solve_leading_multi(k, &bw.transpose());
+    let mut gpq = a0.clone();
+    gpq.add_scaled(-1.0, &bw.matmul(&x));
+    gpq.symmetrize();
+    let std = gpq.diag().iter().map(|&v| v.max(0.0).sqrt()).collect();
+    (x.transpose(), gpq, std)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TwinConfig;
     use crate::stprior::SpaceTimePrior;
-    use tsunami_linalg::{Cholesky, LinearOperator};
+    use tsunami_linalg::LinearOperator;
 
     #[test]
     fn phase3_matches_dense_bayesian_algebra() {

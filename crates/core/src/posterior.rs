@@ -30,7 +30,7 @@ pub fn displacement_std(p1: &Phase1, p2: &Phase2, prior: &SpaceTimePrior, dt_obs
             for t in 0..nt {
                 e[t * nm + c] = dt_obs;
             }
-            p2.fast_g.matvec_serial(e, ge);
+            p2.fast_g.matvec(e, ge);
             for t in 0..nt {
                 e[t * nm + c] = 0.0;
             }

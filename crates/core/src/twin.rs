@@ -3,6 +3,7 @@
 use crate::config::TwinConfig;
 use crate::goal::GoalOptions;
 use crate::ladder::RungLadder;
+use crate::lti::LtiBayesEngine;
 use crate::modespace::ModeSpaceOptions;
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
@@ -39,20 +40,17 @@ impl DigitalTwin {
     pub fn offline(config: TwinConfig, noise_std: f64) -> Self {
         let timers = TimerRegistry::new();
         let solver = timers.time("Setup: mesh + operator assembly", || config.build_solver());
-        let spatial_prior = config.build_prior();
         let phase1 = Phase1::build(&solver, &timers);
-        let phase2 = Phase2::build(&phase1, &spatial_prior, noise_std, &timers);
-        let phase3 = Phase3::build(&phase1, &phase2, &timers);
-        let prior = SpaceTimePrior::new(config.build_prior(), solver.grid.nt_obs);
+        let e = LtiBayesEngine::from_phase1(phase1, config.build_prior(), noise_std, timers);
         DigitalTwin {
             config,
             solver,
-            prior,
+            prior: e.prior,
             noise_std,
-            phase1,
-            phase2,
-            phase3,
-            timers,
+            phase1: e.phase1,
+            phase2: e.phase2,
+            phase3: e.phase3,
+            timers: e.timers,
         }
     }
 

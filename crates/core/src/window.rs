@@ -9,6 +9,8 @@
 //! is the factor of the leading principal block. One offline factorization
 //! therefore serves *every* window length, preserving the paper's
 //! fraction-of-a-second online guarantee for each update as data stream in.
+//! Each window's operator is Phase 3's own `rung_operator` at a shorter
+//! `k`; the full window *is* Phase 3, bit for bit.
 //!
 //! For each window the posterior is exact (no approximation): it is the
 //! Bayesian solution given the data observed so far, with the unobserved
@@ -18,7 +20,7 @@
 
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
-use crate::phase3::Phase3;
+use crate::phase3::{rung_operator, Phase3};
 use crate::phase4::{Forecast, ForecastBatch, Inference, InferenceBatch};
 use rayon::prelude::*;
 use std::time::Instant;
@@ -46,7 +48,10 @@ impl WindowedForecaster {
         let ws = normalize_windows(windows, p1.f.nt);
         let per_window: Vec<(DMatrix, Vec<f64>)> = ws
             .par_iter()
-            .map(|&w| rung_operator(p2, p3, w * nd))
+            .map(|&w| {
+                let (q_map, _, q_std) = rung_operator(&p2.k_chol, &p3.b, &p3.a0, w * nd);
+                (q_map, q_std)
+            })
             .collect();
         let (q_maps, q_stds) = per_window.into_iter().unzip();
         WindowedForecaster {
@@ -104,23 +109,6 @@ pub(crate) fn normalize_windows(windows: &[usize], nt: usize) -> Vec<usize> {
     ws.sort_unstable();
     ws.dedup();
     ws
-}
-
-/// One rung's dense data-to-QoI operator and posterior std: `T_w = B_w
-/// K_w⁻¹` (`Nq·Nt × k`) via one panel-blocked leading solve (the factor
-/// is walked once per panel, not once per QoI row), and `√diag(Γpost(q;
-/// w))` with `Γpost(q; w) = A0 − B_w X`. Shared by the windowed
-/// forecaster and the goal-oriented ladder so both derive bitwise the
-/// same operator from the same offline phases.
-pub(crate) fn rung_operator(p2: &Phase2, p3: &Phase3, k: usize) -> (DMatrix, Vec<f64>) {
-    let nq = p3.b.nrows();
-    let bw = DMatrix::from_fn(nq, k, |r, c| p3.b[(r, c)]);
-    let x = p2.k_chol.solve_leading_multi(k, &bw.transpose());
-    let mut gpq = p3.a0.clone();
-    gpq.add_scaled(-1.0, &bw.matmul(&x));
-    gpq.symmetrize();
-    let std: Vec<f64> = gpq.diag().iter().map(|&v| v.max(0.0).sqrt()).collect();
-    (x.transpose(), std)
 }
 
 /// Online inference from a truncated observation window: the exact
@@ -202,12 +190,10 @@ mod tests {
         let wf = WindowedForecaster::build(&twin.phase1, &twin.phase2, &twin.phase3, &[nt]);
         let fc_full = twin.forecast(&d);
         let fc_win = wf.forecast(0, &d);
-        for (a, b) in fc_win.q_map.iter().zip(&fc_full.q_map) {
-            assert!((a - b).abs() < 1e-9 * b.abs().max(1e-12));
-        }
-        for (a, b) in fc_win.q_std.iter().zip(&fc_full.q_std) {
-            assert!((a - b).abs() < 1e-9 * b.abs().max(1e-12));
-        }
+        // The nt-rung is Phase 3 itself (one `rung_operator`): bit-equal.
+        assert_eq!(wf.q_maps[0].as_slice(), twin.phase3.q_map.as_slice());
+        assert_eq!(fc_win.q_map, fc_full.q_map);
+        assert_eq!(fc_win.q_std, fc_full.q_std);
     }
 
     #[test]

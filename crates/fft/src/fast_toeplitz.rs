@@ -2,13 +2,13 @@
 //!
 //! The block lower-triangular Toeplitz matrix is embedded in a block
 //! circulant of length `L = next_pow2(2·Nt)`, which the DFT block-
-//! diagonalizes. A matvec is then
+//! diagonalizes. An apply is then
 //!
 //! 1. **forward stage**: one length-`L` FFT per input spatial index
 //!    (`in_dim` FFTs),
 //! 2. **frequency stage**: an independent `out_dim × in_dim` complex
-//!    matvec per frequency (embarrassingly parallel — this is where the 2D
-//!    GPU-grid partitioning of the paper's FFTMatvec lives),
+//!    block product per frequency (embarrassingly parallel — this is where
+//!    the 2D GPU-grid partitioning of the paper's FFTMatvec lives),
 //! 3. **inverse stage**: one length-`L` inverse FFT per output index
 //!    (`out_dim` FFTs), keeping the first `Nt` samples (the circulant
 //!    wrap-around lands in the discarded tail).
@@ -16,6 +16,23 @@
 //! Cost: `O((Nd+Nm)·Nt log Nt + Nt·Nd·Nm)` versus `O(Nt²·Nd·Nm)` naive —
 //! and versus *a pair of PDE solves per matvec* for the conventional
 //! matrix-free Hessian.
+//!
+//! The three stages are written exactly twice, once per threading shape,
+//! and both take the direction as a parameter (`Tᵀ` is the same symbol
+//! walk with time-reversed load/store and the accumulation index swapped):
+//!
+//! - the **single-vector pipeline** parallelizes *inside* the apply (over
+//!   spatial indices in the FFT stages, over frequencies in between) — the
+//!   latency path of one observation stream;
+//! - the **column-panel pipeline** runs one `PANEL`-wide block of columns
+//!   serially and is parallelized *across* panels — the throughput path of
+//!   Phase 2/3 assembly and batched Phase 4.
+//!
+//! `matvec{,_transpose}` use the first; `matmat{,_transpose}` use the
+//! second unless the block has a single column (`k == 1`), which goes to
+//! the first. Per column the two are bitwise the same arithmetic, so the
+//! selection never changes a result. Called from inside another bulk
+//! operation, either pipeline simply runs serially on that worker.
 //!
 //! Data layout notes (mirroring §V-A): spectra are stored
 //! **frequency-major** (`spectra[f]` is a contiguous `out_dim × in_dim`
@@ -111,152 +128,124 @@ impl FftBlockToeplitz {
         self.spectra.len() * std::mem::size_of::<C64>()
     }
 
-    /// Forward-stage FFTs: time sequences of each spatial input index.
-    /// Input layout: `x[t*dim + s]`; output: column-major per index
-    /// (`out[s]` = spectrum of index `s`).
-    fn stage_fft(&self, x: &[f64], dim: usize) -> Vec<Vec<C64>> {
-        (0..dim)
-            .into_par_iter()
-            .map(|s| {
-                let mut buf = vec![C64::ZERO; self.len];
-                for t in 0..self.nt {
-                    buf[t] = C64::real(x[t * dim + s]);
-                }
-                self.plan.forward(&mut buf);
-                buf
-            })
-            .collect()
+    /// Per-step (input, output) dimensions of `T`, or of `Tᵀ` when
+    /// `TRANSPOSE`.
+    fn dims<const TRANSPOSE: bool>(&self) -> (usize, usize) {
+        if TRANSPOSE {
+            (self.out_dim, self.in_dim)
+        } else {
+            (self.in_dim, self.out_dim)
+        }
+    }
+
+    /// Slot of time step `t` in the circulant buffer. `Tᵀ = R · Toep(T_kᵀ)
+    /// · R` with `R` the block time reversal, so the transpose loads and
+    /// stores time-reversed.
+    fn slot<const TRANSPOSE: bool>(&self, t: usize) -> usize {
+        if TRANSPOSE {
+            self.nt - 1 - t
+        } else {
+            t
+        }
     }
 
     /// Matvec `y = T x` via the circulant embedding.
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols(), "fft matvec: x dim");
-        assert_eq!(y.len(), self.nrows(), "fft matvec: y dim");
-        let xhat = self.stage_fft(x, self.in_dim);
-        // Frequency stage: ŷ_f = T̂_f · x̂_f, parallel over f.
-        let yhat: Vec<Vec<C64>> = (0..self.len)
-            .into_par_iter()
-            .map(|f| {
-                let blk = &self.spectra
-                    [f * self.out_dim * self.in_dim..(f + 1) * self.out_dim * self.in_dim];
-                let mut out = vec![C64::ZERO; self.out_dim];
-                for (r, o) in out.iter_mut().enumerate() {
-                    let row = &blk[r * self.in_dim..(r + 1) * self.in_dim];
-                    let mut acc = C64::ZERO;
-                    for (c, w) in row.iter().enumerate() {
-                        acc = acc.mul_add(*w, xhat[c][f]);
-                    }
-                    *o = acc;
-                }
-                out
-            })
-            .collect();
-        // Inverse stage per output index.
-        let cols: Vec<Vec<C64>> = (0..self.out_dim)
-            .into_par_iter()
-            .map(|r| {
-                let mut buf: Vec<C64> = (0..self.len).map(|f| yhat[f][r]).collect();
-                self.plan.inverse(&mut buf);
-                buf
-            })
-            .collect();
-        for t in 0..self.nt {
-            for r in 0..self.out_dim {
-                y[t * self.out_dim + r] = cols[r][t].re;
-            }
-        }
+        self.apply_vec::<false>(x, y);
     }
 
-    /// Transpose matvec `z = Tᵀ w` via time reversal:
-    /// `Tᵀ = R · Toep(T_kᵀ) · R` with `R` the block time-reversal.
+    /// Transpose matvec `z = Tᵀ w`.
     pub fn matvec_transpose(&self, w: &[f64], z: &mut [f64]) {
-        assert_eq!(w.len(), self.nrows(), "fft matvec_t: w dim");
-        assert_eq!(z.len(), self.ncols(), "fft matvec_t: z dim");
-        // v = reverse_time(w)
-        let mut v = vec![0.0; w.len()];
-        for t in 0..self.nt {
-            let src = &w[t * self.out_dim..(t + 1) * self.out_dim];
-            let dst = &mut v[(self.nt - 1 - t) * self.out_dim..(self.nt - t) * self.out_dim];
-            dst.copy_from_slice(src);
-        }
-        let vhat = self.stage_fft(&v, self.out_dim);
-        // Frequency stage with transposed blocks: û_f = T̂_fᵀ · v̂_f.
-        let uhat: Vec<Vec<C64>> = (0..self.len)
-            .into_par_iter()
-            .map(|f| {
-                let blk = &self.spectra
-                    [f * self.out_dim * self.in_dim..(f + 1) * self.out_dim * self.in_dim];
-                let mut out = vec![C64::ZERO; self.in_dim];
-                for r in 0..self.out_dim {
-                    let row = &blk[r * self.in_dim..(r + 1) * self.in_dim];
-                    let wf = vhat[r][f];
-                    for (c, o) in out.iter_mut().enumerate() {
-                        *o = o.mul_add(row[c], wf);
-                    }
-                }
-                out
-            })
-            .collect();
-        let cols: Vec<Vec<C64>> = (0..self.in_dim)
-            .into_par_iter()
-            .map(|c| {
-                let mut buf: Vec<C64> = (0..self.len).map(|f| uhat[f][c]).collect();
-                self.plan.inverse(&mut buf);
-                buf
-            })
-            .collect();
-        for t in 0..self.nt {
-            for c in 0..self.in_dim {
-                z[t * self.in_dim + c] = cols[c][self.nt - 1 - t].re;
-            }
-        }
+        self.apply_vec::<true>(w, z);
     }
 
     /// Multi-vector product `Y = T X` where `X` is `(in_dim·nt) × k`
     /// dense. Used to form the data-space Hessian `K` (Phase 2), the QoI
     /// covariance (Phase 3), and batched online inference (Phase 4)
     /// without `k` separate dispatches.
-    ///
-    /// Columns are processed in panels of `PANEL` width: the frequency stage
-    /// loads each circulant symbol block **once per panel** and applies it
-    /// to all stacked column spectra (the paper batches the same way on
-    /// the GPU — one 2D-grid kernel over many right-hand sides), so the
-    /// dominant symbol/twiddle traffic is amortized across the batch
-    /// instead of re-paid per column. Panels run in parallel.
     pub fn matmat(&self, x: &DMatrix) -> DMatrix {
-        assert_eq!(x.nrows(), self.ncols(), "fft matmat: x rows");
-        self.matmat_panels(x, false)
+        self.apply_mat::<false>(x)
     }
 
-    /// Multi-vector transpose product `Z = Tᵀ W`, batched panel-wise like
-    /// [`Self::matmat`].
+    /// Multi-vector transpose product `Z = Tᵀ W`.
     pub fn matmat_transpose(&self, w: &DMatrix) -> DMatrix {
-        assert_eq!(w.nrows(), self.nrows(), "fft matmat_t: w rows");
-        self.matmat_panels(w, true)
+        self.apply_mat::<true>(w)
     }
 
-    /// Shared panel driver for [`Self::matmat`] / [`Self::matmat_transpose`]:
-    /// split the `k` columns into `PANEL`-wide panels, run the batched
-    /// serial kernel per panel (parallel over panels), scatter the results.
-    fn matmat_panels(&self, x: &DMatrix, transpose: bool) -> DMatrix {
-        let k = x.ncols();
-        let out_rows = if transpose {
-            self.ncols()
-        } else {
-            self.nrows()
-        };
-        let mut y = DMatrix::zeros(out_rows, k);
-        // A single column cannot be split into panels: dispatch to the
-        // frequency-parallel matvec (arithmetically identical) so the
-        // latency-critical one-stream path still spreads across the pool.
-        if k == 1 {
-            let mut col = vec![0.0; out_rows];
-            if transpose {
-                self.matvec_transpose(&x.col(0), &mut col);
-            } else {
-                self.matvec(&x.col(0), &mut col);
+    /// Latency pipeline: one vector through `T` (or `Tᵀ`), every stage
+    /// parallel — over spatial indices in the FFT stages, over frequencies
+    /// in the block-product stage.
+    fn apply_vec<const TRANSPOSE: bool>(&self, x: &[f64], y: &mut [f64]) {
+        let (od, id, len, nt) = (self.out_dim, self.in_dim, self.len, self.nt);
+        let (src, dst) = self.dims::<TRANSPOSE>();
+        assert_eq!(x.len(), src * nt, "fft matvec: input dim");
+        assert_eq!(y.len(), dst * nt, "fft matvec: output dim");
+        // Forward stage: spectrum of each input index's time series.
+        let xhat: Vec<Vec<C64>> = (0..src)
+            .into_par_iter()
+            .map(|s| {
+                let mut buf = vec![C64::ZERO; len];
+                for t in 0..nt {
+                    buf[self.slot::<TRANSPOSE>(t)] = C64::real(x[t * src + s]);
+                }
+                self.plan.forward(&mut buf);
+                buf
+            })
+            .collect();
+        // Frequency stage: ŷ_f = T̂_f x̂_f as one dot product per symbol
+        // row r — or T̂_fᵀ x̂_f, the same (r, c) walk accumulated into the
+        // column index (one axpy per symbol row).
+        let yhat: Vec<Vec<C64>> = (0..len)
+            .into_par_iter()
+            .map(|f| {
+                let blk = &self.spectra[f * od * id..(f + 1) * od * id];
+                let mut out = vec![C64::ZERO; dst];
+                for (r, row) in blk.chunks_exact(id).enumerate() {
+                    if TRANSPOSE {
+                        let xr = xhat[r][f];
+                        for (o, &w) in out.iter_mut().zip(row) {
+                            *o = o.mul_add(w, xr);
+                        }
+                    } else {
+                        out[r] = row
+                            .iter()
+                            .zip(&xhat)
+                            .fold(C64::ZERO, |acc, (&w, xc)| acc.mul_add(w, xc[f]));
+                    }
+                }
+                out
+            })
+            .collect();
+        // Inverse stage per output index, keeping the first nt samples.
+        let cols: Vec<Vec<C64>> = (0..dst)
+            .into_par_iter()
+            .map(|r| {
+                let mut buf: Vec<C64> = yhat.iter().map(|v| v[r]).collect();
+                self.plan.inverse(&mut buf);
+                buf
+            })
+            .collect();
+        for t in 0..nt {
+            for (r, col) in cols.iter().enumerate() {
+                y[t * dst + r] = col[self.slot::<TRANSPOSE>(t)].re;
             }
-            y.set_col(0, &col);
+        }
+    }
+
+    /// Route a `k`-column block: a single column goes through the
+    /// frequency-parallel [`Self::apply_vec`] (it cannot be split into
+    /// panels, and the latency-critical one-stream path must still spread
+    /// across the pool); wider blocks are cut into `PANEL`-wide panels that
+    /// run [`Self::apply_panel`] in parallel. Both are bitwise the same
+    /// arithmetic per column.
+    fn apply_mat<const TRANSPOSE: bool>(&self, x: &DMatrix) -> DMatrix {
+        let (src, dst) = self.dims::<TRANSPOSE>();
+        assert_eq!(x.nrows(), src * self.nt, "fft matmat: input rows");
+        let k = x.ncols();
+        let mut y = DMatrix::zeros(dst * self.nt, k);
+        if k == 1 {
+            // An n × 1 block is its one column, contiguous.
+            self.apply_vec::<TRANSPOSE>(x.as_slice(), y.as_mut_slice());
             return y;
         }
         // Narrow the panels when the pool is wider than the batch, so a
@@ -267,223 +256,88 @@ impl FftBlockToeplitz {
         let bounds: Vec<usize> = (0..k).step_by(width).collect();
         let panels: Vec<RhsPanel> = bounds
             .par_iter()
-            .map(|&j0| {
-                let b = width.min(k - j0);
-                if transpose {
-                    self.matmat_transpose_panel_serial(x, j0, b)
-                } else {
-                    self.matmat_panel_serial(x, j0, b)
-                }
-            })
+            .map(|&j0| self.apply_panel::<TRANSPOSE>(x, j0, width.min(k - j0)))
             .collect();
         for (&j0, panel) in bounds.iter().zip(&panels) {
-            debug_assert_eq!(panel.nrhs(), width.min(k - j0));
             panel.scatter_cols(&mut y, j0);
         }
         y
     }
 
-    /// Batched serial kernel for one panel of `b` columns of `Y = T X`
-    /// (columns `j0..j0+b` of `x`). The input panel crosses into the
-    /// RHS-major layout once ([`RhsPanel::gather_cols`]), so each column's
-    /// time series is assembled from one contiguous row instead of a
-    /// stride-`k` walk down the stacked block; the result comes back as an
-    /// RHS-major panel for the caller to scatter.
+    /// Throughput pipeline: columns `j0..j0+b` of `x` through `T` (or `Tᵀ`),
+    /// serially. The panel crosses into the RHS-major layout once
+    /// ([`RhsPanel::gather_cols`]), so each column's time series is one
+    /// contiguous row, and comes back RHS-major for the caller to scatter.
     ///
-    /// Spectra of the panel are stored frequency-major
-    /// (`xhat[(f·in_dim + s)·b + j]`), so the frequency stage reads one
-    /// contiguous `in_dim × b` complex panel per frequency and each symbol
-    /// entry `T̂(f)[r,c]` is loaded once and fused-multiply-added across
-    /// all `b` stacked spectra.
-    fn matmat_panel_serial(&self, x: &DMatrix, j0: usize, b: usize) -> RhsPanel {
+    /// Panel spectra are stored frequency-major (`xhat[(f·src + s)·b + j]`):
+    /// the frequency stage reads one contiguous `src × b` complex panel per
+    /// frequency, and each symbol entry `T̂(f)[r,c]` is loaded **once per
+    /// panel** and fused-multiply-added across all `b` stacked spectra (the
+    /// paper batches the same way on the GPU — one 2D-grid kernel over many
+    /// right-hand sides).
+    fn apply_panel<const TRANSPOSE: bool>(&self, x: &DMatrix, j0: usize, b: usize) -> RhsPanel {
         let (od, id, len, nt) = (self.out_dim, self.in_dim, self.len, self.nt);
+        let (src, dst) = self.dims::<TRANSPOSE>();
         let xp = RhsPanel::gather_cols(x, j0, j0 + b);
-        // Forward stage: b·in_dim FFTs, scattered frequency-major.
-        let mut xhat = vec![C64::ZERO; len * id * b];
+        // Forward stage: b·src FFTs, scattered frequency-major.
+        let mut xhat = vec![C64::ZERO; len * src * b];
         let mut buf = vec![C64::ZERO; len];
         for j in 0..b {
             let xcol = xp.row(j);
-            for s in 0..id {
+            for s in 0..src {
                 buf.fill(C64::ZERO);
                 for t in 0..nt {
-                    buf[t] = C64::real(xcol[t * id + s]);
+                    buf[self.slot::<TRANSPOSE>(t)] = C64::real(xcol[t * src + s]);
                 }
                 self.plan.forward(&mut buf);
                 for (f, &v) in buf.iter().enumerate() {
-                    xhat[(f * id + s) * b + j] = v;
+                    xhat[(f * src + s) * b + j] = v;
                 }
             }
         }
-        // Frequency stage: ŷ_f = T̂_f · X̂_f, one symbol traversal per panel.
-        let mut yhat = vec![C64::ZERO; len * od * b];
+        // Frequency stage: the same (r, c) symbol walk in both directions,
+        // accumulating w·X̂_f[c] into row r of Ŷ_f — or, transposed,
+        // w·X̂_f[r] into row c — so the row that stays put is hoisted.
+        let fma = |yrow: &mut [C64], w: C64, xrow: &[C64]| {
+            for (yv, &xv) in yrow.iter_mut().zip(xrow) {
+                *yv = yv.mul_add(w, xv);
+            }
+        };
+        let mut yhat = vec![C64::ZERO; len * dst * b];
         for f in 0..len {
             let blk = &self.spectra[f * od * id..(f + 1) * od * id];
-            let xpan = &xhat[f * id * b..(f + 1) * id * b];
-            let ypan = &mut yhat[f * od * b..(f + 1) * od * b];
-            for r in 0..od {
-                let row = &blk[r * id..(r + 1) * id];
-                let yrow = &mut ypan[r * b..(r + 1) * b];
-                for (c, &w) in row.iter().enumerate() {
-                    let xrow = &xpan[c * b..(c + 1) * b];
-                    for (yv, &xv) in yrow.iter_mut().zip(xrow) {
-                        *yv = yv.mul_add(w, xv);
+            let xpan = &xhat[f * src * b..(f + 1) * src * b];
+            let ypan = &mut yhat[f * dst * b..(f + 1) * dst * b];
+            if TRANSPOSE {
+                for (row, xrow) in blk.chunks_exact(id).zip(xpan.chunks_exact(b)) {
+                    for (&w, yrow) in row.iter().zip(ypan.chunks_exact_mut(b)) {
+                        fma(yrow, w, xrow);
+                    }
+                }
+            } else {
+                for (row, yrow) in blk.chunks_exact(id).zip(ypan.chunks_exact_mut(b)) {
+                    for (&w, xrow) in row.iter().zip(xpan.chunks_exact(b)) {
+                        fma(yrow, w, xrow);
                     }
                 }
             }
         }
-        // Inverse stage: b·out_dim inverse FFTs, keep the first nt
-        // samples, written straight into the RHS-major output panel (one
-        // contiguous row per column).
-        let mut out = RhsPanel::zeros(b, self.nrows());
+        // Inverse stage: b·dst inverse FFTs, keeping the first nt samples
+        // (the circulant wrap-around lands in the discarded tail).
+        let mut out = RhsPanel::zeros(b, dst * nt);
         for j in 0..b {
             let col = out.row_mut(j);
-            for r in 0..od {
+            for r in 0..dst {
                 for (f, v) in buf.iter_mut().enumerate() {
-                    *v = yhat[(f * od + r) * b + j];
+                    *v = yhat[(f * dst + r) * b + j];
                 }
                 self.plan.inverse(&mut buf);
                 for t in 0..nt {
-                    col[t * od + r] = buf[t].re;
+                    col[t * dst + r] = buf[self.slot::<TRANSPOSE>(t)].re;
                 }
             }
         }
         out
-    }
-
-    /// Batched serial kernel for one panel of `Z = Tᵀ W` (columns
-    /// `j0..j0+b` of `w`), via the time-reversal identity
-    /// `Tᵀ = R · Toep(T_kᵀ) · R`. Gathers and returns RHS-major panels
-    /// like [`Self::matmat_panel_serial`].
-    fn matmat_transpose_panel_serial(&self, w: &DMatrix, j0: usize, b: usize) -> RhsPanel {
-        let (od, id, len, nt) = (self.out_dim, self.in_dim, self.len, self.nt);
-        let wp = RhsPanel::gather_cols(w, j0, j0 + b);
-        // Forward stage on the time-reversed inputs.
-        let mut vhat = vec![C64::ZERO; len * od * b];
-        let mut buf = vec![C64::ZERO; len];
-        for j in 0..b {
-            let wcol = wp.row(j);
-            for r in 0..od {
-                buf.fill(C64::ZERO);
-                for t in 0..nt {
-                    buf[nt - 1 - t] = C64::real(wcol[t * od + r]);
-                }
-                self.plan.forward(&mut buf);
-                for (f, &v) in buf.iter().enumerate() {
-                    vhat[(f * od + r) * b + j] = v;
-                }
-            }
-        }
-        // Frequency stage with transposed blocks: û_f = T̂_fᵀ · v̂_f.
-        let mut uhat = vec![C64::ZERO; len * id * b];
-        for f in 0..len {
-            let blk = &self.spectra[f * od * id..(f + 1) * od * id];
-            let vpan = &vhat[f * od * b..(f + 1) * od * b];
-            let upan = &mut uhat[f * id * b..(f + 1) * id * b];
-            for r in 0..od {
-                let row = &blk[r * id..(r + 1) * id];
-                let vrow = &vpan[r * b..(r + 1) * b];
-                for (c, &wrc) in row.iter().enumerate() {
-                    let urow = &mut upan[c * b..(c + 1) * b];
-                    for (uv, &vv) in urow.iter_mut().zip(vrow) {
-                        *uv = uv.mul_add(wrc, vv);
-                    }
-                }
-            }
-        }
-        // Inverse stage, reading the tail time-reversed, written straight
-        // into the RHS-major output panel.
-        let mut out = RhsPanel::zeros(b, self.ncols());
-        for j in 0..b {
-            let col = out.row_mut(j);
-            for c in 0..id {
-                for (f, v) in buf.iter_mut().enumerate() {
-                    *v = uhat[(f * id + c) * b + j];
-                }
-                self.plan.inverse(&mut buf);
-                for t in 0..nt {
-                    col[t * id + c] = buf[nt - 1 - t].re;
-                }
-            }
-        }
-        out
-    }
-
-    /// Serial matvec (no inner rayon) — used by [`Self::matmat`], where
-    /// parallelism is over columns, to avoid nested pool contention.
-    pub fn matvec_serial(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols());
-        assert_eq!(y.len(), self.nrows());
-        let mut xhat = vec![C64::ZERO; self.in_dim * self.len];
-        let mut buf = vec![C64::ZERO; self.len];
-        for s in 0..self.in_dim {
-            for z in buf.iter_mut() {
-                *z = C64::ZERO;
-            }
-            for t in 0..self.nt {
-                buf[t] = C64::real(x[t * self.in_dim + s]);
-            }
-            self.plan.forward(&mut buf);
-            // store index-major: xhat[s*len + f]
-            xhat[s * self.len..(s + 1) * self.len].copy_from_slice(&buf);
-        }
-        let mut yhat = vec![C64::ZERO; self.out_dim * self.len];
-        for f in 0..self.len {
-            let blk =
-                &self.spectra[f * self.out_dim * self.in_dim..(f + 1) * self.out_dim * self.in_dim];
-            for r in 0..self.out_dim {
-                let row = &blk[r * self.in_dim..(r + 1) * self.in_dim];
-                let mut acc = C64::ZERO;
-                for (c, w) in row.iter().enumerate() {
-                    acc = acc.mul_add(*w, xhat[c * self.len + f]);
-                }
-                yhat[r * self.len + f] = acc;
-            }
-        }
-        for r in 0..self.out_dim {
-            buf.copy_from_slice(&yhat[r * self.len..(r + 1) * self.len]);
-            self.plan.inverse(&mut buf);
-            for t in 0..self.nt {
-                y[t * self.out_dim + r] = buf[t].re;
-            }
-        }
-    }
-
-    /// Serial transpose matvec, mirroring [`Self::matvec_serial`].
-    pub fn matvec_transpose_serial(&self, w: &[f64], z: &mut [f64]) {
-        assert_eq!(w.len(), self.nrows());
-        assert_eq!(z.len(), self.ncols());
-        let mut vhat = vec![C64::ZERO; self.out_dim * self.len];
-        let mut buf = vec![C64::ZERO; self.len];
-        for r in 0..self.out_dim {
-            for zb in buf.iter_mut() {
-                *zb = C64::ZERO;
-            }
-            for t in 0..self.nt {
-                buf[self.nt - 1 - t] = C64::real(w[t * self.out_dim + r]);
-            }
-            self.plan.forward(&mut buf);
-            vhat[r * self.len..(r + 1) * self.len].copy_from_slice(&buf);
-        }
-        let mut uhat = vec![C64::ZERO; self.in_dim * self.len];
-        for f in 0..self.len {
-            let blk =
-                &self.spectra[f * self.out_dim * self.in_dim..(f + 1) * self.out_dim * self.in_dim];
-            for r in 0..self.out_dim {
-                let row = &blk[r * self.in_dim..(r + 1) * self.in_dim];
-                let wf = vhat[r * self.len + f];
-                for (c, w_rc) in row.iter().enumerate() {
-                    let u = &mut uhat[c * self.len + f];
-                    *u = u.mul_add(*w_rc, wf);
-                }
-            }
-        }
-        for c in 0..self.in_dim {
-            buf.copy_from_slice(&uhat[c * self.len..(c + 1) * self.len]);
-            self.plan.inverse(&mut buf);
-            for t in 0..self.nt {
-                z[t * self.in_dim + c] = buf[self.nt - 1 - t].re;
-            }
-        }
     }
 }
 
@@ -505,22 +359,8 @@ impl tsunami_linalg::LinearOperator for FftBlockToeplitz {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::toeplitz::tests::random_toeplitz;
     use tsunami_linalg::LinearOperator;
-
-    fn random_toeplitz(nt: usize, out_dim: usize, in_dim: usize, seed: u64) -> BlockToeplitz {
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let blocks = (0..nt)
-            .map(|_| {
-                DMatrix::from_fn(out_dim, in_dim, |_, _| {
-                    s = s
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-                })
-            })
-            .collect();
-        BlockToeplitz::new(blocks, out_dim, in_dim)
-    }
 
     #[test]
     fn fft_matvec_matches_naive() {
@@ -554,25 +394,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serial_matches_parallel() {
-        let t = random_toeplitz(20, 4, 6, 9);
-        let fast = FftBlockToeplitz::from_blocks(&t);
-        let x: Vec<f64> = (0..t.ncols()).map(|i| (i as f64 * 0.11).sin()).collect();
-        let mut y1 = vec![0.0; t.nrows()];
-        fast.matvec(&x, &mut y1);
-        let mut y2 = vec![0.0; t.nrows()];
-        fast.matvec_serial(&x, &mut y2);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!((a - b).abs() < 1e-12);
+    /// One direction of `every_column_is_bit_identical_through_both_pipelines`.
+    fn check_columns<const TRANSPOSE: bool>(t: &BlockToeplitz, threads: usize) {
+        let fast = FftBlockToeplitz::from_blocks(t);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let (src, dst) = fast.dims::<TRANSPOSE>();
+        for k in [1usize, 2, 15, 16, 17, 40] {
+            let x = DMatrix::from_fn(src * t.nt, k, |i, j| ((i + 3 * j) as f64 * 0.29).sin());
+            let y = pool.install(|| fast.apply_mat::<TRANSPOSE>(&x));
+            for j in 0..k {
+                let xj = x.col(j);
+                let mut alone = vec![0.0; dst * t.nt];
+                pool.install(|| fast.apply_vec::<TRANSPOSE>(&xj, &mut alone));
+                let panel = fast.apply_panel::<TRANSPOSE>(&x, j, 1);
+                let mut naive = vec![0.0; dst * t.nt];
+                if TRANSPOSE {
+                    t.matvec_transpose_naive(&xj, &mut naive);
+                } else {
+                    t.matvec_naive(&xj, &mut naive);
+                }
+                let tag = format!("threads={threads} transpose={TRANSPOSE} k={k} col {j}");
+                assert_eq!(y.col(j), alone, "{tag}: block vs single-vector");
+                assert_eq!(panel.row(0), &alone[..], "{tag}: width-1 panel");
+                for (a, b) in alone.iter().zip(&naive) {
+                    assert!((a - b).abs() < 1e-10, "{tag}: {a} vs naive {b}");
+                }
+            }
         }
-        let w: Vec<f64> = (0..t.nrows()).map(|i| (i as f64 * 0.53).cos()).collect();
-        let mut z1 = vec![0.0; t.ncols()];
-        fast.matvec_transpose(&w, &mut z1);
-        let mut z2 = vec![0.0; t.ncols()];
-        fast.matvec_transpose_serial(&w, &mut z2);
-        for (a, b) in z1.iter().zip(&z2) {
-            assert!((a - b).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_column_is_bit_identical_through_both_pipelines() {
+        // Direction × block width × installed threads: column j of the
+        // k-wide apply must equal, bit for bit, that column pushed alone
+        // through the single-vector pipeline and through a width-1 panel.
+        let t = random_toeplitz(7, 3, 4, 12);
+        for threads in [1, 4] {
+            check_columns::<false>(&t, threads);
+            check_columns::<true>(&t, threads);
         }
     }
 

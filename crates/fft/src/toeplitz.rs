@@ -13,9 +13,12 @@
 //!
 //! fully described by its first block column — `Nd` adjoint PDE solves
 //! instead of `Nm·Nt` forward solves, and `O(Nm·Nd·Nt)` storage. This module
-//! holds the container plus the naive `O(Nt²)` matvec used as the oracle for
-//! the FFT-accelerated path in [`crate::fast_toeplitz`].
+//! holds the container, its extraction from an adjoint
+//! ([`BlockToeplitz::from_adjoint`], the one Phase 1 routine every forward
+//! model goes through), and the naive `O(Nt²)` matvec used as the oracle
+//! for the FFT-accelerated path in [`crate::fast_toeplitz`].
 
+use rayon::prelude::*;
 use tsunami_linalg::DMatrix;
 
 /// Block lower-triangular Toeplitz matrix stored as its first block column.
@@ -78,6 +81,37 @@ impl BlockToeplitz {
             in_dim,
             blocks,
         }
+    }
+
+    /// Extract the defining blocks of a causal, shift-invariant map from
+    /// its full-horizon adjoint — the paper's Phase 1. The gradient of the
+    /// *final* observation of output `r` with respect to parameter bin `j`
+    /// is the block row `T_{Nt−1−j}[r, ·]`, so one adjoint application per
+    /// output (a unit impulse on its final observation) yields that
+    /// output's row of *every* block: `out_dim` applications, run in
+    /// parallel. `adjoint` maps `w` (`out_dim·nt`, time-major) to `Tᵀw`
+    /// (`in_dim·nt`, time-major).
+    pub fn from_adjoint(
+        nt: usize,
+        out_dim: usize,
+        in_dim: usize,
+        adjoint: impl Fn(&[f64]) -> Vec<f64> + Sync,
+    ) -> Self {
+        let rows: Vec<Vec<f64>> = (0..out_dim)
+            .into_par_iter()
+            .map(|r| {
+                let mut w = vec![0.0; out_dim * nt];
+                w[(nt - 1) * out_dim + r] = 1.0;
+                adjoint(&w)
+            })
+            .collect();
+        let blocks = (0..nt)
+            .map(|k| {
+                let j = nt - 1 - k;
+                DMatrix::from_fn(out_dim, in_dim, |r, c| rows[r][j * in_dim + c])
+            })
+            .collect();
+        BlockToeplitz::new(blocks, out_dim, in_dim)
     }
 
     /// Zero matrix with the given shape.
@@ -184,9 +218,10 @@ impl BlockToeplitz {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// Seeded random blocks in `[-0.5, 0.5)` — the crate's shared fixture.
     pub(crate) fn random_toeplitz(
         nt: usize,
         out_dim: usize,

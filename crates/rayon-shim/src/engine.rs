@@ -113,11 +113,10 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// Extra threads currently busy on behalf of bulk jobs and `join`/`scope`
-/// spawns, process-wide. Real rayon queues `join`/`scope` tasks onto a
-/// fixed pool; the shim spawns scoped threads for them instead, so this
-/// budget is what stops recursive `join` trees or wide `scope` loops from
-/// creating unbounded threads.
+/// Extra threads currently busy on behalf of bulk jobs and `scope`
+/// spawns, process-wide. Real rayon queues `scope` tasks onto a fixed
+/// pool; the shim spawns scoped threads for them instead, so this budget
+/// is what stops wide `scope` loops from creating unbounded threads.
 static EXTRA_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Permission to run one task on a spawned thread; returning it (drop) on
@@ -189,14 +188,9 @@ where
     ML: Fn() -> L + Sync,
     C: Fn(&mut L, I) -> R + Sync,
 {
-    let n = it.len_hint();
     let threads = effective_threads();
-    let min_len = it.min_piece().max(1);
-    let max_len = it.max_piece().max(min_len);
-    // Piece budget: OVERSPLIT per worker, clamped by the splitting hints.
-    let most = (n / min_len).max(1);
-    let fewest = n.div_ceil(max_len).clamp(1, most);
-    let target = (threads * OVERSPLIT).clamp(fewest, most).min(n.max(1));
+    // Piece budget: OVERSPLIT per worker, at most one piece per position.
+    let target = (threads * OVERSPLIT).min(it.len_hint().max(1));
     if threads <= 1 || in_worker() || target <= 1 {
         let mut local = make_local();
         return vec![consume(&mut local, it)];
@@ -210,7 +204,7 @@ where
     let cursor = AtomicUsize::new(0);
     let workers = threads.min(slots.len());
     // Extra workers draw from the same process-wide spawn budget as
-    // join/scope, so composed parallelism (bulk ops inside join arms,
+    // scope, so composed parallelism (bulk ops inside scope tasks,
     // concurrent pools) stays bounded near the configured thread count
     // instead of multiplying. With the budget exhausted the caller simply
     // drains every piece itself.

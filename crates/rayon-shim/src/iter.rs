@@ -5,7 +5,7 @@
 //! ([`ParallelIterator::len_hint`]), can be cut at any position
 //! ([`ParallelIterator::split_at`]), and lowers to an ordinary serial
 //! iterator per piece ([`ParallelIterator::into_seq`]). Adapters (`map`,
-//! `filter`, `enumerate`, `zip`, `fold`, splitting hints) compose over that
+//! `filter`, `enumerate`, `zip`) compose over that
 //! splitting structure; terminals hand the composed iterator to the
 //! `crate::engine` which fans pieces out across scoped worker threads.
 //!
@@ -15,13 +15,11 @@
 //!
 //! Semantics notes mirrored from rayon:
 //! - `enumerate` / `zip` require an exact-length (indexed) upstream — every
-//!   producer here is exact except downstream of `filter`/`fold`, whose
+//!   producer here is exact except downstream of `filter`, whose
 //!   `len_hint` no longer counts items. Rayon rejects `filter().enumerate()`
 //!   at the type level (no `IndexedParallelIterator` impl); this shim
 //!   panics at adapter-construction time instead (`is_exact` tracking), so
 //!   the misuse fails fast rather than mis-indexing across pieces.
-//! - `fold(identity, op)` yields one accumulator **per piece** (an
-//!   unspecified count, as in rayon), normally consumed by `reduce`/`sum`.
 //! - `collect` into `Vec` preserves the serial order: pieces are
 //!   concatenated in piece order.
 
@@ -48,20 +46,8 @@ pub trait ParallelIterator: Sized + Send {
     /// Lower this piece to a serial iterator.
     fn into_seq(self) -> Self::Seq;
 
-    /// Minimum piece length the splitter may produce (`with_min_len`).
-    #[inline]
-    fn min_piece(&self) -> usize {
-        1
-    }
-
-    /// Maximum piece length the splitter may produce (`with_max_len`).
-    #[inline]
-    fn max_piece(&self) -> usize {
-        usize::MAX
-    }
-
     /// Whether `len_hint` is the exact item count at every split position
-    /// (true for all producers; false downstream of `filter` and `fold`).
+    /// (true for all producers; false downstream of `filter`).
     /// Position-sensitive adapters (`enumerate`, `zip`) require it.
     #[inline]
     fn is_exact(&self) -> bool {
@@ -100,7 +86,7 @@ pub trait ParallelIterator: Sized + Send {
         assert!(
             self.is_exact(),
             "enumerate() requires an exact-length (indexed) parallel \
-             iterator; it cannot follow filter() or fold()"
+             iterator; it cannot follow filter()"
         );
         Enumerate {
             base: self,
@@ -117,35 +103,9 @@ pub trait ParallelIterator: Sized + Send {
         assert!(
             self.is_exact() && other.is_exact(),
             "zip() requires exact-length (indexed) parallel iterators; \
-             it cannot follow filter() or fold()"
+             it cannot follow filter()"
         );
         Zip { a: self, b: other }
-    }
-
-    /// Rayon-style parallel fold: each piece folds its items from a fresh
-    /// `identity()`, producing a parallel iterator over the per-piece
-    /// accumulators (consume with `reduce`, `sum`, or `collect`).
-    fn fold<T, ID, F>(self, identity: ID, fold_op: F) -> Fold<Self, ID, F>
-    where
-        T: Send,
-        ID: Fn() -> T + Sync + Send,
-        F: Fn(T, Self::Item) -> T + Sync + Send,
-    {
-        Fold {
-            base: self,
-            identity: Arc::new(identity),
-            fold_op: Arc::new(fold_op),
-        }
-    }
-
-    /// Splitting hint: pieces should hold at least `min` items.
-    fn with_min_len(self, min: usize) -> MinLen<Self> {
-        MinLen { base: self, min }
-    }
-
-    /// Splitting hint: pieces should hold at most `max` items.
-    fn with_max_len(self, max: usize) -> MaxLen<Self> {
-        MaxLen { base: self, max }
     }
 
     // ---- terminals -----------------------------------------------------
@@ -198,15 +158,6 @@ pub trait ParallelIterator: Sized + Send {
     {
         drive_with(self, &|| (), &|_: &mut (), piece: Self| {
             piece.into_seq().sum::<S>()
-        })
-        .into_iter()
-        .sum()
-    }
-
-    /// Count items (drives the iterator; exact even after `filter`).
-    fn count(self) -> usize {
-        drive_with(self, &|| (), &|_: &mut (), piece: Self| {
-            piece.into_seq().count()
         })
         .into_iter()
         .sum()
@@ -352,30 +303,6 @@ impl<T: Send> ParallelIterator for IntoIterVec<T> {
 
 // ---- adapters ----------------------------------------------------------
 
-macro_rules! forward_hints {
-    () => {
-        forward_hints!(@splitting);
-        fn is_exact(&self) -> bool {
-            self.base.is_exact()
-        }
-    };
-    // For adapters whose item count no longer matches `len_hint`.
-    (inexact) => {
-        forward_hints!(@splitting);
-        fn is_exact(&self) -> bool {
-            false
-        }
-    };
-    (@splitting) => {
-        fn min_piece(&self) -> usize {
-            self.base.min_piece()
-        }
-        fn max_piece(&self) -> usize {
-            self.base.max_piece()
-        }
-    };
-}
-
 /// Output of [`ParallelIterator::map`].
 pub struct Map<I, F> {
     base: I,
@@ -413,7 +340,9 @@ where
         }
     }
 
-    forward_hints!();
+    fn is_exact(&self) -> bool {
+        self.base.is_exact()
+    }
 }
 
 /// Serial tail of [`Map`].
@@ -477,7 +406,10 @@ where
         }
     }
 
-    forward_hints!(inexact);
+    // The item count no longer matches `len_hint`.
+    fn is_exact(&self) -> bool {
+        false
+    }
 }
 
 /// Serial tail of [`Filter`].
@@ -535,7 +467,9 @@ impl<I: ParallelIterator> ParallelIterator for Enumerate<I> {
         (self.offset..).zip(self.base.into_seq())
     }
 
-    forward_hints!();
+    fn is_exact(&self) -> bool {
+        self.base.is_exact()
+    }
 }
 
 /// Output of [`ParallelIterator::zip`].
@@ -566,154 +500,7 @@ where
         self.a.into_seq().zip(self.b.into_seq())
     }
 
-    fn min_piece(&self) -> usize {
-        self.a.min_piece().max(self.b.min_piece())
-    }
-
-    fn max_piece(&self) -> usize {
-        self.a.max_piece().min(self.b.max_piece())
-    }
-
     fn is_exact(&self) -> bool {
         self.a.is_exact() && self.b.is_exact()
-    }
-}
-
-/// Output of [`ParallelIterator::fold`]: yields one accumulator per piece.
-pub struct Fold<I, ID, F> {
-    base: I,
-    identity: Arc<ID>,
-    fold_op: Arc<F>,
-}
-
-impl<I, T, ID, F> ParallelIterator for Fold<I, ID, F>
-where
-    I: ParallelIterator,
-    T: Send,
-    ID: Fn() -> T + Sync + Send,
-    F: Fn(T, I::Item) -> T + Sync + Send,
-{
-    type Item = T;
-    type Seq = std::iter::Once<T>;
-
-    // Splittable width of the *base*; the item count is one per piece.
-    fn len_hint(&self) -> usize {
-        self.base.len_hint()
-    }
-
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(mid);
-        (
-            Fold {
-                base: l,
-                identity: Arc::clone(&self.identity),
-                fold_op: Arc::clone(&self.fold_op),
-            },
-            Fold {
-                base: r,
-                identity: self.identity,
-                fold_op: self.fold_op,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::Seq {
-        let acc = self
-            .base
-            .into_seq()
-            .fold((self.identity)(), |a, x| (self.fold_op)(a, x));
-        std::iter::once(acc)
-    }
-
-    forward_hints!(inexact);
-}
-
-/// Output of [`ParallelIterator::with_min_len`].
-pub struct MinLen<I> {
-    base: I,
-    min: usize,
-}
-
-impl<I: ParallelIterator> ParallelIterator for MinLen<I> {
-    type Item = I::Item;
-    type Seq = I::Seq;
-
-    fn len_hint(&self) -> usize {
-        self.base.len_hint()
-    }
-
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(mid);
-        (
-            MinLen {
-                base: l,
-                min: self.min,
-            },
-            MinLen {
-                base: r,
-                min: self.min,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::Seq {
-        self.base.into_seq()
-    }
-
-    fn min_piece(&self) -> usize {
-        self.base.min_piece().max(self.min)
-    }
-
-    fn max_piece(&self) -> usize {
-        self.base.max_piece()
-    }
-
-    fn is_exact(&self) -> bool {
-        self.base.is_exact()
-    }
-}
-
-/// Output of [`ParallelIterator::with_max_len`].
-pub struct MaxLen<I> {
-    base: I,
-    max: usize,
-}
-
-impl<I: ParallelIterator> ParallelIterator for MaxLen<I> {
-    type Item = I::Item;
-    type Seq = I::Seq;
-
-    fn len_hint(&self) -> usize {
-        self.base.len_hint()
-    }
-
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(mid);
-        (
-            MaxLen {
-                base: l,
-                max: self.max,
-            },
-            MaxLen {
-                base: r,
-                max: self.max,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::Seq {
-        self.base.into_seq()
-    }
-
-    fn min_piece(&self) -> usize {
-        self.base.min_piece()
-    }
-
-    fn max_piece(&self) -> usize {
-        self.base.max_piece().min(self.max.max(1))
-    }
-
-    fn is_exact(&self) -> bool {
-        self.base.is_exact()
     }
 }

@@ -6,14 +6,14 @@
 //! paths resolve here. They are **genuinely parallel**: each
 //! producer is a splittable, exactly-sized parallel iterator ([`iter`],
 //! [`mod@slice`]), and every terminal (`for_each`, `for_each_init`, `map` +
-//! `collect`, `fold`/`reduce`, `sum`, `count`) fans pieces out across a
+//! `collect`, `reduce`, `sum`) fans pieces out across a
 //! chunk-splitting scheduler (`engine` internals): the iterator is
 //! pre-split into more pieces than workers, and workers dynamically claim
 //! pieces off a shared cursor, so fast workers absorb the slack of slow
 //! ones. The workers are **persistent**: parked on a condvar and handed
 //! jobs without any per-call OS thread spawn/join ([`pool_stats`] counts
-//! the jobs and handoffs). [`join`] and [`scope`] run their closures on
-//! scoped threads.
+//! the jobs and handoffs). [`scope`] runs its spawned closures on scoped
+//! threads.
 //!
 //! ## Execution model
 //!
@@ -28,7 +28,7 @@
 //!   (partial results are grouped per piece, then combined in piece order —
 //!   deterministic for a fixed thread count).
 //! - Nested bulk operations inside a worker run serially on that worker,
-//!   and every spawned thread (bulk workers, `join`/`scope` arms) draws
+//!   and every spawned thread (bulk workers, `scope` tasks) draws
 //!   from one process-wide budget of `threads − 1` extra threads, so
 //!   composed parallelism stays bounded near the configured count instead
 //!   of multiplying; when the budget is exhausted, work runs inline.
@@ -70,45 +70,6 @@ pub mod prelude {
 /// The number of worker threads bulk operations currently fan out to.
 pub fn current_num_threads() -> usize {
     engine::effective_threads()
-}
-
-/// `rayon::join(a, b)`: run both closures, potentially in parallel (`b` on
-/// a scoped thread while the caller runs `a`). Falls back to serial when
-/// the effective thread count is 1, when called from inside a worker, or
-/// when the process-wide spawned-thread budget (one slot short of the
-/// thread count, so recursive `join` trees stay bounded) is exhausted.
-/// Spawned closures inherit the caller's effective thread count, so bulk
-/// operations inside a `join` arm respect an enclosing
-/// [`ThreadPool::install`].
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let threads = engine::effective_threads();
-    let ticket = if threads <= 1 || engine::in_worker() {
-        None
-    } else {
-        engine::try_spawn_ticket()
-    };
-    let Some(ticket) = ticket else {
-        let ra = oper_a();
-        let rb = oper_b();
-        return (ra, rb);
-    };
-    std::thread::scope(|s| {
-        let handle_b = s.spawn(move || {
-            let _slot = ticket;
-            engine::with_install_threads(threads, oper_b)
-        });
-        let ra = oper_a();
-        match handle_b.join() {
-            Ok(rb) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
 }
 
 /// `rayon::scope`: create a scope in which [`Scope::spawn`]ed closures may
@@ -218,7 +179,7 @@ impl ThreadPoolBuilder {
 }
 
 /// A pool handle: [`ThreadPool::install`] runs a closure with this pool's
-/// thread count governing every bulk operation (and `join`/`scope`) the
+/// thread count governing every bulk operation (and `scope`) the
 /// closure performs on the calling thread.
 #[derive(Debug)]
 pub struct ThreadPool {
@@ -303,12 +264,5 @@ mod tests {
         assert_eq!(pool.current_num_threads(), 3);
         let inside = pool.install(crate::current_num_threads);
         assert_eq!(inside, 3);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = crate::join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
     }
 }

@@ -15,7 +15,7 @@
 //!   fast path short-circuits in `drive_with` before any job is built, so
 //!   `RAYON_NUM_THREADS=1` stays bit-for-bit identical to serial.
 //! - Participation is budgeted by the same process-wide
-//!   [`crate::engine::SpawnTicket`] accounting as `join`/`scope` arms, so
+//!   [`crate::engine::SpawnTicket`] accounting as `scope` tasks, so
 //!   composed parallelism cannot multiply concurrent threads past the
 //!   configured count.
 //! - Nested bulk operations on a worker stay serial: the job body enters

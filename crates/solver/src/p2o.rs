@@ -5,112 +5,29 @@
 //! parameter bin `j` is the Toeplitz block entry `T_{Nt−1−j}[r, ·]` — so a
 //! single full-horizon adjoint solve per sensor yields that sensor's row of
 //! *every* defining block. This is the paper's `Nd + Nq` adjoint PDE solves
-//! (Table III Phase 1), each independent and run in parallel here.
+//! (Table III Phase 1), each independent and run in parallel by the one
+//! extraction routine, [`BlockToeplitz::from_adjoint`].
 
 use crate::solver::WaveSolver;
-use rayon::prelude::*;
 use tsunami_fft::BlockToeplitz;
-use tsunami_linalg::DMatrix;
 
 /// Build the p2o map `F` (sensors) as a block lower-triangular Toeplitz
 /// matrix with blocks `T_k ∈ R^{Nd × Nm}`.
 pub fn build_p2o(solver: &WaveSolver) -> BlockToeplitz {
-    let nd = solver.sensors.len();
-    build_blocks(solver, nd, |r, w| {
-        // Unit impulse: sensor r at the final observation index.
-        let nt = solver.grid.nt_obs;
-        w[(nt - 1) * nd + r] = 1.0;
-    })
+    let (nt, nd) = (solver.grid.nt_obs, solver.sensors.len());
+    BlockToeplitz::from_adjoint(nt, nd, solver.n_m(), |w| solver.adjoint_data(w))
 }
 
 /// Build the p2q map `Fq` (wave-height QoI) with blocks `R^{Nq × Nm}`.
 pub fn build_p2q(solver: &WaveSolver) -> BlockToeplitz {
-    let nq = solver.qoi.len();
-    build_blocks_qoi(solver, nq)
-}
-
-fn build_blocks(
-    solver: &WaveSolver,
-    n_out: usize,
-    impulse: impl Fn(usize, &mut [f64]) + Sync,
-) -> BlockToeplitz {
-    let nt = solver.grid.nt_obs;
-    let nm = solver.n_m();
-    // One adjoint solve per output row, in parallel.
-    let rows: Vec<Vec<f64>> = (0..n_out)
-        .into_par_iter()
-        .map(|r| {
-            let mut w = vec![0.0; solver.n_data()];
-            impulse(r, &mut w);
-            solver.adjoint_data(&w)
-        })
-        .collect();
-    assemble_blocks(rows, n_out, nm, nt)
-}
-
-fn build_blocks_qoi(solver: &WaveSolver, n_out: usize) -> BlockToeplitz {
-    let nt = solver.grid.nt_obs;
-    let nm = solver.n_m();
-    let rows: Vec<Vec<f64>> = (0..n_out)
-        .into_par_iter()
-        .map(|r| {
-            let mut w = vec![0.0; solver.n_qoi()];
-            w[(nt - 1) * n_out + r] = 1.0;
-            solver.adjoint_qoi(&w)
-        })
-        .collect();
-    assemble_blocks(rows, n_out, nm, nt)
-}
-
-/// Rearrange per-row adjoint gradients (space-time, bin-major) into the
-/// defining blocks: `T_k[r, :] = grad_r[bin Nt−1−k]`.
-fn assemble_blocks(rows: Vec<Vec<f64>>, n_out: usize, nm: usize, nt: usize) -> BlockToeplitz {
-    let blocks: Vec<DMatrix> = (0..nt)
-        .map(|k| {
-            let j = nt - 1 - k;
-            DMatrix::from_fn(n_out, nm, |r, c| rows[r][j * nm + c])
-        })
-        .collect();
-    BlockToeplitz::new(blocks, n_out, nm)
+    let (nt, nq) = (solver.grid.nt_obs, solver.qoi.len());
+    BlockToeplitz::from_adjoint(nt, nq, solver.n_m(), |w| solver.adjoint_qoi(w))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TimeGrid;
-    use crate::observation::{QoiArray, SensorArray};
-    use crate::operator::WaveOperator;
-    use crate::parammap::IdentityParamMap;
-    use crate::params::PhysicalParams;
-    use std::sync::Arc;
-    use tsunami_fem::kernels::{KernelContext, KernelVariant};
-    use tsunami_mesh::{FlatBathymetry, HexMesh};
-
-    fn tiny_solver(nt_obs: usize) -> WaveSolver {
-        let mesh = Arc::new(HexMesh::terrain_following(
-            3,
-            2,
-            1,
-            3000.0,
-            2000.0,
-            &FlatBathymetry { depth: 500.0 },
-        ));
-        let ctx = Arc::new(KernelContext::new(mesh, 3));
-        let params = PhysicalParams::slow_ocean(100.0);
-        let op = WaveOperator::new(ctx, KernelVariant::FusedPa, params);
-        let sensors = SensorArray::on_seafloor(&op, &[(800.0, 700.0), (2200.0, 1300.0)], 0.05);
-        let qoi = QoiArray::on_surface(&op, &[(1500.0, 1000.0)]);
-        let n_bottom = op.bottom.len();
-        let dt_stable = params.cfl_dt(500.0, 3, 0.4);
-        let grid = TimeGrid::from_cadence(dt_stable, 2.0, nt_obs);
-        WaveSolver {
-            op,
-            grid,
-            sensors,
-            qoi,
-            pmap: Box::new(IdentityParamMap { n: n_bottom }),
-        }
-    }
+    use crate::solver::tests::tiny_solver;
 
     /// The Toeplitz blocks must reproduce the forward map: for an impulse
     /// parameter in bin `j` at spatial index `s`, the data at observation

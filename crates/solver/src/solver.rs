@@ -147,7 +147,7 @@ impl WaveSolver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parammap::IdentityParamMap;
     use crate::params::PhysicalParams;
@@ -155,6 +155,8 @@ mod tests {
     use tsunami_fem::kernels::{KernelContext, KernelVariant};
     use tsunami_mesh::{FlatBathymetry, HexMesh};
 
+    /// Two sensors, one QoI point, a 3×2×1 flat-ocean mesh — the crate's
+    /// shared fixture.
     pub(crate) fn tiny_solver(nt_obs: usize) -> WaveSolver {
         let mesh = Arc::new(HexMesh::terrain_following(
             3,
