@@ -319,16 +319,7 @@ mod tests {
             let d_j = bank.observations().col(j);
             let single = phase4::infer(&twin.phase1, &twin.phase2, &d_j);
             let batch_j = out.inference.scenario(j);
-            let norm = single
-                .m_map
-                .iter()
-                .map(|v| v * v)
-                .sum::<f64>()
-                .sqrt()
-                .max(1e-12);
-            for (a, b) in batch_j.iter().zip(&single.m_map) {
-                assert!((a - b).abs() < 1e-9 * norm, "scenario {j} m_map drift");
-            }
+            assert_eq!(batch_j, single.m_map, "scenario {j} m_map drift");
         }
 
         // Forecasts actually track each scenario's own truth.

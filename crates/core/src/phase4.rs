@@ -106,13 +106,19 @@ impl ForecastBatch {
     }
 }
 
-/// Infer the posterior mean of the seafloor velocity from observations.
+/// Infer the posterior mean of the seafloor velocity from observations:
+/// one single-RHS `K⁻¹` solve (lane-width sweeps, bit-identical to a
+/// column of [`infer_batch`]'s panel solve) and one frequency-parallel
+/// FFT `Gᵀ` apply.
 pub fn infer(p1: &Phase1, p2: &Phase2, d: &[f64]) -> Inference {
-    let db = DMatrix::from_vec(d.len(), 1, d.to_vec());
-    let batch = infer_batch(p1, p2, &db);
+    assert_eq!(d.len(), p1.fast_f.nrows(), "infer: data rows");
+    let t0 = Instant::now();
+    let kd = p2.k_solve(d);
+    let mut m_map = vec![0.0; p2.fast_g.ncols()];
+    p2.fast_g.matvec_transpose(&kd, &mut m_map);
     Inference {
-        m_map: batch.m_map.into_vec(),
-        seconds: batch.seconds,
+        m_map,
+        seconds: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -135,14 +141,22 @@ pub fn infer_batch(p1: &Phase1, p2: &Phase2, d: &DMatrix) -> InferenceBatch {
     }
 }
 
-/// Forecast QoI wave heights directly from observations via `Q`.
+/// Forecast QoI wave heights directly from observations: one row-parallel
+/// lane-width pass over the dense `Q` ([`DMatrix::matvec`]).
 pub fn predict(p3: &Phase3, d: &[f64]) -> Forecast {
-    let db = DMatrix::from_vec(d.len(), 1, d.to_vec());
-    let batch = predict_batch(p3, &db);
+    forecast_with(&p3.q_map, &p3.q_std, d)
+}
+
+/// Single-event forecast `q_map = Q d` through any data-to-QoI map — Phase
+/// 3's or a window rung's — carrying that map's data-independent std.
+pub(crate) fn forecast_with(q: &DMatrix, q_std: &[f64], d: &[f64]) -> Forecast {
+    let t0 = Instant::now();
+    let mut q_map = vec![0.0; q.nrows()];
+    q.matvec(d, &mut q_map);
     Forecast {
-        q_map: batch.q_map.into_vec(),
-        q_std: batch.q_std,
-        seconds: batch.seconds,
+        q_map,
+        q_std: q_std.to_vec(),
+        seconds: t0.elapsed().as_secs_f64(),
     }
 }
 

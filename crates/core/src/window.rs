@@ -64,10 +64,11 @@ impl WindowedForecaster {
 
     /// Forecast from the first `windows[i]` observation steps of data.
     /// `d_window` must hold exactly `windows[i]·Nd` entries (the data seen
-    /// so far, time-major). B=1 wrapper over [`Self::forecast_batch`].
+    /// so far, time-major). One lane-width pass over `Q_w`
+    /// ([`DMatrix::matvec`]), so the full window is bit-identical to
+    /// [`crate::phase4::predict`].
     pub fn forecast(&self, i: usize, d_window: &[f64]) -> Forecast {
-        let db = DMatrix::from_vec(d_window.len(), 1, d_window.to_vec());
-        self.forecast_batch(i, &db).scenario(0)
+        crate::phase4::forecast_with(&self.q_maps[i], &self.q_stds[i], d_window)
     }
 
     /// Forecast a whole block of observation streams from the same window:

@@ -7,12 +7,14 @@
 //! dominates flops) is parallelized with rayon, plus forward/backward
 //! substitution with multiple right-hand sides.
 //!
-//! Multi-RHS solves run **RHS-major**: each panel of right-hand sides is
-//! transposed once into an [`RhsPanel`] (one RHS per contiguous row), the
-//! forward sweep is a unit-stride dot of factor-row against RHS-row
-//! prefixes, and the backward sweep is column-oriented so it streams
-//! factor *rows* instead of walking stride-`n` factor columns. A batch of
-//! one falls back to the scalar sweeps, bit-identically.
+//! Solves run **RHS-major** through one forward/backward sweep pair: each
+//! panel of right-hand sides is transposed once into an [`RhsPanel`] (one
+//! RHS per contiguous row; a single RHS already is one such row), and
+//! every row update in both sweeps is a unit-stride lane-width dot of a
+//! factor row against an RHS row — the backward sweep reads the mirrored
+//! upper triangle, so it streams factor *rows* instead of walking
+//! stride-`n` factor columns. A single-RHS solve is therefore
+//! bit-identical to the same column of any panel solve.
 
 use crate::matrix::DMatrix;
 use crate::rhs_panel::RhsPanel;
@@ -163,9 +165,9 @@ impl Cholesky {
             }
         }
         // Mirror the factor into the strict upper triangle (l[(i, j)] =
-        // L[j][i] for j > i): an O(n²) one-time cost that lets every
-        // backward sweep — scalar and panel alike — stream contiguous
-        // factor rows instead of stride-n columns.
+        // L[j][i] for j > i): an O(n²) one-time cost that lets the
+        // backward sweep stream contiguous factor rows instead of
+        // stride-n columns.
         for i in 0..n {
             for j in (i + 1)..n {
                 l[(i, j)] = l[(j, i)];
@@ -177,31 +179,6 @@ impl Cholesky {
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.l.nrows()
-    }
-
-    /// Scalar forward sweep `L[..k,..k] y = b` in place.
-    fn forward(&self, k: usize, b: &mut [f64]) {
-        for i in 0..k {
-            let mut s = b[i];
-            let row = self.l.row(i);
-            for j in 0..i {
-                s -= row[j] * b[j];
-            }
-            b[i] = s / row[i];
-        }
-    }
-
-    /// Scalar backward sweep `Lᵀ[..k,..k] x = y` in place. Reads `L[j][i]`
-    /// from the mirrored upper triangle, so the walk is unit-stride.
-    fn backward(&self, k: usize, b: &mut [f64]) {
-        for i in (0..k).rev() {
-            let row = self.l.row(i);
-            let mut s = b[i];
-            for j in (i + 1)..k {
-                s -= row[j] * b[j];
-            }
-            b[i] = s / row[i];
-        }
     }
 
     /// Solve `A x = b` in place (`b` is overwritten with `x`).
@@ -232,42 +209,41 @@ impl Cholesky {
     pub fn solve_leading_panel_in_place(&self, k: usize, p: &mut RhsPanel) {
         assert!(k <= self.dim(), "leading block exceeds dimension");
         assert_eq!(p.dim(), k, "solve_leading_panel: rhs dim");
-        self.forward_leading_rhs_major(k, p);
-        self.backward_leading_rhs_major(k, p);
+        self.forward(k, p.as_mut_slice());
+        self.backward(k, p.as_mut_slice());
     }
 
-    /// RHS-major forward sweep `L[..k,..k] Y = B`: for each pivot row the
-    /// update is a *unit-stride* dot of the factor row prefix against the
-    /// RHS row prefix ([`vec_ops::dot_lanes`]) — both contiguous — with the
-    /// factor row loaded once for all RHS rows. Pivot division (not a
-    /// reciprocal multiply) matches the single-RHS sweep.
-    fn forward_leading_rhs_major(&self, k: usize, p: &mut RhsPanel) {
+    /// Forward sweep `L[..k,..k] Y = B` in place on RHS-major rows of
+    /// length `k` (one RHS per contiguous row; a single RHS is one row).
+    /// Each row's update is a *unit-stride* dot of the factor row prefix
+    /// against the RHS row prefix ([`vec_ops::dot_lanes`]), with the factor
+    /// row loaded once for all RHS rows. Pivot division, not a reciprocal
+    /// multiply. Single and panel solves share this step, so a single
+    /// solve is bit-identical to any panel column.
+    fn forward(&self, k: usize, rhs: &mut [f64]) {
         let n = self.l.ncols();
         let ld = self.l.as_slice();
         for i in 0..k {
             let lrow = &ld[i * n..i * n + i];
             let piv = ld[i * n + i];
-            for row in p.rows_mut() {
-                let s = row[i] - vec_ops::dot_lanes(lrow, &row[..i]);
-                row[i] = s / piv;
+            for row in rhs.chunks_exact_mut(k) {
+                row[i] = (row[i] - vec_ops::dot_lanes(lrow, &row[..i])) / piv;
             }
         }
     }
 
-    /// RHS-major backward sweep `Lᵀ[..k,..k] X = Y`: row `i` of the
-    /// mirrored upper triangle *is* row `i` of `Lᵀ`, so each update is a
-    /// *unit-stride* dot of two contiguous row suffixes
-    /// ([`vec_ops::dot_lanes`]) — the same shape as the forward sweep,
-    /// with no store traffic and no stride-`n` walk down a factor column.
-    fn backward_leading_rhs_major(&self, k: usize, p: &mut RhsPanel) {
+    /// Backward sweep `Lᵀ[..k,..k] X = Y` in place, same row layout as
+    /// [`Self::forward`]: row `i` of the mirrored upper triangle *is* row
+    /// `i` of `Lᵀ`, so each update is a *unit-stride* dot of two contiguous
+    /// row suffixes — no stride-`n` walk down a factor column.
+    fn backward(&self, k: usize, rhs: &mut [f64]) {
         let n = self.l.ncols();
         let ld = self.l.as_slice();
         for i in (0..k).rev() {
             let lrow = &ld[i * n + i + 1..i * n + k];
             let piv = ld[i * n + i];
-            for row in p.rows_mut() {
-                let s = row[i] - vec_ops::dot_lanes(lrow, &row[i + 1..k]);
-                row[i] = s / piv;
+            for row in rhs.chunks_exact_mut(k) {
+                row[i] = (row[i] - vec_ops::dot_lanes(lrow, &row[i + 1..k])) / piv;
             }
         }
     }
@@ -328,19 +304,12 @@ impl Cholesky {
     /// by [`Self::solve_leading_panel_in_place`], and scattered back;
     /// panels run in parallel. Because every RHS row is swept
     /// independently, the panel split does not change any column's
-    /// arithmetic — the result is bit-identical to a single-panel solve.
-    /// `nrhs = 1` dispatches to the scalar
-    /// [`Self::solve_leading_in_place`], so B=1 wrappers stay bit-identical
-    /// to the single-RHS solve.
+    /// arithmetic — the result is bit-identical to a single-panel solve,
+    /// and each column to [`Self::solve_leading_in_place`] on it.
     pub fn solve_leading_multi(&self, k: usize, b: &DMatrix) -> DMatrix {
         assert!(k <= self.dim(), "leading block exceeds dimension");
         assert_eq!(b.nrows(), k, "solve_leading_multi: rhs rows");
         let nrhs = b.ncols();
-        if nrhs == 1 {
-            let mut x = b.clone();
-            self.solve_leading_in_place(k, x.as_mut_slice());
-            return x;
-        }
         let threads = rayon::current_num_threads().max(1);
         let panel = SOLVE_PANEL.min(nrhs.div_ceil(threads)).max(1);
         if nrhs <= panel {
@@ -590,10 +559,7 @@ mod tests {
                     let mut xj = b.col(j);
                     ch.solve_leading_in_place(k, &mut xj);
                     for i in 0..k {
-                        assert!(
-                            (x[(i, j)] - xj[i]).abs() < 1e-11,
-                            "k={k} nrhs={nrhs} col {j} row {i}"
-                        );
+                        assert_eq!(x[(i, j)], xj[i], "k={k} nrhs={nrhs} col {j} row {i}");
                     }
                 }
             }

@@ -139,13 +139,21 @@ impl DMatrix {
         t
     }
 
-    /// Matrix–vector product `y = A x` (serial).
+    /// Matrix–vector product `y = A x`, one lane-width dot per row
+    /// (`y[i] = dot_lanes(row_i, x)`). Rows go to the pool in blocks of
+    /// [`PAR_THRESHOLD`](crate::vec_ops::PAR_THRESHOLD) elements (at least
+    /// one row) — the size rule of `par_dot` — so a smaller matrix is one
+    /// block run inline. Every `y[i]` is one row's dot whatever the
+    /// split: bit-identical at any thread count.
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec: x dim");
         assert_eq!(y.len(), self.rows, "matvec: y dim");
-        for i in 0..self.rows {
-            y[i] = crate::vec_ops::dot(self.row(i), x);
-        }
+        let rb = (crate::vec_ops::PAR_THRESHOLD / self.cols.max(1)).max(1);
+        y.par_chunks_mut(rb).enumerate().for_each(|(b, yb)| {
+            for (t, yi) in yb.iter_mut().enumerate() {
+                *yi = crate::vec_ops::dot_lanes(self.row(b * rb + t), x);
+            }
+        });
     }
 
     /// Transposed matrix–vector product `y = Aᵀ x`.
@@ -433,6 +441,33 @@ mod tests {
         let ym = a.matmul(&xm);
         for i in 0..30 {
             assert!((y[i] - ym[(i, 0)]).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn matvec_is_one_lane_dot_per_row_at_any_thread_count() {
+        // Either side of PAR_THRESHOLD, a row count that is not a multiple
+        // of the row block, more columns than PAR_THRESHOLD, and (1, 1).
+        let t = crate::vec_ops::PAR_THRESHOLD;
+        let shapes = [(1, 1), (30, 20), (127, 129), (300, 100), (7, t + 3)];
+        for threads in [1, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for (s, &(m, n)) in shapes.iter().enumerate() {
+                let a = rand_mat(m, n, 20 + s as u64);
+                let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
+                let mut y = vec![f64::NAN; m];
+                pool.install(|| a.matvec(&x, &mut y));
+                for i in 0..m {
+                    let want = crate::vec_ops::dot_lanes(a.row(i), &x);
+                    assert_eq!(y[i], want, "{m}x{n} row {i} at {threads} threads");
+                }
+                let ym = a.matmul(&DMatrix::from_vec(n, 1, x.clone()));
+                let rel = crate::vec_ops::rel_err(&y, ym.as_slice());
+                assert!(rel < 1e-12, "{m}x{n}: {rel:.2e} from matmul");
+            }
         }
     }
 

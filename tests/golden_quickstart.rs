@@ -1,11 +1,12 @@
 //! Golden regression test: pins the quickstart (`TwinConfig::tiny()`,
 //! event seed 42) posterior-mean and forecast-CI numbers.
 //!
-//! The batch-first refactor routes the single-vector `infer`/`forecast`
-//! through the batched kernels as B=1 wrappers; this test proves the B=1
-//! numerics did not drift (and guards every future refactor of the FFT /
-//! solve spine the same way). Tolerances are 1e-7 relative — far above
-//! roundoff reshuffling, far below any real numerical change.
+//! The single-vector `infer`/`forecast` run their own lane-width kernels
+//! (one-row Cholesky sweeps, the frequency-parallel FFT apply, a
+//! row-parallel `Q·d`); this test proves their numerics did not drift
+//! (and guards every future refactor of the FFT / solve spine the same
+//! way). Tolerances are 1e-7 relative — far above roundoff reshuffling, far
+//! below any real numerical change.
 
 use cascadia_dt::prelude::*;
 

@@ -256,13 +256,26 @@ fn cholesky_rejects_nan_contamination() {
 fn engine_rejects_wrong_data_dimension() {
     let (twin, _) = acoustic_twin();
     let bad = vec![0.0; twin.n_data() + 1];
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        twin.infer(&bad);
-    }));
-    assert!(
-        result.is_err(),
-        "dimension mismatch must panic, not mis-solve"
-    );
+    let nt = twin.solver.grid.nt_obs;
+    let wf = WindowedForecaster::build(&twin.phase1, &twin.phase2, &twin.phase3, &[nt]);
+    let calls: [(&str, &dyn Fn()); 3] = [
+        ("infer", &|| {
+            twin.infer(&bad);
+        }),
+        ("forecast", &|| {
+            twin.forecast(&bad);
+        }),
+        ("windowed forecast", &|| {
+            wf.forecast(0, &bad);
+        }),
+    ];
+    for (what, call) in calls {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+        assert!(
+            result.is_err(),
+            "{what}: dimension mismatch must panic, not mis-solve"
+        );
+    }
 }
 
 #[test]
