@@ -29,8 +29,8 @@
 //! ```text
 //!   drain ──▶ identify ──▶ fold ──▶ lift ──▶ classify
 //!   inbox     rows × B     z += Rᵀd  q = L z   band vs threshold
-//!   → rings   (or r × B)   bucketed  per rung,  → audit ring
-//!                          by range  chunked
+//!   → rings   (or a += Uᵀd bucketed  per rung,  → audit ring
+//!             rows × r)    by range  chunked
 //! ```
 //!
 //! 1. **Drain** — samples enqueued since the last tick are appended to
@@ -40,10 +40,15 @@
 //!    blocked `rows × scenarios` GEMM
 //!    ([`crate::identify::score_group_gemm`]), the sequential Bayesian
 //!    update of Nomura et al. (arXiv:2407.03631) at bank-scale cost.
-//!    Under [`IdentifyBackend::ModeSpace`] the rows fold into an
-//!    `r`-dimensional running projection instead and all `B` misfits are
-//!    materialized from it at `r × B` cost, the exact path retained as
-//!    the oracle.
+//!    Under [`IdentifyBackend::ModeSpace`] the rows only fold into the
+//!    session's sufficient statistic — an `r`-dimensional running
+//!    projection `a = Uᵀd` and the data energy `‖d‖²` — and a plain
+//!    tick stops there. The `B` misfits are a pure function of that
+//!    statistic, materialized at `r × B` cost only where something reads
+//!    them: a warning transition's audit record (stage 5), and the
+//!    [`StreamEngine::ranked_matches`] / [`StreamEngine::misfit_scores`]
+//!    queries ([`TickMetrics::misfits_materialized`]). The exact path is
+//!    retained as the oracle.
 //! 3. **Fold** — sessions with a common unfolded range are bucketed and
 //!    their new rows folded into the rank-sized lift inputs: through
 //!    each rung's own right factor (goal-oriented), or *once* through
@@ -90,7 +95,8 @@
 //! whole-tick spans (`stream.shard.<i>.tick`), per-rung assimilation
 //! spans (`stream.rung.<w>.assimilate`, one sample per chunk), lifetime
 //! throughput counters (`stream.ticks`, `stream.sessions.assimilated`,
-//! `stream.panels`, `stream.samples.*`, `stream.warnings.transitions`),
+//! `stream.panels`, `stream.samples.*`, `stream.warnings.transitions`,
+//! `stream.identify.materialized`),
 //! and tick-boundary pool gauges (`pool.jobs`, `pool.handoffs`,
 //! `pool.wakeups`, `pool.workers`). `OBS=off` (or
 //! [`tsunami_obs::set_enabled`]`(false)`) disables all of it: the tick
@@ -107,7 +113,7 @@
 use crate::identify;
 use crate::ladder::{Ladder, TickPath};
 use crate::session::{StreamSession, WarningLevel};
-use crate::tick::{tick_shard, Shard, TickCtx, TickSpans};
+use crate::tick::{read_misfit, tick_shard, Shard, TickCtx, TickSpans};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -124,13 +130,14 @@ pub enum IdentifyBackend {
     /// ([`crate::identify::score_group_gemm`]) — the oracle path.
     #[default]
     Exact,
-    /// POD mode-space identification: project arrived rows onto the
-    /// attached [`PodBank`]'s modes ([`crate::identify::project_group`]),
-    /// then materialize all `B` misfits from the `r`-dimensional
-    /// projection ([`crate::identify::score_group_pod`]). Per-tick
-    /// bank-width cost drops from `rows × B` to `rows × r + r × B`;
-    /// scores differ from exact by at most the per-scenario POD
-    /// truncation error. Requires [`StreamEngine::with_pod`].
+    /// POD mode-space identification: a tick projects arrived rows onto
+    /// the attached [`PodBank`]'s modes ([`crate::identify::project_group`])
+    /// and does nothing bank-wide; the `B` misfits are materialized from
+    /// the `r`-dimensional projection ([`crate::identify::score_group_pod`])
+    /// only at a warning transition or a query. Per-tick cost drops from
+    /// `rows × B` to `rows × r`, plus `r × B` per read; scores differ from
+    /// exact by at most the per-scenario POD truncation error. Sessions
+    /// hold no `B`-wide state. Requires [`StreamEngine::with_pod`].
     ModeSpace,
 }
 
@@ -195,7 +202,10 @@ pub struct TickMetrics {
     pub sessions_assimilated: usize,
     /// Batched panels dispatched this tick (summed over shards).
     pub panels: usize,
-    /// Newly arrived samples folded into scenario scores this tick.
+    /// Newly arrived samples absorbed into the identification state this
+    /// tick: the exact misfit accumulator, or under mode-space
+    /// identification the statistic `(a, ‖d‖²)` the misfit is a pure
+    /// function of ([`StreamSession::identification_statistic`]).
     pub samples_scored: usize,
     /// Newly arrived samples folded into goal-oriented per-rung states
     /// this tick (0 on the other paths).
@@ -206,6 +216,12 @@ pub struct TickMetrics {
     /// no-double-fold guarantee: with both in mode space this equals the
     /// rows that arrived, never 2×).
     pub samples_projected: usize,
+    /// Mode-space misfit materializations this tick: one per warning
+    /// transition, whose audit record reads the top posterior scenario.
+    /// 0 on plain ticks and under exact identification, which keeps its
+    /// misfits accumulated. Queries materialize on their own and are not
+    /// counted here.
+    pub misfits_materialized: usize,
     /// Samples accepted from the lock-free inboxes this tick (the
     /// [`StreamEngine::enqueue`] path; direct pushes count at push time).
     pub samples_drained: usize,
@@ -309,6 +325,7 @@ struct EngineCounters {
     scored: Arc<Counter>,
     folded: Arc<Counter>,
     projected: Arc<Counter>,
+    materialized: Arc<Counter>,
     transitions: Arc<Counter>,
     pool_jobs: Arc<Gauge>,
     pool_handoffs: Arc<Gauge>,
@@ -328,6 +345,7 @@ impl EngineCounters {
             scored: reg.counter("stream.samples.scored"),
             folded: reg.counter("stream.samples.folded"),
             projected: reg.counter("stream.samples.projected"),
+            materialized: reg.counter("stream.identify.materialized"),
             transitions: reg.counter("stream.warnings.transitions"),
             pool_jobs: reg.gauge("pool.jobs"),
             pool_handoffs: reg.gauge("pool.handoffs"),
@@ -448,8 +466,8 @@ impl<'a> StreamEngine<'a> {
     }
 
     /// Attach a scenario bank: every arrived sample then also updates the
-    /// sequential per-scenario identification scores. Precomputes the
-    /// clean-energy prefix sums the blocked GEMM scoring reads.
+    /// sequential per-scenario identification state. Precomputes the
+    /// clean-energy prefix sums both identification backends read.
     pub fn with_bank(mut self, bank: &'a ScenarioBank) -> Self {
         assert_eq!(
             bank.clean_observations().nrows(),
@@ -465,9 +483,10 @@ impl<'a> StreamEngine<'a> {
         // Resize every session's misfit accumulator in place (no
         // realloc when capacity suffices) instead of swapping in a
         // fresh vec per session.
+        let n_scen = self.misfit_len(bank);
         for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
             s.misfit.clear();
-            s.misfit.resize(bank.len(), 0.0);
+            s.misfit.resize(n_scen, 0.0);
         }
         self.bank_sq_prefix = identify::sq_prefix(bank.clean_observations());
         self.bank = Some(bank);
@@ -519,6 +538,23 @@ impl<'a> StreamEngine<'a> {
         self
     }
 
+    /// Width of a session's misfit accumulator: the bank width under
+    /// exact identification, 0 under mode-space identification (whose
+    /// misfits are materialized at read time, never held).
+    fn misfit_len(&self, bank: &ScenarioBank) -> usize {
+        match self.config.identify {
+            IdentifyBackend::Exact => bank.len(),
+            IdentifyBackend::ModeSpace => 0,
+        }
+    }
+
+    /// The POD bank mode-space reads materialize misfits from — `None`
+    /// under exact identification, whose accumulator is read as-is.
+    fn materializing_pod(&self) -> Option<&'a PodBank> {
+        self.pod
+            .filter(|_| self.config.identify == IdentifyBackend::ModeSpace)
+    }
+
     /// True when mode-space identification and a shared-basis ladder
     /// fold the drained rows into the *same* per-session projection
     /// (`pod_coeff`) — the no-double-fold configuration.
@@ -552,7 +588,7 @@ impl<'a> StreamEngine<'a> {
     /// mark of concurrently open sessions).
     pub fn open(&mut self) -> usize {
         let n = self.shards.len();
-        let n_scen = self.bank.map_or(0, |b| b.len());
+        let n_scen = self.bank.map_or(0, |b| self.misfit_len(b));
         let n_modes = self.pod.map_or(0, |p| p.rank());
         let fold_len = self.ladder.fold_len;
         let acc_len = self.ladder.basis.map_or(0, |u| u.ncols());
@@ -687,9 +723,10 @@ impl<'a> StreamEngine<'a> {
     /// received the whole stream in one push. Under the shared fold the
     /// identification projection carries the fold, so `scored`, the
     /// running projection, and the data energy reset with it — safe
-    /// because the mode-space misfit is *materialized* from the
-    /// projection each pass, never accumulated, and the refold
-    /// reproduces it exactly.
+    /// because the mode-space misfit is never held, only materialized
+    /// from that statistic when read, and the refold rebuilds the
+    /// statistic. Misfit reads between the rewind and the next tick see
+    /// the statistic of zero rows.
     ///
     /// Warning levels reset to [`WarningLevel::AllClear`] as well, so a
     /// replay re-classifies from scratch and the audit ring records the
@@ -732,7 +769,7 @@ impl<'a> StreamEngine<'a> {
             twin: self.twin,
             ladder: &self.ladder,
             bank: self.bank,
-            pod: self.pod,
+            pod: self.materializing_pod(),
             sq_prefix: &self.bank_sq_prefix,
             config: self.config,
             shared_fold: self.shared_fold(),
@@ -758,6 +795,7 @@ impl<'a> StreamEngine<'a> {
             m.samples_scored += sh.last.samples_scored;
             m.samples_folded += sh.last.samples_folded;
             m.samples_projected += sh.last.samples_projected;
+            m.misfits_materialized += sh.last.misfits_materialized;
             m.samples_drained += sh.last.samples_drained;
             m.peak_panel_elems = m.peak_panel_elems.max(sh.last.peak_panel_elems);
         }
@@ -800,6 +838,7 @@ impl<'a> StreamEngine<'a> {
             c.scored.add(m.samples_scored as u64);
             c.folded.add(m.samples_folded as u64);
             c.projected.add(m.samples_projected as u64);
+            c.materialized.add(m.misfits_materialized as u64);
             c.transitions.add(transitions);
             c.pool_jobs.set(pool.jobs as u64);
             c.pool_handoffs.set(pool.handoffs as u64);
@@ -811,18 +850,37 @@ impl<'a> StreamEngine<'a> {
         m
     }
 
+    /// The session's per-scenario squared misfit over its scored samples
+    /// (empty when no bank is attached): a copy of the exact accumulator,
+    /// or under [`IdentifyBackend::ModeSpace`] the misfit materialized
+    /// from the session's identification statistic
+    /// ([`StreamSession::identification_statistic`]) — current after every
+    /// tick, bit-identical at every read of the same statistic.
+    pub fn misfit_scores(&self, id: usize) -> Vec<f64> {
+        let mut buf = Vec::new();
+        self.read_misfit(id, &mut buf).to_vec()
+    }
+
+    /// A session's misfit as a read sees it ([`read_misfit`]).
+    fn read_misfit<'r>(&'r self, id: usize, buf: &'r mut Vec<f64>) -> &'r [f64] {
+        let pod = self.materializing_pod();
+        read_misfit(self.session(id), pod, &self.bank_sq_prefix, buf)
+    }
+
     /// The session's scenario ranking, best match first: Gaussian
     /// log-likelihoods `−misfit/(2σ²)` of the arrived samples under each
-    /// bank scenario, with posterior probabilities under a uniform prior.
-    /// Because the misfit accumulates per sample, the ranking sharpens as
-    /// the window grows. Empty when no bank is attached.
+    /// bank scenario ([`Self::misfit_scores`]), with posterior
+    /// probabilities under a uniform prior. Because the misfit covers
+    /// every scored sample, the ranking sharpens as the window grows.
+    /// Empty when no bank is attached.
     pub fn ranked_matches(&self, id: usize) -> Vec<ScenarioMatch> {
         let Some(bank) = self.bank else {
             return Vec::new();
         };
         let sigma2 = bank.noise_std() * bank.noise_std();
-        let s = self.session(id);
-        let lls: Vec<f64> = s.misfit.iter().map(|&mis| -mis / (2.0 * sigma2)).collect();
+        let mut buf = Vec::new();
+        let misfit = self.read_misfit(id, &mut buf);
+        let lls: Vec<f64> = misfit.iter().map(|&mis| -mis / (2.0 * sigma2)).collect();
         let ll_max = lls.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let weights: Vec<f64> = lls.iter().map(|&ll| (ll - ll_max).exp()).collect();
         let z: f64 = weights.iter().sum();

@@ -18,6 +18,13 @@
 //! clean rows instead of re-paid per sample. That is what keeps
 //! identification cheap when banks grow to 10³+ scenarios. The tests pin
 //! it against the per-sample definition.
+//!
+//! The POD mode-space path splits the same score in two: a per-tick fold
+//! of arrived rows into the `r`-dimensional projection `a = Uᵀd`
+//! ([`project_group`]), which with the data energy `‖d‖²` is the whole
+//! sufficient statistic, and a read-time materialization of all `B`
+//! misfits from that statistic ([`score_group_pod`]), run only when a
+//! warning transition or a query reads them.
 
 use tsunami_linalg::vec_ops::{axpy, block_axpy, block_axpy2, block_axpy4};
 use tsunami_linalg::DMatrix;
@@ -222,9 +229,13 @@ pub fn project_group(u: &DMatrix, i0: usize, i1: usize, group: &mut [(&[f64], &m
 /// energy), `w_j` the `j`-th column of the `r × B` coefficient block
 /// `W = UᵀC`, and `‖c_j‖²` the *exact* clean energy from the same prefix
 /// sums the exact path uses. Unlike the exact path's per-range
-/// accumulation, the POD score is recomputed from the full projection
-/// every pass — `a` already summarizes all arrived rows, so the
-/// `streams × r × B` cross term is the entire bank-width cost per tick.
+/// accumulation, the POD score is a pure function of `(dd, a, i1)` —
+/// `a` already summarizes all arrived rows — so nothing needs to run
+/// per tick: the engine calls this at read time (a warning transition's
+/// audit record, a ranking or misfit query), over a group of one, and
+/// the `r × B` cross term is the whole cost of a read. Larger groups
+/// agree to roundoff but not bit for bit: the blocked kernels associate
+/// the `r`-term sums differently per group shape.
 pub fn score_group_pod(
     coeffs: &DMatrix,
     sq_prefix: &[f64],

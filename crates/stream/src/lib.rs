@@ -15,8 +15,9 @@
 //!
 //! - [`StreamSession`] holds one stream's state: the time-major ring of
 //!   arrived sensor samples, its position on the window ladder, its
-//!   accumulated per-scenario misfit, its rank-sized fold state, and its
-//!   latest forecast/warning.
+//!   identification state (the accumulated per-scenario misfit, or the
+//!   mode-space statistic it is materialized from), its rank-sized fold
+//!   state, and its latest forecast/warning.
 //! - [`StreamEngine`] accepts [`StreamEngine::push`] events (or lock-free
 //!   [`StreamEngine::enqueue`] calls from concurrent producer threads)
 //!   and, on each [`StreamEngine::tick`], runs drain → identify → fold →
@@ -49,18 +50,21 @@
 //!   credible band that tightens the same way.
 //! - With a [`tsunami_core::PodBank`] also attached
 //!   ([`StreamEngine::with_pod`]) and [`IdentifyBackend::ModeSpace`]
-//!   selected, identification runs in POD mode space: arrived rows fold
-//!   into an `r`-dimensional running projection and all `B` misfits are
-//!   materialized at `r × B` cost per tick
-//!   ([`identify::project_group`] / [`identify::score_group_pod`]), with
-//!   the exact GEMM kept as the oracle path. On a mode-space ladder over
-//!   the same basis that projection *is* the fold — each row is folded
-//!   once per tick. The identification posterior also drives a
-//!   Fujita-style posterior-weighted **superposition forecast**
-//!   ([`superpose_forecasts`] / [`StreamEngine::superposed_forecast`])
-//!   that mixes the bank's precomputed forecasts — honest credible bands
-//!   while identification is still ambiguous, and better point forecasts
-//!   than any single best-fit scenario for events between bank members.
+//!   selected, identification runs in POD mode space: a tick only folds
+//!   arrived rows into an `r`-dimensional running projection
+//!   ([`identify::project_group`]), and the `B` misfits are materialized
+//!   from it at `r × B` cost only when a warning transition or a query
+//!   ([`StreamEngine::ranked_matches`], [`StreamEngine::misfit_scores`])
+//!   reads them ([`identify::score_group_pod`]); sessions hold no
+//!   `B`-wide state. The exact GEMM is kept as the oracle path. On a
+//!   mode-space ladder over the same basis that projection *is* the
+//!   fold — each row is folded once per tick. The identification
+//!   posterior also drives a Fujita-style posterior-weighted
+//!   **superposition forecast** ([`superpose_forecasts`] /
+//!   [`StreamEngine::superposed_forecast`]) that mixes the bank's
+//!   precomputed forecasts — honest credible bands while identification
+//!   is still ambiguous, and better point forecasts than any single
+//!   best-fit scenario for events between bank members.
 //! - [`TickMetrics`] / [`EngineMetrics`] record per-tick latency,
 //!   throughput, the peak materialized panel (per shard), and the
 //!   persistent-pool dispatch counters ([`rayon::pool_stats`] deltas).

@@ -102,12 +102,16 @@ pub struct StreamSession {
     pub(crate) nd: usize,
     /// Ladder index of the widest window assimilated so far.
     pub(crate) window_idx: Option<usize>,
-    /// Samples already folded into the sequential scenario scores.
+    /// Samples already absorbed into the identification state: the
+    /// exact misfit accumulator, or the mode-space statistic
+    /// `(‖d‖², a)`.
     pub(crate) scored: usize,
     /// Per-scenario accumulated squared misfit `Σ (d_i − s_ji)²` over the
-    /// scored samples (empty when no bank is attached). Under mode-space
-    /// identification this is *materialized* (overwritten) from the
-    /// running projection each scoring pass instead of accumulated.
+    /// scored samples under exact identification. Empty when no bank is
+    /// attached, and empty under mode-space identification: there the
+    /// misfit is a pure function of `(data_energy, pod_coeff, scored)`
+    /// and is materialized only when a warning transition or an engine
+    /// query reads it, so a session holds no `B`-wide state.
     pub(crate) misfit: Vec<f64>,
     /// Running POD projection `a = Uᵀd` over the scored samples (empty
     /// unless a [`tsunami_core::PodBank`] is attached).
@@ -265,11 +269,15 @@ impl StreamSession {
         self.ring.filled()
     }
 
-    /// Per-scenario squared misfit over the scored samples (empty when no
-    /// bank is attached). Exact accumulation or mode-space
-    /// materialization, depending on the engine's identification backend.
-    pub fn misfit_scores(&self) -> &[f64] {
-        &self.misfit
+    /// The mode-space identification statistic `(‖d‖², a, scored)`: the
+    /// running data energy, the running POD projection `a = Uᵀd` (empty
+    /// without an attached [`tsunami_core::PodBank`]), and the samples
+    /// absorbed into both. Under [`crate::IdentifyBackend::ModeSpace`]
+    /// every misfit read is [`crate::identify::score_group_pod`] over
+    /// this statistic as a group of one
+    /// ([`crate::StreamEngine::misfit_scores`]).
+    pub fn identification_statistic(&self) -> (f64, &[f64], usize) {
+        (self.data_energy, &self.pod_coeff, self.scored)
     }
 
     /// The rank-sized per-rung fold slots, concatenated — empty when

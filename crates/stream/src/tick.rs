@@ -41,20 +41,26 @@ impl TickSpans {
 
 /// Per-shard assimilation scratch, reused across ticks so steady-state
 /// ticks allocate nothing: the gathered lift input (`rows × b`: a window
-/// panel or a block of fold slots), the lifted QoI block `nq × b`, and
-/// the reduced-inference block `(Nm·Nt) × b`. The vecs round-trip
-/// through [`DMatrix::from_vec`] / [`DMatrix::into_vec`] each chunk
+/// panel or a block of fold slots), the lifted QoI block `nq × b`, the
+/// reduced-inference block `(Nm·Nt) × b`, and the `B`-wide misfit a
+/// mode-space warning transition materializes for its audit record
+/// (sized at the first transition). The block vecs round-trip through
+/// [`DMatrix::from_vec`] / [`DMatrix::into_vec`] each chunk
 /// ([`arena_block`]).
 #[derive(Default)]
 pub(crate) struct ShardArena {
     panel: Vec<f64>,
     q_block: Vec<f64>,
     m_block: Vec<f64>,
+    misfit: Vec<f64>,
 }
 
 impl ShardArena {
     pub fn bytes(&self) -> usize {
-        (self.panel.capacity() + self.q_block.capacity() + self.m_block.capacity())
+        (self.panel.capacity()
+            + self.q_block.capacity()
+            + self.m_block.capacity()
+            + self.misfit.capacity())
             * std::mem::size_of::<f64>()
     }
 }
@@ -114,6 +120,8 @@ pub(crate) struct TickCtx<'t> {
     pub twin: &'t DigitalTwin,
     pub ladder: &'t Ladder<'t>,
     pub bank: Option<&'t ScenarioBank>,
+    /// The attached POD bank under mode-space identification; `None`
+    /// under exact identification, which never reads it.
     pub pod: Option<&'t PodBank>,
     pub sq_prefix: &'t [f64],
     pub config: StreamConfig,
@@ -227,11 +235,12 @@ fn identify_arrived(
             }
         }
         IdentifyBackend::ModeSpace => {
-            // Two grouped passes per bucket: fold the new rows into
-            // each session's running projection a = Uᵀd (and data
-            // energy ‖d‖², compensated), then materialize all B
-            // misfits from the r-dimensional projection — the
-            // bank-width work shrinks from rows × B to r × B.
+            // One grouped pass per bucket: fold the new rows into each
+            // session's running projection a = Uᵀd (and data energy
+            // ‖d‖², compensated). That statistic is all identification
+            // keeps; the B misfits are a pure function of it and are
+            // materialized only when a transition or a query reads them
+            // (`read_misfit`), so a plain tick does no B-wide work.
             let pod = ctx.pod.expect("checked at tick start");
             // Shared fold: the ladder's rung inputs are snapshots of
             // this same projection, so the fold below also cuts them —
@@ -251,19 +260,6 @@ fn identify_arrived(
                     s.accumulate_energy(i0, i1);
                 }
                 p.samples_projected += (i1 - i0) * members.len();
-                let mut score: Vec<(f64, &[f64], &mut [f64])> = members
-                    .iter_mut()
-                    .map(|s| {
-                        let StreamSession {
-                            data_energy,
-                            pod_coeff,
-                            misfit,
-                            ..
-                        } = &mut **s;
-                        (*data_energy, &pod_coeff[..], &mut misfit[..])
-                    })
-                    .collect();
-                identify::score_group_pod(pod.mode_coeffs(), ctx.sq_prefix, i1, &mut score);
                 p.samples_scored += (i1 - i0) * members.len();
             }
         }
@@ -448,6 +444,13 @@ fn assimilate_crossed(
                 let prev = s.level;
                 s.level = classify_band(band, ctx.config.warn_threshold);
                 if s.level != prev {
+                    let top_scenario = ctx.bank.and_then(|bk| {
+                        p.misfits_materialized += usize::from(ctx.pod.is_some());
+                        top_posterior(
+                            read_misfit(s, ctx.pod, ctx.sq_prefix, &mut arena.misfit),
+                            bk,
+                        )
+                    });
                     audit_scratch.push(WarningTransition {
                         session: s.id,
                         tick: ctx.tick_no,
@@ -456,7 +459,7 @@ fn assimilate_crossed(
                         to: s.level,
                         band_lo: band.0,
                         band_hi: band.1,
-                        top_scenario: ctx.bank.and_then(|bk| top_posterior(&s.misfit, bk)),
+                        top_scenario,
                         path: ladder.path,
                     });
                 }
@@ -509,9 +512,31 @@ fn scatter_forecast(s: &mut StreamSession, q: &DMatrix, c: usize, q_std: &[f64],
     fc.seconds = seconds;
 }
 
+/// The `B` misfits a decision or query reads: the exact accumulator
+/// as-is, or — under mode-space identification (`pod` given) —
+/// materialized into `buf` from the session's identification statistic
+/// `(‖d‖², a, scored)` ([`StreamSession::identification_statistic`]):
+/// [`identify::score_group_pod`] over a group of one. Every read of the
+/// same statistic is this one fixed computation, so all of them agree
+/// bit for bit.
+pub(crate) fn read_misfit<'r>(
+    s: &'r StreamSession,
+    pod: Option<&PodBank>,
+    sq_prefix: &[f64],
+    buf: &'r mut Vec<f64>,
+) -> &'r [f64] {
+    let Some(pod) = pod else {
+        return &s.misfit;
+    };
+    let (dd, a, scored) = s.identification_statistic();
+    buf.resize(pod.len(), 0.0);
+    identify::score_group_pod(pod.mode_coeffs(), sq_prefix, scored, &mut [(dd, a, buf)]);
+    buf
+}
+
 /// The bank scenario with the highest posterior probability under a
-/// session's accumulated misfit (uniform prior) — `O(B)`, evaluated only
-/// when a warning transition needs an audit record.
+/// session's misfit (uniform prior) — `O(B)`, evaluated only when a
+/// warning transition needs an audit record.
 fn top_posterior(misfit: &[f64], bank: &ScenarioBank) -> Option<(usize, f64)> {
     if misfit.is_empty() {
         return None;

@@ -6,7 +6,7 @@
 
 use tsunami_core::window::infer_window;
 use tsunami_core::{DigitalTwin, ScenarioBank, TwinConfig};
-use tsunami_stream::{IdentifyBackend, StreamConfig, StreamEngine, WarningLevel};
+use tsunami_stream::{identify, IdentifyBackend, StreamConfig, StreamEngine, WarningLevel};
 
 fn rel_err(a: &[f64], b: &[f64]) -> f64 {
     let num: f64 = a
@@ -398,19 +398,25 @@ fn sharded_engine_is_invariant_in_the_shard_count() {
     // The same interleaved streams through 1-, 2-, and 4-shard engines
     // (ragged 3-sample pushes, a tick after every round) must produce
     // identical ids, identification rankings, forecasts, and inference
-    // norms to ≤ 1e-10 — sharding is pure work partitioning.
+    // norms to ≤ 1e-10 — sharding is pure work partitioning. Under both
+    // identification backends: the mode-space misfit is materialized
+    // from each session's own statistic, whatever shard it lives on.
     let (twin, bank) = setup_bank(6, 77);
     let nt = twin.solver.grid.nt_obs;
     let wf = twin.windowed(&[2, nt / 2, nt]);
+    let pod = bank.compress(4);
     let n_sessions = bank.len();
     let horizon = twin.n_data();
 
-    let run = |shards: usize| {
+    let run = |shards: usize, identify: IdentifyBackend| {
         let cfg = StreamConfig {
             shards,
+            identify,
             ..StreamConfig::default()
         };
-        let mut engine = StreamEngine::new(&twin, &wf, cfg).with_bank(&bank);
+        let mut engine = StreamEngine::new(&twin, &wf, cfg)
+            .with_bank(&bank)
+            .with_pod(&pod);
         let ids: Vec<usize> = (0..n_sessions).map(|_| engine.open()).collect();
         let mut fed = 0;
         while fed < horizon {
@@ -436,22 +442,27 @@ fn sharded_engine_is_invariant_in_the_shard_count() {
         (products, totals)
     };
 
-    let (base, base_m) = run(1);
-    for shards in [2usize, 4] {
-        let (got, got_m) = run(shards);
-        for ((id_a, fc_a, n_a, top_a), (id_b, fc_b, n_b, top_b)) in base.iter().zip(&got) {
-            assert_eq!(id_a, id_b, "{shards}-shard ids must match 1-shard ids");
-            assert_eq!(top_a, top_b, "identification must be shard-invariant");
-            assert!(
-                rel_err(fc_b, fc_a) < 1e-10,
-                "forecast drift at {shards} shards"
-            );
-            assert!((n_a - n_b).abs() < 1e-10 * n_a.max(1e-12));
+    for identify in [IdentifyBackend::Exact, IdentifyBackend::ModeSpace] {
+        let (base, base_m) = run(1, identify);
+        for shards in [2usize, 4] {
+            let (got, got_m) = run(shards, identify);
+            for ((id_a, fc_a, n_a, top_a), (id_b, fc_b, n_b, top_b)) in base.iter().zip(&got) {
+                assert_eq!(id_a, id_b, "{shards}-shard ids must match 1-shard ids");
+                assert_eq!(
+                    top_a, top_b,
+                    "{identify:?}: identification must be shard-invariant"
+                );
+                assert!(
+                    rel_err(fc_b, fc_a) < 1e-10,
+                    "forecast drift at {shards} shards"
+                );
+                assert!((n_a - n_b).abs() < 1e-10 * n_a.max(1e-12));
+            }
+            assert_eq!(got_m.assimilations, base_m.assimilations);
+            assert_eq!(got_m.samples_ingested, base_m.samples_ingested);
+            // Per-shard chunking can only shrink the largest panel.
+            assert!(got_m.peak_panel_elems <= base_m.peak_panel_elems);
         }
-        assert_eq!(got_m.assimilations, base_m.assimilations);
-        assert_eq!(got_m.samples_ingested, base_m.samples_ingested);
-        // Per-shard chunking can only shrink the largest panel.
-        assert!(got_m.peak_panel_elems <= base_m.peak_panel_elems);
     }
 }
 
@@ -592,13 +603,14 @@ fn mode_space_identification_matches_exact_within_truncation_bound() {
             engine.tick();
         }
         (
-            engine.session(id).misfit_scores().to_vec(),
+            engine.misfit_scores(id),
             engine.ranked_matches(id)[0].scenario,
         )
     };
 
     let (exact, exact_top) = run(1, None);
     assert_eq!(exact_top, 2, "exact path must rank the true scenario first");
+    assert_eq!(exact.len(), bank.len());
     let d_norm = d_full.iter().map(|v| v * v).sum::<f64>().sqrt();
     // Both paths evaluate near-zero misfits by cancelling O(‖d‖²)
     // energies, so roundoff slack scales with the energy, not the misfit.
@@ -612,6 +624,7 @@ fn mode_space_identification_matches_exact_within_truncation_bound() {
             top, 2,
             "{shards}-shard full-rank pod must rank scenario 2 first"
         );
+        assert_eq!(pod_mis.len(), exact.len(), "{shards} shards: misfit width");
         for (j, (p, e)) in pod_mis.iter().zip(&exact).enumerate() {
             assert!(
                 (p - e).abs() < slack.max(1e-7 * e.abs()),
@@ -633,6 +646,193 @@ fn mode_space_identification_matches_exact_within_truncation_bound() {
                 (p - e).abs() <= bound,
                 "{shards} shards, scenario {j}: |{p} − {e}| exceeds truncation bound {bound}"
             );
+        }
+    }
+}
+
+/// The in-test oracle for a mode-space misfit read: `score_group_pod`
+/// over a group of one, on the session's identification statistic.
+fn pod_misfit_oracle(
+    engine: &StreamEngine<'_>,
+    id: usize,
+    pod: &tsunami_core::PodBank,
+    sq: &[f64],
+) -> Vec<f64> {
+    let (dd, a, scored) = engine.session(id).identification_statistic();
+    let mut out = vec![0.0; pod.len()];
+    identify::score_group_pod(pod.mode_coeffs(), sq, scored, &mut [(dd, a, &mut out[..])]);
+    out
+}
+
+#[test]
+fn mode_space_reads_after_plain_ticks_materialize_the_current_statistic() {
+    // Mode-space ticks keep only the statistic (‖d‖², a, scored); every
+    // read materializes the misfit from it. Reads after *plain* ticks
+    // (no rung crossed, no transition, nothing materialized by the tick)
+    // must equal the group-of-one oracle bit for bit, cover every sample
+    // pushed so far, and agree with an eager grouped materialization
+    // (groups of 1, 2, 4, 5 associate the cross term differently) to
+    // 1e-12·‖d‖² with the same top-1 scenario — on the shared-fold
+    // engine and on the windowed ladder, at 1 and 4 shards.
+    let (twin, bank) = setup_bank(6, 61);
+    let nt = twin.solver.grid.nt_obs;
+    let ladder = [nt / 2, nt];
+    let pod = bank.compress(4);
+    let sq = identify::sq_prefix(bank.clean_observations());
+    let sigma2 = bank.noise_std() * bank.noise_std();
+    let wf = twin.windowed(&ladder);
+    let ms = twin.mode_space_ladder(&ladder, pod.modes(), &ModeSpaceOptions::default());
+    // Stop one sample short of the last rung: mid-window throughout.
+    let stop = twin.n_data() - 1;
+
+    for shards in [1usize, 4] {
+        let cfg = StreamConfig {
+            shards,
+            identify: IdentifyBackend::ModeSpace,
+            infer: false,
+            ..StreamConfig::default()
+        };
+        let engines = [
+            ("shared fold", StreamEngine::mode_space(&twin, &ms, cfg)),
+            ("windowed ladder", StreamEngine::new(&twin, &wf, cfg)),
+        ];
+        for (tag, engine) in engines {
+            let mut engine = engine.with_bank(&bank).with_pod(&pod);
+            let ids: Vec<usize> = (0..bank.len()).map(|_| engine.open()).collect();
+            let (mut fed, mut plain_reads) = (0, 0);
+            for step in [1usize, 3, 2].iter().cycle() {
+                if fed == stop {
+                    break;
+                }
+                let hi = (fed + step).min(stop);
+                for (j, &id) in ids.iter().enumerate() {
+                    engine.push(id, &bank.observations().col(j)[fed..hi]);
+                }
+                fed = hi;
+                let tm = engine.tick();
+                if tm.sessions_assimilated > 0 {
+                    continue;
+                }
+                assert_eq!(tm.misfits_materialized, 0, "{tag}: plain tick materialized");
+                plain_reads += 1;
+                for (j, &id) in ids.iter().enumerate() {
+                    let (_, _, scored) = engine.session(id).identification_statistic();
+                    assert_eq!(scored, fed, "{tag}: statistic lags the pushes");
+                    let oracle = pod_misfit_oracle(&engine, id, &pod, &sq);
+                    assert_eq!(
+                        engine.misfit_scores(id),
+                        oracle,
+                        "{tag}, {shards} shards, session {j}: stale misfit read"
+                    );
+                    let mut want: Vec<(usize, f64)> = oracle
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &mis)| (k, -mis / (2.0 * sigma2)))
+                        .collect();
+                    want.sort_by(|a, b| b.1.total_cmp(&a.1));
+                    let got: Vec<(usize, f64)> = engine
+                        .ranked_matches(id)
+                        .iter()
+                        .map(|m| (m.scenario, m.log_likelihood))
+                        .collect();
+                    assert_eq!(got, want, "{tag}, {shards} shards, session {j}: ranking");
+                }
+                // Eager grouped materialization over the same statistics.
+                for g in [1usize, 2, 4, 5] {
+                    for chunk in ids.chunks(g) {
+                        let stats: Vec<_> = chunk
+                            .iter()
+                            .map(|&id| engine.session(id).identification_statistic())
+                            .collect();
+                        let mut eager = vec![vec![0.0; bank.len()]; chunk.len()];
+                        let mut group: Vec<(f64, &[f64], &mut [f64])> = stats
+                            .iter()
+                            .zip(eager.iter_mut())
+                            .map(|(&(dd, a, _), m)| (dd, a, &mut m[..]))
+                            .collect();
+                        identify::score_group_pod(pod.mode_coeffs(), &sq, fed, &mut group);
+                        for ((&id, &(dd, _, _)), eager) in chunk.iter().zip(&stats).zip(&eager) {
+                            let read = engine.misfit_scores(id);
+                            let tol = 1e-12 * dd;
+                            for (k, (r, e)) in read.iter().zip(eager).enumerate() {
+                                assert!(
+                                    (r - e).abs() <= tol,
+                                    "{tag}, group {g}, session {id}, scenario {k}: {r} vs {e}"
+                                );
+                            }
+                            let eager_top = (0..eager.len())
+                                .min_by(|&a, &b| eager[a].total_cmp(&eager[b]))
+                                .unwrap();
+                            assert_eq!(engine.ranked_matches(id)[0].scenario, eager_top);
+                        }
+                    }
+                }
+            }
+            assert!(plain_reads > 10, "{tag}: too few plain ticks read");
+        }
+    }
+}
+
+#[test]
+fn plain_mode_space_ticks_materialize_nothing_and_each_transition_once() {
+    // misfits_materialized proves where the B-wide work went: a run of
+    // plain ticks leaves it at 0, each warning transition adds exactly 1
+    // (its audit record's top scenario), and the exact backend — which
+    // keeps its misfits accumulated — never materializes at all. The
+    // registry counter mirrors the tick field while OBS is on.
+    let (twin, bank) = setup_bank(4, 67);
+    let nt = twin.solver.grid.nt_obs;
+    let ladder = [2, nt / 2, nt];
+    let pod = bank.compress(4);
+    let ms = twin.mode_space_ladder(&ladder, pod.modes(), &ModeSpaceOptions::default());
+
+    for identify in [IdentifyBackend::ModeSpace, IdentifyBackend::Exact] {
+        let cfg = StreamConfig {
+            identify,
+            infer: false,
+            // Every session trips Warning at its first rung.
+            warn_threshold: 1e-6,
+            ..StreamConfig::default()
+        };
+        let mut engine = StreamEngine::mode_space(&twin, &ms, cfg)
+            .with_bank(&bank)
+            .with_pod(&pod);
+        let ids: Vec<usize> = (0..bank.len()).map(|_| engine.open()).collect();
+        let horizon = twin.n_data();
+        let (mut fed, mut plain, mut materialized) = (0, 0, 0);
+        while fed < horizon {
+            let hi = (fed + 2).min(horizon);
+            for (j, &id) in ids.iter().enumerate() {
+                engine.push(id, &bank.observations().col(j)[fed..hi]);
+            }
+            fed = hi;
+            let before = engine.audit().total();
+            let tm = engine.tick();
+            let transitions = (engine.audit().total() - before) as usize;
+            if tm.sessions_assimilated == 0 {
+                plain += 1;
+                assert_eq!(tm.misfits_materialized, 0, "{identify:?}: plain tick");
+            }
+            let want = match identify {
+                IdentifyBackend::ModeSpace => transitions,
+                IdentifyBackend::Exact => 0,
+            };
+            assert_eq!(
+                tm.misfits_materialized, want,
+                "{identify:?}: per transition"
+            );
+            materialized += tm.misfits_materialized;
+        }
+        assert!(plain > 10, "{identify:?}: the run must have plain ticks");
+        assert!(engine.audit().total() > 0, "{identify:?}: no transitions");
+        if tsunami_obs::enabled() {
+            let counter = engine.registry().counter("stream.identify.materialized");
+            assert_eq!(counter.get(), materialized as u64);
+        }
+        // Every audit record carries a top scenario from the bank.
+        for t in engine.audit().iter() {
+            let (top, p) = t.top_scenario.expect("bank attached");
+            assert!(top < bank.len() && p > 0.0 && p <= 1.0);
         }
     }
 }
