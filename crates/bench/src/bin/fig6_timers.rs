@@ -30,7 +30,7 @@ fn breakdown(label: &str, nx: usize, ny: usize, nz: usize) -> (Vec<Row>, f64) {
     for (i, v) in x.iter_mut().enumerate() {
         *v = (i as f64 * 1e-3).sin() * 1e-6;
     }
-    let mut ws = Rk4Workspace::new(n);
+    let mut ws = Rk4Workspace::new(&op, 1);
     let dt = op.params.cfl_dt(200.0, 4, 0.3);
     // Measure 200 steps, project to 20,000 (the paper's protocol).
     timers.time("Adjoint p2o (200 steps)", || {

@@ -52,6 +52,22 @@ pub trait LtiModel: Sync {
     fn adjoint_data(&self, w: &[f64]) -> Vec<f64>;
     /// Full-horizon adjoint of the p2q map: `z = Fqᵀ w`.
     fn adjoint_qoi(&self, w: &[f64]) -> Vec<f64>;
+    /// Adjoint states the model advances together: [`build_maps`] hands
+    /// the `*_panel` methods chunks of up to this many impulses and runs
+    /// the chunks in parallel. The default, 1, makes every row its own
+    /// parallel adjoint solve.
+    fn adjoint_lanes(&self) -> usize {
+        1
+    }
+    /// [`Self::adjoint_data`] over a chunk of `w`s, one result per `w` in
+    /// order. The default solves them one at a time.
+    fn adjoint_data_panel(&self, ws: &[&[f64]]) -> Vec<Vec<f64>> {
+        ws.iter().map(|w| self.adjoint_data(w)).collect()
+    }
+    /// [`Self::adjoint_qoi`] over a chunk of `w`s, one result per `w`.
+    fn adjoint_qoi_panel(&self, ws: &[&[f64]]) -> Vec<Vec<f64>> {
+        ws.iter().map(|w| self.adjoint_qoi(w)).collect()
+    }
 }
 
 impl LtiModel for WaveSolver {
@@ -73,6 +89,15 @@ impl LtiModel for WaveSolver {
     fn adjoint_qoi(&self, w: &[f64]) -> Vec<f64> {
         WaveSolver::adjoint_qoi(self, w)
     }
+    fn adjoint_lanes(&self) -> usize {
+        tsunami_solver::LANES
+    }
+    fn adjoint_data_panel(&self, ws: &[&[f64]]) -> Vec<Vec<f64>> {
+        WaveSolver::adjoint_data_panel(self, ws)
+    }
+    fn adjoint_qoi_panel(&self, ws: &[&[f64]]) -> Vec<Vec<f64>> {
+        WaveSolver::adjoint_qoi_panel(self, ws)
+    }
 }
 
 /// Build the p2o and p2q block-Toeplitz maps of any [`LtiModel`] with
@@ -80,9 +105,13 @@ impl LtiModel for WaveSolver {
 /// [`BlockToeplitz::from_adjoint`] extraction as
 /// `tsunami_solver::{build_p2o, build_p2q}`.
 pub fn build_maps<M: LtiModel>(model: &M) -> (BlockToeplitz, BlockToeplitz) {
-    let (nt, nm) = (model.nt_obs(), model.n_m());
-    let f = BlockToeplitz::from_adjoint(nt, model.n_sensors(), nm, |w| model.adjoint_data(w));
-    let fq = BlockToeplitz::from_adjoint(nt, model.n_qoi_outputs(), nm, |w| model.adjoint_qoi(w));
+    let (nt, nm, lanes) = (model.nt_obs(), model.n_m(), model.adjoint_lanes());
+    let f = BlockToeplitz::from_adjoint(nt, model.n_sensors(), nm, lanes, |ws| {
+        model.adjoint_data_panel(ws)
+    });
+    let fq = BlockToeplitz::from_adjoint(nt, model.n_qoi_outputs(), nm, lanes, |ws| {
+        model.adjoint_qoi_panel(ws)
+    });
     (f, fq)
 }
 

@@ -90,20 +90,34 @@ impl SurfaceMass {
         self.weights.iter().sum()
     }
 
-    /// Diagonal action on the *global* pressure vector:
-    /// `out[node] += alpha · w[node] · p[node]`.
-    pub fn add_scaled_diag(&self, alpha: f64, p: &[f64], out: &mut [f64]) {
+    /// Diagonal action on a lane-minor panel of `lanes` *global* pressure
+    /// vectors (entry `node·lanes + l`):
+    /// `out[node] += alpha · w[node] · p[node]` in every lane.
+    pub fn add_scaled_diag(&self, alpha: f64, lanes: usize, p: &[f64], out: &mut [f64]) {
         for (&n, &w) in self.nodes.iter().zip(&self.weights) {
-            out[n] += alpha * w * p[n];
+            let aw = alpha * w;
+            let rows = n * lanes..(n + 1) * lanes;
+            for (o, &pv) in out[rows.clone()].iter_mut().zip(&p[rows]) {
+                *o += aw * pv;
+            }
         }
     }
 
     /// Source action: scatter *boundary-indexed* values `m` (one per node in
-    /// `self.nodes` order) into the global residual: `out[node] += α w m_i`.
-    pub fn add_source(&self, alpha: f64, m: &[f64], out: &mut [f64]) {
-        assert_eq!(m.len(), self.len());
-        for ((&n, &w), &mv) in self.nodes.iter().zip(&self.weights).zip(m) {
-            out[n] += alpha * w * mv;
+    /// `self.nodes` order, lane-minor panel of `lanes`) into the global
+    /// residual panel: `out[node] += α w m_i` in every lane.
+    pub fn add_source(&self, alpha: f64, lanes: usize, m: &[f64], out: &mut [f64]) {
+        assert_eq!(m.len(), self.len() * lanes);
+        for ((&n, &w), ms) in self
+            .nodes
+            .iter()
+            .zip(&self.weights)
+            .zip(m.chunks_exact(lanes))
+        {
+            let aw = alpha * w;
+            for (o, &mv) in out[n * lanes..(n + 1) * lanes].iter_mut().zip(ms) {
+                *o += aw * mv;
+            }
         }
     }
 
@@ -179,7 +193,7 @@ mod tests {
         let m: Vec<f64> = (0..sm.len()).map(|i| (i as f64 * 0.3).sin()).collect();
         let p: Vec<f64> = (0..h1.n_dofs()).map(|i| (i as f64 * 0.17).cos()).collect();
         let mut bm = vec![0.0; h1.n_dofs()];
-        sm.add_source(1.0, &m, &mut bm);
+        sm.add_source(1.0, 1, &m, &mut bm);
         let lhs: f64 = bm.iter().zip(&p).map(|(a, b)| a * b).sum();
         let mut tr = vec![0.0; sm.len()];
         sm.extract_trace(1.0, &p, &mut tr);

@@ -52,17 +52,18 @@ impl WaveKernel for MatrixFree {
         let np1 = ctx.h1.order + 1;
         let nq = ctx.nq1();
         u_res.par_chunks_mut(3 * nq3).enumerate().for_each_init(
-            || SumFacScratch::new(np1, nq),
+            || SumFacScratch::<1>::new(np1, nq),
             |scratch, (e, u_elem)| {
                 let (i, j, k) = ctx.mesh.elem_ijk(e);
                 let coords = ctx.mesh.elem_coords(e);
-                ctx.h1.gather(i, j, k, p, &mut scratch.p_local);
+                ctx.h1
+                    .gather(i, j, k, p, scratch.p_local.as_flattened_mut());
                 ref_grad(&ctx.basis, scratch);
                 for q in 0..nq3 {
                     let (jinv, jw) = self.geom(&coords, q);
-                    let g0 = scratch.g[q];
-                    let g1 = scratch.g[nq3 + q];
-                    let g2 = scratch.g[2 * nq3 + q];
+                    let [g0] = scratch.g[q];
+                    let [g1] = scratch.g[nq3 + q];
+                    let [g2] = scratch.g[2 * nq3 + q];
                     for comp in 0..3 {
                         u_elem[comp * nq3 + q] =
                             jw * (jinv[0][comp] * g0 + jinv[1][comp] * g1 + jinv[2][comp] * g2);
@@ -82,7 +83,7 @@ impl WaveKernel for MatrixFree {
         let n_p = ctx.h1.n_dofs();
         for color in &ctx.colors {
             color.par_iter().for_each_init(
-                || SumFacScratch::new(np1, nq),
+                || SumFacScratch::<1>::new(np1, nq),
                 |scratch, &e| {
                     let coords = ctx.mesh.elem_coords(e);
                     for q in 0..nq3 {
@@ -92,14 +93,15 @@ impl WaveKernel for MatrixFree {
                         let u2 = u[(e * 3 + 2) * nq3 + q];
                         for a in 0..3 {
                             scratch.g[a * nq3 + q] =
-                                jw * (jinv[a][0] * u0 + jinv[a][1] * u1 + jinv[a][2] * u2);
+                                [jw * (jinv[a][0] * u0 + jinv[a][1] * u1 + jinv[a][2] * u2)];
                         }
                     }
                     ref_grad_t(&ctx.basis, scratch);
                     let (i, j, k) = ctx.mesh.elem_ijk(e);
                     // SAFETY: disjoint dofs within a color (see module docs).
                     let global = unsafe { out.slice(n_p) };
-                    ctx.h1.scatter_add(i, j, k, &scratch.p_res, global);
+                    ctx.h1
+                        .scatter_add(i, j, k, scratch.p_res.as_flattened(), global);
                 },
             );
         }
@@ -117,19 +119,24 @@ impl WaveKernel for MatrixFree {
         let n_u = ctx.n_u();
         for color in &ctx.colors {
             color.par_iter().for_each_init(
-                || (SumFacScratch::new(np1, nq), vec![0.0f64; 3 * nq * nq * nq]),
+                || {
+                    (
+                        SumFacScratch::<1>::new(np1, nq),
+                        vec![[0.0f64]; 3 * nq * nq * nq],
+                    )
+                },
                 |(grad, flux_g), &e| {
                     let (i, j, k) = ctx.mesh.elem_ijk(e);
                     let coords = ctx.mesh.elem_coords(e);
-                    ctx.h1.gather(i, j, k, p, &mut grad.p_local);
+                    ctx.h1.gather(i, j, k, p, grad.p_local.as_flattened_mut());
                     ref_grad(&ctx.basis, grad);
                     // SAFETY (u_out): element-private velocity slots.
                     let u_global = unsafe { u_out.slice(n_u) };
                     for q in 0..nq3 {
                         let (jinv, jw) = self.geom(&coords, q);
-                        let g0 = grad.g[q];
-                        let g1 = grad.g[nq3 + q];
-                        let g2 = grad.g[2 * nq3 + q];
+                        let [g0] = grad.g[q];
+                        let [g1] = grad.g[nq3 + q];
+                        let [g2] = grad.g[2 * nq3 + q];
                         let u0 = u[(e * 3) * nq3 + q];
                         let u1 = u[(e * 3 + 1) * nq3 + q];
                         let u2 = u[(e * 3 + 2) * nq3 + q];
@@ -139,13 +146,14 @@ impl WaveKernel for MatrixFree {
                         }
                         for a in 0..3 {
                             flux_g[a * nq3 + q] =
-                                jw * (jinv[a][0] * u0 + jinv[a][1] * u1 + jinv[a][2] * u2);
+                                [jw * (jinv[a][0] * u0 + jinv[a][1] * u1 + jinv[a][2] * u2)];
                         }
                     }
                     ref_grad_t_from(&ctx.basis, flux_g, grad);
                     // SAFETY (p_out): disjoint dofs within a color.
                     let p_global = unsafe { p_out.slice(n_p) };
-                    ctx.h1.scatter_add(i, j, k, &grad.p_res, p_global);
+                    ctx.h1
+                        .scatter_add(i, j, k, grad.p_res.as_flattened(), p_global);
                 },
             );
         }

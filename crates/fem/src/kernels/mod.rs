@@ -14,8 +14,13 @@
 //! | [`FullAssembly`]   | global CSR of `G`, `Gᵀ`  | classical assembly  |
 //! | [`PartialAssembly`]| geom factors, direct O(k⁶) loops, per-call allocs | "Initial PA" |
 //! | [`OptimizedPa`]    | geom factors, sum-factorized, thread scratch | "Shared/Optimized PA" |
-//! | [`FusedPa`]        | geom factors, both ops in one element sweep | "Fused PA" |
+//! | [`FusedPa`]        | geom factors, both ops in one element sweep over a panel of [`LANES`] states | "Fused PA" |
 //! | [`MatrixFree`]     | nothing per-element (recomputes geometry) | "Fused MF" |
+//!
+//! [`WaveKernel::apply_fused_panel`] applies the fused pair to a lane-minor
+//! panel of states (entry `dof·lanes + l` is dof `dof` of state `l`) — the
+//! entry the time stepper uses. Every lane is bit-identical to
+//! [`WaveKernel::apply_fused`] on that state alone.
 
 pub mod full;
 pub mod fused;
@@ -34,6 +39,13 @@ pub use full::FullAssembly;
 pub use fused::FusedPa;
 pub use mf::MatrixFree;
 pub use pa::{OptimizedPa, PartialAssembly};
+
+/// Panel width of the PDE time stepper: the number of states one
+/// [`FusedPa`] element sweep advances. Wider panels read the geometry and
+/// basis tables once for more right-hand sides, but leave fewer
+/// independent panels to run in parallel (Phase 1 at k1024 has 16 p2o
+/// rows, i.e. two panels).
+pub const LANES: usize = 8;
 
 /// Which kernel implementation to use (Fig 7's five curves).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,8 +195,59 @@ pub trait WaveKernel: Sync + Send {
         self.apply_grad(p, u_res);
         self.apply_div(u, p_res);
     }
+    /// [`Self::apply_fused`] on a lane-minor panel of `lanes` states (all
+    /// four slices hold `lanes` interleaved vectors). Each lane's result
+    /// is bit-identical to `apply_fused` on that lane alone. The default
+    /// runs the lanes one at a time through `apply_fused`; [`FusedPa`]
+    /// overrides it with one element sweep for all lanes.
+    fn apply_fused_panel(
+        &self,
+        lanes: usize,
+        p: &[f64],
+        u: &[f64],
+        u_res: &mut [f64],
+        p_res: &mut [f64],
+    ) {
+        apply_fused_by_lane(self, lanes, p, u, u_res, p_res);
+    }
     /// Bytes of operator-specific storage (Fig 7 / memory table input).
     fn stored_bytes(&self) -> usize;
+}
+
+/// [`WaveKernel::apply_fused_panel`] one lane at a time: de-interleave each
+/// lane, apply the single-state kernel, interleave the results back.
+pub(crate) fn apply_fused_by_lane<K: WaveKernel + ?Sized>(
+    kernel: &K,
+    lanes: usize,
+    p: &[f64],
+    u: &[f64],
+    u_res: &mut [f64],
+    p_res: &mut [f64],
+) {
+    let (n_p, n_u) = (p.len() / lanes, u.len() / lanes);
+    let (mut p1, mut u1) = (vec![0.0; n_p], vec![0.0; n_u]);
+    let (mut p1_res, mut u1_res) = (vec![0.0; n_p], vec![0.0; n_u]);
+    for l in 0..lanes {
+        read_lane(p, lanes, l, &mut p1);
+        read_lane(u, lanes, l, &mut u1);
+        kernel.apply_fused(&p1, &u1, &mut u1_res, &mut p1_res);
+        write_lane(u_res, lanes, l, &u1_res);
+        write_lane(p_res, lanes, l, &p1_res);
+    }
+}
+
+/// Copy lane `l` of a lane-minor panel of `lanes` vectors into `dst`.
+pub fn read_lane(panel: &[f64], lanes: usize, l: usize, dst: &mut [f64]) {
+    for (d, &s) in dst.iter_mut().zip(panel.iter().skip(l).step_by(lanes)) {
+        *d = s;
+    }
+}
+
+/// Overwrite lane `l` of a lane-minor panel of `lanes` vectors with `src`.
+pub fn write_lane(panel: &mut [f64], lanes: usize, l: usize, src: &[f64]) {
+    for (d, &s) in panel.iter_mut().skip(l).step_by(lanes).zip(src) {
+        *d = s;
+    }
 }
 
 /// Construct a kernel of the requested variant over a shared context.
@@ -390,6 +453,106 @@ mod tests {
             }
             for (a, b) in p1.iter().zip(&p2) {
                 assert!((a - b).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// A lane-minor panel of `lanes` pseudo-random vectors of length `n`,
+    /// plus the per-lane vectors it interleaves.
+    fn panel(n: usize, lanes: usize, seed: u64) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let per_lane: Vec<Vec<f64>> = (0..lanes)
+            .map(|l| pseudo(n, seed + 31 * l as u64))
+            .collect();
+        let mut out = vec![0.0; n * lanes];
+        for (l, v) in per_lane.iter().enumerate() {
+            write_lane(&mut out, lanes, l, v);
+        }
+        (out, per_lane)
+    }
+
+    /// Every lane of `apply_fused_panel` must equal `apply_fused` on that
+    /// lane alone, bit for bit.
+    fn assert_panel_matches_single(k: &dyn WaveKernel, ctx: &KernelContext, lanes: usize) {
+        let (p, p_l) = panel(ctx.n_p(), lanes, 11);
+        let (u, u_l) = panel(ctx.n_u(), lanes, 12);
+        let mut u_res = vec![0.0; ctx.n_u() * lanes];
+        let mut p_res = vec![0.0; ctx.n_p() * lanes];
+        k.apply_fused_panel(lanes, &p, &u, &mut u_res, &mut p_res);
+        let (mut u_lane, mut p_lane) = (vec![0.0; ctx.n_u()], vec![0.0; ctx.n_p()]);
+        for l in 0..lanes {
+            let mut u1 = vec![0.0; ctx.n_u()];
+            let mut p1 = vec![0.0; ctx.n_p()];
+            k.apply_fused(&p_l[l], &u_l[l], &mut u1, &mut p1);
+            read_lane(&u_res, lanes, l, &mut u_lane);
+            read_lane(&p_res, lanes, l, &mut p_lane);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&u_lane),
+                bits(&u1),
+                "{} lane {l}/{lanes}: G p",
+                k.name()
+            );
+            assert_eq!(
+                bits(&p_lane),
+                bits(&p1),
+                "{} lane {l}/{lanes}: Gᵀ u",
+                k.name()
+            );
+        }
+    }
+
+    #[test]
+    fn default_panel_apply_is_bit_identical_per_lane() {
+        let ctx = test_ctx(3);
+        for v in [
+            KernelVariant::FullAssembly,
+            KernelVariant::InitialPa,
+            KernelVariant::OptimizedPa,
+            KernelVariant::MatrixFree,
+        ] {
+            assert_panel_matches_single(make_kernel(v, ctx.clone()).as_ref(), &ctx, 3);
+        }
+    }
+
+    #[test]
+    fn fused_panel_sweep_is_bit_identical_per_lane() {
+        for order in [2, 3] {
+            let ctx = test_ctx(order);
+            let k = FusedPa::new(ctx.clone());
+            for lanes in [1, 2, LANES - 1, LANES] {
+                assert_panel_matches_single(&k, &ctx, lanes);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_panel_lanes_are_isolated() {
+        // A NaN in lane 0 of both inputs must not reach any other lane.
+        let ctx = test_ctx(3);
+        let k = FusedPa::new(ctx.clone());
+        let (mut p, _) = panel(ctx.n_p(), LANES, 21);
+        let (mut u, _) = panel(ctx.n_u(), LANES, 22);
+        let run = |p: &[f64], u: &[f64]| {
+            let mut u_res = vec![0.0; ctx.n_u() * LANES];
+            let mut p_res = vec![0.0; ctx.n_p() * LANES];
+            k.apply_fused_panel(LANES, p, u, &mut u_res, &mut p_res);
+            (u_res, p_res)
+        };
+        let (u_clean, p_clean) = run(&p, &u);
+        for i in (0..ctx.n_p()).step_by(7) {
+            p[i * LANES] = f64::NAN;
+        }
+        for i in (0..ctx.n_u()).step_by(5) {
+            u[i * LANES] = f64::NAN;
+        }
+        let (u_dirty, p_dirty) = run(&p, &u);
+        assert!(u_dirty.iter().step_by(LANES).any(|v| v.is_nan()));
+        assert!(p_dirty.iter().step_by(LANES).any(|v| v.is_nan()));
+        for (clean, dirty) in [(&u_clean, &u_dirty), (&p_clean, &p_dirty)] {
+            for (i, (a, b)) in clean.iter().zip(dirty.iter()).enumerate() {
+                if i % LANES != 0 {
+                    assert_eq!(a.to_bits(), b.to_bits(), "NaN leaked into slot {i}");
+                }
             }
         }
     }

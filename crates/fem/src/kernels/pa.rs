@@ -159,17 +159,18 @@ impl WaveKernel for OptimizedPa {
         let np1 = ctx.h1.order + 1;
         let nq = ctx.nq1();
         u_res.par_chunks_mut(3 * nq3).enumerate().for_each_init(
-            || SumFacScratch::new(np1, nq),
+            || SumFacScratch::<1>::new(np1, nq),
             |scratch, (e, u_elem)| {
                 let (i, j, k) = ctx.mesh.elem_ijk(e);
-                ctx.h1.gather(i, j, k, p, &mut scratch.p_local);
+                ctx.h1
+                    .gather(i, j, k, p, scratch.p_local.as_flattened_mut());
                 ref_grad(&ctx.basis, scratch);
                 for q in 0..nq3 {
                     let f = ctx.geom.at(e, q);
                     let jw = f[9];
-                    let g0 = scratch.g[q];
-                    let g1 = scratch.g[nq3 + q];
-                    let g2 = scratch.g[2 * nq3 + q];
+                    let [g0] = scratch.g[q];
+                    let [g1] = scratch.g[nq3 + q];
+                    let [g2] = scratch.g[2 * nq3 + q];
                     for comp in 0..3 {
                         u_elem[comp * nq3 + q] =
                             jw * (f[comp] * g0 + f[3 + comp] * g1 + f[6 + comp] * g2);
@@ -189,7 +190,7 @@ impl WaveKernel for OptimizedPa {
         let n_p = ctx.h1.n_dofs();
         for color in &ctx.colors {
             color.par_iter().for_each_init(
-                || SumFacScratch::new(np1, nq),
+                || SumFacScratch::<1>::new(np1, nq),
                 |scratch, &e| {
                     for q in 0..nq3 {
                         let f = ctx.geom.at(e, q);
@@ -199,14 +200,15 @@ impl WaveKernel for OptimizedPa {
                         let u2 = u[(e * 3 + 2) * nq3 + q];
                         for a in 0..3 {
                             scratch.g[a * nq3 + q] =
-                                jw * (f[3 * a] * u0 + f[3 * a + 1] * u1 + f[3 * a + 2] * u2);
+                                [jw * (f[3 * a] * u0 + f[3 * a + 1] * u1 + f[3 * a + 2] * u2)];
                         }
                     }
                     ref_grad_t(&ctx.basis, scratch);
                     let (i, j, k) = ctx.mesh.elem_ijk(e);
                     // SAFETY: disjoint dofs within a color (see module docs).
                     let global = unsafe { out.slice(n_p) };
-                    ctx.h1.scatter_add(i, j, k, &scratch.p_res, global);
+                    ctx.h1
+                        .scatter_add(i, j, k, scratch.p_res.as_flattened(), global);
                 },
             );
         }

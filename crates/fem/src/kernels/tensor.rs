@@ -10,46 +10,66 @@
 
 use crate::basis1d::Basis1d;
 
-/// Reusable per-thread scratch buffers for the contractions.
-pub struct SumFacScratch {
+/// Reusable per-thread scratch buffers for the contractions over a panel
+/// of `L` element fields. Every slot holds one value per lane (`[f64; L]`,
+/// lane fastest), so each contraction's innermost loop runs over the lanes
+/// and the basis tables are read once per `L` fields. `L = 1` is the
+/// single-field case.
+pub struct SumFacScratch<const L: usize = 1> {
     /// `[c·np1+b][qx]` value interpolation after the x pass.
-    pub val_x: Vec<f64>,
+    pub val_x: Vec<[f64; L]>,
     /// x-derivative after the x pass.
-    pub der_x: Vec<f64>,
+    pub der_x: Vec<[f64; L]>,
     /// `[c·nq+qy][qx]` values after the y pass.
-    pub val_xy: Vec<f64>,
+    pub val_xy: Vec<[f64; L]>,
     /// ∂x after the y pass.
-    pub dx_xy: Vec<f64>,
+    pub dx_xy: Vec<[f64; L]>,
     /// ∂y after the y pass.
-    pub dy_xy: Vec<f64>,
+    pub dy_xy: Vec<[f64; L]>,
     /// Gathered element-local p dofs (`np1³`).
-    pub p_local: Vec<f64>,
+    pub p_local: Vec<[f64; L]>,
     /// Element-local p residual (`np1³`).
-    pub p_res: Vec<f64>,
+    pub p_res: Vec<[f64; L]>,
     /// Reference gradients / scaled fluxes, component-major `3 × nq³`.
-    pub g: Vec<f64>,
+    pub g: Vec<[f64; L]>,
 }
 
-impl SumFacScratch {
+impl<const L: usize> SumFacScratch<L> {
     /// Allocate for `np1` nodes and `nq` quadrature points per direction.
     pub fn new(np1: usize, nq: usize) -> Self {
         SumFacScratch {
-            val_x: vec![0.0; np1 * np1 * nq],
-            der_x: vec![0.0; np1 * np1 * nq],
-            val_xy: vec![0.0; np1 * nq * nq],
-            dx_xy: vec![0.0; np1 * nq * nq],
-            dy_xy: vec![0.0; np1 * nq * nq],
-            p_local: vec![0.0; np1 * np1 * np1],
-            p_res: vec![0.0; np1 * np1 * np1],
-            g: vec![0.0; 3 * nq * nq * nq],
+            val_x: vec![[0.0; L]; np1 * np1 * nq],
+            der_x: vec![[0.0; L]; np1 * np1 * nq],
+            val_xy: vec![[0.0; L]; np1 * nq * nq],
+            dx_xy: vec![[0.0; L]; np1 * nq * nq],
+            dy_xy: vec![[0.0; L]; np1 * nq * nq],
+            p_local: vec![[0.0; L]; np1 * np1 * np1],
+            p_res: vec![[0.0; L]; np1 * np1 * np1],
+            g: vec![[0.0; L]; 3 * nq * nq * nq],
         }
     }
 }
 
-/// Reference gradient of the element-local field `scratch.p_local` at all
+/// `acc += w·x`, lane by lane.
+#[inline(always)]
+fn axpy<const L: usize>(acc: &mut [f64; L], w: f64, x: &[f64; L]) {
+    for l in 0..L {
+        acc[l] += w * x[l];
+    }
+}
+
+/// `acc += (w·x + v·y)`, lane by lane.
+#[inline(always)]
+fn axpy2<const L: usize>(acc: &mut [f64; L], w: f64, x: &[f64; L], v: f64, y: &[f64; L]) {
+    for l in 0..L {
+        acc[l] += w * x[l] + v * y[l];
+    }
+}
+
+/// Reference gradient of the element-local fields `scratch.p_local` at all
 /// GL tensor points; result in `scratch.g` (component-major, `3 × nq³`,
 /// x-fastest point ordering).
-pub fn ref_grad(basis: &Basis1d, scratch: &mut SumFacScratch) {
+pub fn ref_grad<const L: usize>(basis: &Basis1d, scratch: &mut SumFacScratch<L>) {
     let np1 = basis.n_nodes();
     let nq = basis.n_quad();
     let nq3 = nq * nq * nq;
@@ -61,20 +81,20 @@ pub fn ref_grad(basis: &Basis1d, scratch: &mut SumFacScratch) {
         for qx in 0..nq {
             let brow = &b[qx * np1..(qx + 1) * np1];
             let drow = &d[qx * np1..(qx + 1) * np1];
-            let mut val = 0.0;
-            let mut der = 0.0;
+            let mut val = [0.0; L];
+            let mut der = [0.0; L];
             for a in 0..np1 {
-                val += brow[a] * p_row[a];
-                der += drow[a] * p_row[a];
+                axpy(&mut val, brow[a], &p_row[a]);
+                axpy(&mut der, drow[a], &p_row[a]);
             }
             scratch.val_x[cb * nq + qx] = val;
             scratch.der_x[cb * nq + qx] = der;
         }
     }
     // Stage B (y): contract the `b` index.
-    scratch.val_xy.iter_mut().for_each(|v| *v = 0.0);
-    scratch.dx_xy.iter_mut().for_each(|v| *v = 0.0);
-    scratch.dy_xy.iter_mut().for_each(|v| *v = 0.0);
+    scratch.val_xy.fill([0.0; L]);
+    scratch.dx_xy.fill([0.0; L]);
+    scratch.dy_xy.fill([0.0; L]);
     for c in 0..np1 {
         for qy in 0..nq {
             let dst = (c * nq + qy) * nq;
@@ -83,9 +103,9 @@ pub fn ref_grad(basis: &Basis1d, scratch: &mut SumFacScratch) {
                 let wd = d[qy * np1 + bb];
                 let src = (c * np1 + bb) * nq;
                 for qx in 0..nq {
-                    scratch.val_xy[dst + qx] += w * scratch.val_x[src + qx];
-                    scratch.dx_xy[dst + qx] += w * scratch.der_x[src + qx];
-                    scratch.dy_xy[dst + qx] += wd * scratch.val_x[src + qx];
+                    axpy(&mut scratch.val_xy[dst + qx], w, &scratch.val_x[src + qx]);
+                    axpy(&mut scratch.dx_xy[dst + qx], w, &scratch.der_x[src + qx]);
+                    axpy(&mut scratch.dy_xy[dst + qx], wd, &scratch.val_x[src + qx]);
                 }
             }
         }
@@ -93,9 +113,9 @@ pub fn ref_grad(basis: &Basis1d, scratch: &mut SumFacScratch) {
     // Stage C (z): contract the `c` index into the three gradient comps.
     let (g0, rest) = scratch.g.split_at_mut(nq3);
     let (g1, g2) = rest.split_at_mut(nq3);
-    g0.iter_mut().for_each(|v| *v = 0.0);
-    g1.iter_mut().for_each(|v| *v = 0.0);
-    g2.iter_mut().for_each(|v| *v = 0.0);
+    g0.fill([0.0; L]);
+    g1.fill([0.0; L]);
+    g2.fill([0.0; L]);
     for qz in 0..nq {
         for c in 0..np1 {
             let w = b[qz * np1 + c];
@@ -104,9 +124,9 @@ pub fn ref_grad(basis: &Basis1d, scratch: &mut SumFacScratch) {
                 let dst = (qz * nq + qy) * nq;
                 let src = (c * nq + qy) * nq;
                 for qx in 0..nq {
-                    g0[dst + qx] += w * scratch.dx_xy[src + qx];
-                    g1[dst + qx] += w * scratch.dy_xy[src + qx];
-                    g2[dst + qx] += wd * scratch.val_xy[src + qx];
+                    axpy(&mut g0[dst + qx], w, &scratch.dx_xy[src + qx]);
+                    axpy(&mut g1[dst + qx], w, &scratch.dy_xy[src + qx]);
+                    axpy(&mut g2[dst + qx], wd, &scratch.val_xy[src + qx]);
                 }
             }
         }
@@ -116,7 +136,7 @@ pub fn ref_grad(basis: &Basis1d, scratch: &mut SumFacScratch) {
 /// Exact transpose of [`ref_grad`]: contract the scaled fluxes in
 /// `scratch.g` (component-major `3 × nq³`) back to the element-local p
 /// residual `scratch.p_res`.
-pub fn ref_grad_t(basis: &Basis1d, scratch: &mut SumFacScratch) {
+pub fn ref_grad_t<const L: usize>(basis: &Basis1d, scratch: &mut SumFacScratch<L>) {
     let g = std::mem::take(&mut scratch.g);
     ref_grad_t_from(basis, &g, scratch);
     scratch.g = g;
@@ -125,7 +145,11 @@ pub fn ref_grad_t(basis: &Basis1d, scratch: &mut SumFacScratch) {
 /// [`ref_grad_t`] with the flux buffer supplied externally, so fused
 /// kernels can keep `ref_grad`'s output alive in `scratch.g` while
 /// transposing a second flux buffer through the same stage scratch.
-pub fn ref_grad_t_from(basis: &Basis1d, g: &[f64], scratch: &mut SumFacScratch) {
+pub fn ref_grad_t_from<const L: usize>(
+    basis: &Basis1d,
+    g: &[[f64; L]],
+    scratch: &mut SumFacScratch<L>,
+) {
     let np1 = basis.n_nodes();
     let nq = basis.n_quad();
     let nq3 = nq * nq * nq;
@@ -134,9 +158,9 @@ pub fn ref_grad_t_from(basis: &Basis1d, g: &[f64], scratch: &mut SumFacScratch) 
     let (s0, rest) = g.split_at(nq3);
     let (s1, s2) = rest.split_at(nq3);
     // Stage Cᵀ.
-    scratch.dx_xy.iter_mut().for_each(|v| *v = 0.0);
-    scratch.dy_xy.iter_mut().for_each(|v| *v = 0.0);
-    scratch.val_xy.iter_mut().for_each(|v| *v = 0.0);
+    scratch.dx_xy.fill([0.0; L]);
+    scratch.dy_xy.fill([0.0; L]);
+    scratch.val_xy.fill([0.0; L]);
     for qz in 0..nq {
         for c in 0..np1 {
             let w = b[qz * np1 + c];
@@ -145,16 +169,16 @@ pub fn ref_grad_t_from(basis: &Basis1d, g: &[f64], scratch: &mut SumFacScratch) 
                 let src = (qz * nq + qy) * nq;
                 let dst = (c * nq + qy) * nq;
                 for qx in 0..nq {
-                    scratch.dx_xy[dst + qx] += w * s0[src + qx];
-                    scratch.dy_xy[dst + qx] += w * s1[src + qx];
-                    scratch.val_xy[dst + qx] += wd * s2[src + qx];
+                    axpy(&mut scratch.dx_xy[dst + qx], w, &s0[src + qx]);
+                    axpy(&mut scratch.dy_xy[dst + qx], w, &s1[src + qx]);
+                    axpy(&mut scratch.val_xy[dst + qx], wd, &s2[src + qx]);
                 }
             }
         }
     }
     // Stage Bᵀ.
-    scratch.der_x.iter_mut().for_each(|v| *v = 0.0);
-    scratch.val_x.iter_mut().for_each(|v| *v = 0.0);
+    scratch.der_x.fill([0.0; L]);
+    scratch.val_x.fill([0.0; L]);
     for c in 0..np1 {
         for qy in 0..nq {
             let src = (c * nq + qy) * nq;
@@ -163,9 +187,14 @@ pub fn ref_grad_t_from(basis: &Basis1d, g: &[f64], scratch: &mut SumFacScratch) 
                 let wd = d[qy * np1 + bb];
                 let dst = (c * np1 + bb) * nq;
                 for qx in 0..nq {
-                    scratch.der_x[dst + qx] += w * scratch.dx_xy[src + qx];
-                    scratch.val_x[dst + qx] +=
-                        w * scratch.val_xy[src + qx] + wd * scratch.dy_xy[src + qx];
+                    axpy(&mut scratch.der_x[dst + qx], w, &scratch.dx_xy[src + qx]);
+                    axpy2(
+                        &mut scratch.val_x[dst + qx],
+                        w,
+                        &scratch.val_xy[src + qx],
+                        wd,
+                        &scratch.dy_xy[src + qx],
+                    );
                 }
             }
         }
@@ -173,14 +202,14 @@ pub fn ref_grad_t_from(basis: &Basis1d, g: &[f64], scratch: &mut SumFacScratch) 
     // Stage Aᵀ.
     for cb in 0..np1 * np1 {
         let dst = &mut scratch.p_res[cb * np1..(cb + 1) * np1];
-        dst.iter_mut().for_each(|v| *v = 0.0);
+        dst.fill([0.0; L]);
         for qx in 0..nq {
-            let wv = scratch.val_x[cb * nq + qx];
-            let wd = scratch.der_x[cb * nq + qx];
+            let wv = &scratch.val_x[cb * nq + qx];
+            let wd = &scratch.der_x[cb * nq + qx];
             let brow = &b[qx * np1..(qx + 1) * np1];
             let drow = &d[qx * np1..(qx + 1) * np1];
             for a in 0..np1 {
-                dst[a] += drow[a] * wd + brow[a] * wv;
+                axpy2(&mut dst[a], drow[a], wd, brow[a], wv);
             }
         }
     }
@@ -203,14 +232,14 @@ mod tests {
         let bs = basis(order);
         let np1 = order + 1;
         let nq = order;
-        let mut sc = SumFacScratch::new(np1, nq);
+        let mut sc = SumFacScratch::<1>::new(np1, nq);
         // p(ξ,η,ζ) = 2ξ − η + 0.5ζ at GLL tensor nodes.
         let (gll, _) = gauss_lobatto(np1);
         let mut idx = 0;
         for c in 0..np1 {
             for b in 0..np1 {
                 for a in 0..np1 {
-                    sc.p_local[idx] = 2.0 * gll[a] - gll[b] + 0.5 * gll[c];
+                    sc.p_local[idx] = [2.0 * gll[a] - gll[b] + 0.5 * gll[c]];
                     idx += 1;
                 }
             }
@@ -218,9 +247,9 @@ mod tests {
         ref_grad(&bs, &mut sc);
         let nq3 = nq * nq * nq;
         for q in 0..nq3 {
-            assert!((sc.g[q] - 2.0).abs() < 1e-12);
-            assert!((sc.g[nq3 + q] + 1.0).abs() < 1e-12);
-            assert!((sc.g[2 * nq3 + q] - 0.5).abs() < 1e-12);
+            assert!((sc.g[q][0] - 2.0).abs() < 1e-12);
+            assert!((sc.g[nq3 + q][0] + 1.0).abs() < 1e-12);
+            assert!((sc.g[2 * nq3 + q][0] - 0.5).abs() < 1e-12);
         }
     }
 
@@ -232,9 +261,9 @@ mod tests {
         let np1 = order + 1;
         let nq = order;
         let nq3 = nq * nq * nq;
-        let mut sc = SumFacScratch::new(np1, nq);
+        let mut sc = SumFacScratch::<1>::new(np1, nq);
         for (i, v) in sc.p_local.iter_mut().enumerate() {
-            *v = ((i * i) as f64 * 0.123).sin();
+            *v = [((i * i) as f64 * 0.123).sin()];
         }
         let p_snapshot = sc.p_local.clone();
         ref_grad(&bs, &mut sc);
@@ -246,7 +275,7 @@ mod tests {
                     for c in 0..np1 {
                         for b in 0..np1 {
                             for a in 0..np1 {
-                                let pv = p_snapshot[(c * np1 + b) * np1 + a];
+                                let pv = p_snapshot[(c * np1 + b) * np1 + a][0];
                                 expect[0] += bs.d[qx * np1 + a]
                                     * bs.b[qy * np1 + b]
                                     * bs.b[qz * np1 + c]
@@ -264,7 +293,7 @@ mod tests {
                     }
                     for comp in 0..3 {
                         assert!(
-                            (sc.g[comp * nq3 + q] - expect[comp]).abs() < 1e-11,
+                            (sc.g[comp * nq3 + q][0] - expect[comp]).abs() < 1e-11,
                             "comp {comp} q {q}"
                         );
                     }
@@ -281,18 +310,18 @@ mod tests {
         let np1 = order + 1;
         let nq = order;
         let nq3 = nq * nq * nq;
-        let mut sc = SumFacScratch::new(np1, nq);
+        let mut sc = SumFacScratch::<1>::new(np1, nq);
         for (i, v) in sc.p_local.iter_mut().enumerate() {
-            *v = ((i as f64) * 0.7).sin();
+            *v = [((i as f64) * 0.7).sin()];
         }
         let p = sc.p_local.clone();
         ref_grad(&bs, &mut sc);
         let gp = sc.g.clone();
         let s: Vec<f64> = (0..3 * nq3).map(|i| ((i as f64) * 0.31).cos()).collect();
-        let lhs: f64 = gp.iter().zip(&s).map(|(a, b)| a * b).sum();
-        sc.g.copy_from_slice(&s);
+        let lhs: f64 = gp.iter().zip(&s).map(|(a, b)| a[0] * b).sum();
+        sc.g.as_flattened_mut().copy_from_slice(&s);
         ref_grad_t(&bs, &mut sc);
-        let rhs: f64 = p.iter().zip(&sc.p_res).map(|(a, b)| a * b).sum();
+        let rhs: f64 = p.iter().zip(&sc.p_res).map(|(a, b)| a[0] * b[0]).sum();
         assert!(
             (lhs - rhs).abs() < 1e-12 * lhs.abs().max(1.0),
             "{lhs} vs {rhs}"

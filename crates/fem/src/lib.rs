@@ -42,6 +42,7 @@ pub use boundary::SurfaceMass;
 pub use geom::GeomFactors;
 pub use kernels::{
     FullAssembly, FusedPa, KernelVariant, MatrixFree, OptimizedPa, PartialAssembly, WaveKernel,
+    LANES,
 };
 pub use pointeval::PointEvaluator;
 pub use quadrature::{gauss_legendre, gauss_lobatto};

@@ -49,13 +49,28 @@ impl PointEvaluator {
 
     /// Evaluate: `p(x) = Σ coeff · p[dof]`.
     pub fn eval(&self, p: &[f64]) -> f64 {
-        self.entries.iter().map(|&(d, c)| c * p[d]).sum()
+        self.eval_lane(p, 1, 0)
+    }
+
+    /// [`Self::eval`] on lane `lane` of a lane-minor panel of `lanes`
+    /// fields (entry `dof·lanes + lane`).
+    pub fn eval_lane(&self, p: &[f64], lanes: usize, lane: usize) -> f64 {
+        self.entries
+            .iter()
+            .map(|&(d, c)| c * p[d * lanes + lane])
+            .sum()
     }
 
     /// Transpose action: `out[dof] += alpha · coeff` (adjoint point source).
     pub fn scatter(&self, alpha: f64, out: &mut [f64]) {
+        self.scatter_lane(alpha, out, 1, 0);
+    }
+
+    /// [`Self::scatter`] into lane `lane` of a lane-minor panel of `lanes`
+    /// fields.
+    pub fn scatter_lane(&self, alpha: f64, out: &mut [f64], lanes: usize, lane: usize) {
         for &(d, c) in &self.entries {
-            out[d] += alpha * c;
+            out[d * lanes + lane] += alpha * c;
         }
     }
 }

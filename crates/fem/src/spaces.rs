@@ -67,47 +67,50 @@ impl H1Space {
         self.node_id(i * self.order + a, j * self.order + b, k * self.order + c)
     }
 
-    /// Gather element-local dofs (tensor order, x fastest) into `out`
-    /// (`(order+1)³` entries).
+    /// Gather element-local dofs (tensor order, x fastest) into `out`.
+    ///
+    /// Works on lane-minor panels of any width: with `out` holding
+    /// `lanes·(order+1)³` entries, `global` is read as `lanes` interleaved
+    /// fields (entry `dof·lanes + l`) and `out` is filled the same way.
     pub fn gather(&self, i: usize, j: usize, k: usize, global: &[f64], out: &mut [f64]) {
         let p1 = self.order + 1;
-        debug_assert_eq!(out.len(), p1 * p1 * p1);
-        let (sx, sy) = (self.nodes_x(), self.nodes_y());
-        let base_i = i * self.order;
-        let base_j = j * self.order;
-        let base_k = k * self.order;
+        let lanes = out.len() / (p1 * p1 * p1);
+        debug_assert_eq!(out.len(), lanes * p1 * p1 * p1);
+        let run = p1 * lanes;
         let mut idx = 0;
-        for c in 0..p1 {
-            let gk = base_k + c;
-            for b in 0..p1 {
-                let row = (gk * sy + base_j + b) * sx + base_i;
-                out[idx..idx + p1].copy_from_slice(&global[row..row + p1]);
-                idx += p1;
-            }
+        for row in self.elem_rows(i, j, k) {
+            out[idx..idx + run].copy_from_slice(&global[row * lanes..row * lanes + run]);
+            idx += run;
         }
     }
 
-    /// Scatter-add element-local values into the global vector. Caller must
-    /// guarantee exclusive access to the touched rows (the kernels use
-    /// 8-coloring of the element grid for this).
+    /// Scatter-add element-local values into the global vector (lane-minor
+    /// panels as in [`Self::gather`]). Caller must guarantee exclusive
+    /// access to the touched rows (the kernels use 8-coloring of the
+    /// element grid for this).
     pub fn scatter_add(&self, i: usize, j: usize, k: usize, local: &[f64], global: &mut [f64]) {
         let p1 = self.order + 1;
-        debug_assert_eq!(local.len(), p1 * p1 * p1);
-        let (sx, sy) = (self.nodes_x(), self.nodes_y());
-        let base_i = i * self.order;
-        let base_j = j * self.order;
-        let base_k = k * self.order;
+        let lanes = local.len() / (p1 * p1 * p1);
+        debug_assert_eq!(local.len(), lanes * p1 * p1 * p1);
+        let run = p1 * lanes;
         let mut idx = 0;
-        for c in 0..p1 {
-            let gk = base_k + c;
-            for b in 0..p1 {
-                let row = (gk * sy + base_j + b) * sx + base_i;
-                for a in 0..p1 {
-                    global[row + a] += local[idx];
-                    idx += 1;
-                }
+        for row in self.elem_rows(i, j, k) {
+            let g = &mut global[row * lanes..row * lanes + run];
+            for a in 0..run {
+                g[a] += local[idx + a];
             }
+            idx += run;
         }
+    }
+
+    /// First global dof of each x-run of element `(i, j, k)`, in the
+    /// element's tensor order (`(order+1)²` runs of `order+1` dofs).
+    fn elem_rows(&self, i: usize, j: usize, k: usize) -> impl Iterator<Item = usize> {
+        let p1 = self.order + 1;
+        let (sx, sy) = (self.nodes_x(), self.nodes_y());
+        let (base_i, base_j, base_k) = (i * self.order, j * self.order, k * self.order);
+        (0..p1)
+            .flat_map(move |c| (0..p1).map(move |b| ((base_k + c) * sy + base_j + b) * sx + base_i))
     }
 
     /// Physical coordinates of every global node on a terrain-following

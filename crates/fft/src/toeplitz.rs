@@ -88,23 +88,39 @@ impl BlockToeplitz {
     /// *final* observation of output `r` with respect to parameter bin `j`
     /// is the block row `T_{Nt−1−j}[r, ·]`, so one adjoint application per
     /// output (a unit impulse on its final observation) yields that
-    /// output's row of *every* block: `out_dim` applications, run in
-    /// parallel. `adjoint` maps `w` (`out_dim·nt`, time-major) to `Tᵀw`
-    /// (`in_dim·nt`, time-major).
+    /// output's row of *every* block: `out_dim` applications.
+    ///
+    /// The outputs are handed to `adjoint` in chunks of up to `lanes`
+    /// impulses (consecutive rows), and the chunks run in parallel.
+    /// `adjoint` maps each `w` of a chunk (`out_dim·nt`, time-major) to
+    /// `Tᵀw` (`in_dim·nt`, time-major), in order — a model that advances
+    /// several adjoint states per sweep takes a whole chunk at once; with
+    /// `lanes = 1` every row is its own parallel task.
     pub fn from_adjoint(
         nt: usize,
         out_dim: usize,
         in_dim: usize,
-        adjoint: impl Fn(&[f64]) -> Vec<f64> + Sync,
+        lanes: usize,
+        adjoint: impl Fn(&[&[f64]]) -> Vec<Vec<f64>> + Sync,
     ) -> Self {
-        let rows: Vec<Vec<f64>> = (0..out_dim)
+        assert!(lanes >= 1, "from_adjoint: lanes must be positive");
+        let chunks: Vec<Vec<Vec<f64>>> = (0..out_dim.div_ceil(lanes))
             .into_par_iter()
-            .map(|r| {
-                let mut w = vec![0.0; out_dim * nt];
-                w[(nt - 1) * out_dim + r] = 1.0;
-                adjoint(&w)
+            .map(|c| {
+                let impulses: Vec<Vec<f64>> = (c * lanes..((c + 1) * lanes).min(out_dim))
+                    .map(|r| {
+                        let mut w = vec![0.0; out_dim * nt];
+                        w[(nt - 1) * out_dim + r] = 1.0;
+                        w
+                    })
+                    .collect();
+                let ws: Vec<&[f64]> = impulses.iter().map(Vec::as_slice).collect();
+                let rows = adjoint(&ws);
+                assert_eq!(rows.len(), ws.len(), "from_adjoint: one result per impulse");
+                rows
             })
             .collect();
+        let rows: Vec<Vec<f64>> = chunks.into_iter().flatten().collect();
         let blocks = (0..nt)
             .map(|k| {
                 let j = nt - 1 - k;
@@ -253,6 +269,29 @@ pub(crate) mod tests {
         dense.matvec(&x, &mut y2);
         for (a, b) in y.iter().zip(&y2) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn from_adjoint_recovers_blocks_at_every_chunk_width() {
+        // The naive transpose is an exact adjoint of a known map: the
+        // extraction must return its blocks bit for bit, however the rows
+        // are chunked, and never hand the model more than `lanes` rows.
+        let t = random_toeplitz(4, 7, 3, 9);
+        for lanes in [1, 2, 3, 7, 8] {
+            let got = BlockToeplitz::from_adjoint(t.nt, t.out_dim, t.in_dim, lanes, |ws| {
+                assert!((1..=lanes).contains(&ws.len()), "chunk of {}", ws.len());
+                ws.iter()
+                    .map(|w| {
+                        let mut z = vec![0.0; t.ncols()];
+                        t.matvec_transpose_naive(w, &mut z);
+                        z
+                    })
+                    .collect()
+            });
+            for (a, b) in got.blocks.iter().zip(&t.blocks) {
+                assert_eq!(a.as_slice(), b.as_slice(), "lanes = {lanes}");
+            }
         }
     }
 

@@ -42,3 +42,4 @@ pub use p2o::{build_p2o, build_p2q};
 pub use parammap::{BilinearParamMap, IdentityParamMap, ParamMap};
 pub use params::PhysicalParams;
 pub use solver::WaveSolver;
+pub use tsunami_fem::kernels::LANES;

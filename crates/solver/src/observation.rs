@@ -87,19 +87,47 @@ impl SensorArray {
 
     /// Read all channels from a state vector.
     pub fn observe(&self, op: &WaveOperator, x: &[f64], out: &mut [f64]) {
-        let (_, p) = op.split(x);
+        self.observe_lane(op, x, 1, 0, out);
+    }
+
+    /// [`Self::observe`] on lane `lane` of a lane-minor panel of `lanes`
+    /// states.
+    pub fn observe_lane(
+        &self,
+        op: &WaveOperator,
+        x: &[f64],
+        lanes: usize,
+        lane: usize,
+        out: &mut [f64],
+    ) {
+        let p = &x[op.n_u() * lanes..];
         for (o, ch) in out.iter_mut().zip(&self.channels) {
-            *o = ch.iter().map(|(ev, w)| w * ev.eval(p)).sum();
+            *o = ch
+                .iter()
+                .map(|(ev, w)| w * ev.eval_lane(p, lanes, lane))
+                .sum();
         }
     }
 
     /// Adjoint: scatter data-space weights into the pressure block of `λ`.
     pub fn scatter(&self, op: &WaveOperator, w: &[f64], lambda: &mut [f64]) {
-        let n_u = op.n_u();
-        let (_, lp) = lambda.split_at_mut(n_u);
+        self.scatter_lane(op, w, lambda, 1, 0);
+    }
+
+    /// [`Self::scatter`] into lane `lane` of a lane-minor panel of `lanes`
+    /// adjoint states.
+    pub fn scatter_lane(
+        &self,
+        op: &WaveOperator,
+        w: &[f64],
+        lambda: &mut [f64],
+        lanes: usize,
+        lane: usize,
+    ) {
+        let lp = &mut lambda[op.n_u() * lanes..];
         for (ch, &wv) in self.channels.iter().zip(w) {
             for (ev, tap_w) in ch {
-                ev.scatter(tap_w * wv, lp);
+                ev.scatter_lane(tap_w * wv, lp, lanes, lane);
             }
         }
     }
@@ -158,20 +186,45 @@ impl QoiArray {
 
     /// Read all wave heights `η = p/(ρg)`.
     pub fn observe(&self, op: &WaveOperator, x: &[f64], out: &mut [f64]) {
-        let (_, p) = op.split(x);
+        self.observe_lane(op, x, 1, 0, out);
+    }
+
+    /// [`Self::observe`] on lane `lane` of a lane-minor panel of `lanes`
+    /// states.
+    pub fn observe_lane(
+        &self,
+        op: &WaveOperator,
+        x: &[f64],
+        lanes: usize,
+        lane: usize,
+        out: &mut [f64],
+    ) {
+        let p = &x[op.n_u() * lanes..];
         let rg_inv = 1.0 / (op.params.rho * op.params.gravity);
         for (o, ev) in out.iter_mut().zip(&self.evals) {
-            *o = rg_inv * ev.eval(p);
+            *o = rg_inv * ev.eval_lane(p, lanes, lane);
         }
     }
 
     /// Adjoint scatter (includes the `1/(ρg)` factor).
     pub fn scatter(&self, op: &WaveOperator, w: &[f64], lambda: &mut [f64]) {
-        let n_u = op.n_u();
-        let (_, lp) = lambda.split_at_mut(n_u);
+        self.scatter_lane(op, w, lambda, 1, 0);
+    }
+
+    /// [`Self::scatter`] into lane `lane` of a lane-minor panel of `lanes`
+    /// adjoint states.
+    pub fn scatter_lane(
+        &self,
+        op: &WaveOperator,
+        w: &[f64],
+        lambda: &mut [f64],
+        lanes: usize,
+        lane: usize,
+    ) {
+        let lp = &mut lambda[op.n_u() * lanes..];
         let rg_inv = 1.0 / (op.params.rho * op.params.gravity);
         for (ev, &wv) in self.evals.iter().zip(w) {
-            ev.scatter(rg_inv * wv, lp);
+            ev.scatter_lane(rg_inv * wv, lp, lanes, lane);
         }
     }
 }

@@ -136,88 +136,82 @@ impl WaveOperator {
         x.split_at_mut(self.n_u())
     }
 
-    /// `out = L x` (+ optional seafloor forcing `m` on the bottom nodes).
-    pub fn apply_l(&self, x: &[f64], m_bottom: Option<&[f64]>, out: &mut [f64]) {
-        let n_u = self.n_u();
+    /// `out = L x` (+ optional seafloor forcing `m` on the bottom nodes)
+    /// for a lane-minor panel of `lanes` states: entry `i·lanes + l` of
+    /// `x`, `out` and `m` is dof `i` of state `l`. Every lane is
+    /// bit-identical to the one-lane call on that state alone.
+    pub fn apply_l(&self, lanes: usize, x: &[f64], m_bottom: Option<&[f64]>, out: &mut [f64]) {
+        let n_u = self.n_u() * lanes;
         let (xu, xp) = x.split_at(n_u);
         let (ou, op) = out.split_at_mut(n_u);
         // Fused kernel: ou ← G p (raw), op ← Gᵀ u (raw).
-        self.kernel.apply_fused(xp, xu, ou, op);
+        self.kernel.apply_fused_panel(lanes, xp, xu, ou, op);
         // Velocity block: −Mu⁻¹ G p.
-        let nq3 = self.ctx.nq3();
-        for (e_sc, mu_chunk) in ou
-            .chunks_exact_mut(3 * nq3)
-            .zip(self.minv_u.chunks_exact(nq3))
-        {
-            for comp in 0..3 {
-                for (v, &mi) in e_sc[comp * nq3..(comp + 1) * nq3].iter_mut().zip(mu_chunk) {
-                    *v = -*v * mi;
-                }
-            }
-        }
+        self.for_velocity_rows(lanes, ou, |v, mi| -v * mi);
         // Pressure block: Mp⁻¹ (Gᵀ u − Z⁻¹ S_a p + S_b m).
         self.absorbing
-            .add_scaled_diag(-self.absorbing_coeff, xp, op);
+            .add_scaled_diag(-self.absorbing_coeff, lanes, xp, op);
         if let Some(m) = m_bottom {
-            self.bottom.add_source(1.0, m, op);
+            self.bottom.add_source(1.0, lanes, m, op);
         }
-        for (v, &mi) in op.iter_mut().zip(&self.minv_p) {
-            *v *= mi;
-        }
+        for_rows(lanes, op, &self.minv_p, |v, mi| v * mi);
     }
 
     /// `out = Lᵀ w` — the exact transpose of [`Self::apply_l`] (without
-    /// forcing).
-    pub fn apply_l_transpose(&self, w: &[f64], out: &mut [f64]) {
-        let n_u = self.n_u();
-        let (wu, wp) = w.split_at(n_u);
-        // p̃ = Mp⁻¹ w_p, ũ = Mu⁻¹ w_u (scratch allocated by caller via
-        // reuse? kept local: these are O(state) and reused via out).
-        let mut p_tilde = vec![0.0; self.n_p()];
-        for ((pt, &wv), &mi) in p_tilde.iter_mut().zip(wp).zip(&self.minv_p) {
-            *pt = wv * mi;
-        }
-        let nq3 = self.ctx.nq3();
-        let mut u_tilde = vec![0.0; n_u];
-        for (e, (ut_chunk, mu_chunk)) in u_tilde
-            .chunks_exact_mut(3 * nq3)
-            .zip(self.minv_u.chunks_exact(nq3))
-            .enumerate()
-        {
-            let base = e * 3 * nq3;
-            for comp in 0..3 {
-                for (q, (v, &mi)) in ut_chunk[comp * nq3..(comp + 1) * nq3]
-                    .iter_mut()
-                    .zip(mu_chunk)
-                    .enumerate()
-                {
-                    *v = wu[base + comp * nq3 + q] * mi;
-                }
-            }
-        }
+    /// forcing), on a lane-minor panel of `lanes` states. `tilde` is
+    /// caller-owned scratch of the panel's size; it returns holding
+    /// `[ũ | p̃] = [Mu⁻¹ w_u | Mp⁻¹ w_p]`.
+    pub fn apply_l_transpose(&self, lanes: usize, w: &[f64], out: &mut [f64], tilde: &mut [f64]) {
+        let n_u = self.n_u() * lanes;
+        // p̃ = Mp⁻¹ w_p, ũ = Mu⁻¹ w_u.
+        tilde.copy_from_slice(w);
+        let (u_tilde, p_tilde) = tilde.split_at_mut(n_u);
+        for_rows(lanes, p_tilde, &self.minv_p, |v, mi| v * mi);
+        self.for_velocity_rows(lanes, u_tilde, |v, mi| v * mi);
         let (ou, op) = out.split_at_mut(n_u);
         // ou ← G p̃ ; op ← Gᵀ ũ.
-        self.kernel.apply_fused(&p_tilde, &u_tilde, ou, op);
+        self.kernel
+            .apply_fused_panel(lanes, p_tilde, u_tilde, ou, op);
         // Signs: +G p̃ for the u-block; −Gᵀ ũ − Z⁻¹ S_a p̃ for the p-block.
         for v in op.iter_mut() {
             *v = -*v;
         }
         self.absorbing
-            .add_scaled_diag(-self.absorbing_coeff, &p_tilde, op);
+            .add_scaled_diag(-self.absorbing_coeff, lanes, p_tilde, op);
     }
 
     /// Transpose of the forcing injection: extract `S_bᵀ Mp⁻¹ w_p` on the
-    /// bottom nodes (the adjoint trace that builds p2o rows).
-    pub fn forcing_transpose(&self, w: &[f64], m_out: &mut [f64]) {
-        let (_, wp) = w.split_at(self.n_u());
+    /// bottom nodes (the adjoint trace that builds p2o rows), for a
+    /// lane-minor panel of `lanes` states; `m_out` is the lane-minor panel
+    /// of bottom-node traces.
+    pub fn forcing_transpose(&self, lanes: usize, w: &[f64], m_out: &mut [f64]) {
+        let (_, wp) = w.split_at(self.n_u() * lanes);
         // trace of Mp⁻¹ w_p weighted by the bottom mass.
-        assert_eq!(m_out.len(), self.bottom.len());
+        assert_eq!(m_out.len(), self.bottom.len() * lanes);
         for ((o, &n), &wt) in m_out
-            .iter_mut()
+            .chunks_exact_mut(lanes)
             .zip(&self.bottom.nodes)
             .zip(&self.bottom.weights)
         {
-            *o = wt * self.minv_p[n] * wp[n];
+            let s = wt * self.minv_p[n];
+            for (ov, &wv) in o.iter_mut().zip(&wp[n * lanes..(n + 1) * lanes]) {
+                *ov = s * wv;
+            }
+        }
+    }
+
+    /// `v ← f(v, 1/(ρ·w·detJ))` on every lane of every velocity dof of a
+    /// lane-minor velocity panel (the L2 mass is shared by the 3
+    /// components).
+    fn for_velocity_rows(&self, lanes: usize, u: &mut [f64], f: impl Fn(f64, f64) -> f64 + Copy) {
+        let nq3 = self.ctx.nq3();
+        for (e_u, mu_chunk) in u
+            .chunks_exact_mut(3 * nq3 * lanes)
+            .zip(self.minv_u.chunks_exact(nq3))
+        {
+            for comp in e_u.chunks_exact_mut(nq3 * lanes) {
+                for_rows(lanes, comp, mu_chunk, f);
+            }
         }
     }
 
@@ -250,6 +244,16 @@ impl WaveOperator {
         let rg_inv = 1.0 / (self.params.rho * self.params.gravity);
         for (o, &n) in out.iter_mut().zip(&self.surface.nodes) {
             *o = rg_inv * xp[n];
+        }
+    }
+}
+
+/// `v ← f(v, d_i)` on every lane of row `i` of a lane-minor panel.
+#[inline]
+fn for_rows(lanes: usize, panel: &mut [f64], diag: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for (row, &d) in panel.chunks_exact_mut(lanes).zip(diag) {
+        for v in row {
+            *v = f(*v, d);
         }
     }
 }
@@ -330,9 +334,9 @@ mod tests {
         let x = pseudo(op.n_state(), 1);
         let w = pseudo(op.n_state(), 2);
         let mut lx = vec![0.0; op.n_state()];
-        op.apply_l(&x, None, &mut lx);
+        op.apply_l(1, &x, None, &mut lx);
         let mut ltw = vec![0.0; op.n_state()];
-        op.apply_l_transpose(&w, &mut ltw);
+        op.apply_l_transpose(1, &w, &mut ltw, &mut vec![0.0; op.n_state()]);
         let lhs: f64 = lx.iter().zip(&w).map(|(a, b)| a * b).sum();
         let rhs: f64 = x.iter().zip(&ltw).map(|(a, b)| a * b).sum();
         assert!(
@@ -349,10 +353,10 @@ mod tests {
         let w = pseudo(op.n_state(), 4);
         let zero = vec![0.0; op.n_state()];
         let mut with_src = vec![0.0; op.n_state()];
-        op.apply_l(&zero, Some(&m), &mut with_src);
+        op.apply_l(1, &zero, Some(&m), &mut with_src);
         let lhs: f64 = with_src.iter().zip(&w).map(|(a, b)| a * b).sum();
         let mut mt = vec![0.0; op.bottom.len()];
-        op.forcing_transpose(&w, &mut mt);
+        op.forcing_transpose(1, &w, &mut mt);
         let rhs: f64 = m.iter().zip(&mt).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-10 * lhs.abs().max(1e-30));
     }
@@ -363,7 +367,7 @@ mod tests {
         let op = small_op(true);
         let x = pseudo(op.n_state(), 5);
         let mut lx = vec![0.0; op.n_state()];
-        op.apply_l(&x, None, &mut lx);
+        op.apply_l(1, &x, None, &mut lx);
         // xᵀ M L x: compute via energy-weighted inner product.
         let (xu, xp) = op.split(&x);
         let (lu, lp) = op.split(&lx);
@@ -388,7 +392,7 @@ mod tests {
         let op = small_op(false);
         let x = pseudo(op.n_state(), 6);
         let mut lx = vec![0.0; op.n_state()];
-        op.apply_l(&x, None, &mut lx);
+        op.apply_l(1, &x, None, &mut lx);
         let (xu, xp) = op.split(&x);
         let (lu, lp) = op.split(&lx);
         let nq3 = op.ctx.nq3();

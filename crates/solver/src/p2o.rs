@@ -5,23 +5,30 @@
 //! parameter bin `j` is the Toeplitz block entry `T_{Nt−1−j}[r, ·]` — so a
 //! single full-horizon adjoint solve per sensor yields that sensor's row of
 //! *every* defining block. This is the paper's `Nd + Nq` adjoint PDE solves
-//! (Table III Phase 1), each independent and run in parallel by the one
-//! extraction routine, [`BlockToeplitz::from_adjoint`].
+//! (Table III Phase 1), run by the one extraction routine,
+//! [`BlockToeplitz::from_adjoint`]: panels of [`LANES`] sensors advance
+//! together through one element sweep per RK4 stage, and the panels run in
+//! parallel.
 
 use crate::solver::WaveSolver;
+use tsunami_fem::kernels::LANES;
 use tsunami_fft::BlockToeplitz;
 
 /// Build the p2o map `F` (sensors) as a block lower-triangular Toeplitz
 /// matrix with blocks `T_k ∈ R^{Nd × Nm}`.
 pub fn build_p2o(solver: &WaveSolver) -> BlockToeplitz {
     let (nt, nd) = (solver.grid.nt_obs, solver.sensors.len());
-    BlockToeplitz::from_adjoint(nt, nd, solver.n_m(), |w| solver.adjoint_data(w))
+    BlockToeplitz::from_adjoint(nt, nd, solver.n_m(), LANES, |ws| {
+        solver.adjoint_data_panel(ws)
+    })
 }
 
 /// Build the p2q map `Fq` (wave-height QoI) with blocks `R^{Nq × Nm}`.
 pub fn build_p2q(solver: &WaveSolver) -> BlockToeplitz {
     let (nt, nq) = (solver.grid.nt_obs, solver.qoi.len());
-    BlockToeplitz::from_adjoint(nt, nq, solver.n_m(), |w| solver.adjoint_qoi(w))
+    BlockToeplitz::from_adjoint(nt, nq, solver.n_m(), LANES, |ws| {
+        solver.adjoint_qoi_panel(ws)
+    })
 }
 
 #[cfg(test)]

@@ -13,31 +13,52 @@
 //! applications per step, identical cost to the forward step, and an exact
 //! transpose (up to roundoff) of the forward map. This is what makes the
 //! Phase 1 "one adjoint solve per sensor" construction of the Toeplitz
-//! blocks exact rather than a continuous-adjoint approximation.
+//!
+//! Both steps advance a lane-minor *panel* of states (entry `i·lanes + l`
+//! is dof `i` of state `l`; the lane count is fixed by the
+//! [`Rk4Workspace`]). The axpy updates are elementwise and so
+//! layout-blind; the operator applications sweep the elements once for
+//! all lanes. Each lane performs exactly the single-state operations in
+//! the same order, so a panel step is bit-identical, lane by lane, to
+//! `lanes` one-lane steps. All scratch — the stage vectors, the
+//! `p̃`/`ũ` of `Lᵀ`, and the adjoint's forcing trace — lives in the
+//! workspace, so nothing allocates inside the time loop.
 
 use crate::operator::WaveOperator;
 
-/// Workspace for the forward RK4 step (reused across steps — the paper's
-/// "carefully reusing temporary vectors from RK4" memory optimization).
+/// Workspace for the RK4 steps of one panel (reused across steps — the
+/// paper's "carefully reusing temporary vectors from RK4" memory
+/// optimization).
 pub struct Rk4Workspace {
+    lanes: usize,
     k: Vec<f64>,
     xtmp: Vec<f64>,
     acc: Vec<f64>,
+    /// `[ũ | p̃]` scratch of [`WaveOperator::apply_l_transpose`].
+    tilde: Vec<f64>,
+    /// Forcing trace `Fᵀ y` of the adjoint step (bottom nodes × lanes).
+    trace: Vec<f64>,
 }
 
 impl Rk4Workspace {
-    /// Allocate for a state dimension.
-    pub fn new(n: usize) -> Self {
+    /// Allocate for a panel of `lanes` states of `op`.
+    pub fn new(op: &WaveOperator, lanes: usize) -> Self {
+        assert!(lanes >= 1, "a panel has at least one lane");
+        let n = op.n_state() * lanes;
         Rk4Workspace {
+            lanes,
             k: vec![0.0; n],
             xtmp: vec![0.0; n],
             acc: vec![0.0; n],
+            tilde: vec![0.0; n],
+            trace: vec![0.0; op.bottom.len() * lanes],
         }
     }
 }
 
-/// One forward RK4 step: `x ← R x + dt Ψ F(m)`, `m` the constant seafloor
-/// velocity (bottom-node values) over the step; `None` for unforced.
+/// One forward RK4 step on a panel: `x ← R x + dt Ψ F(m)`, `m` the constant
+/// seafloor velocity (lane-minor panel of bottom-node values) over the
+/// step; `None` for unforced.
 pub fn rk4_step(
     op: &WaveOperator,
     x: &mut [f64],
@@ -46,15 +67,16 @@ pub fn rk4_step(
     ws: &mut Rk4Workspace,
 ) {
     let n = x.len();
-    debug_assert_eq!(n, op.n_state());
+    let lanes = ws.lanes;
+    debug_assert_eq!(n, op.n_state() * lanes);
     // k1
-    op.apply_l(x, m, &mut ws.k);
+    op.apply_l(lanes, x, m, &mut ws.k);
     ws.acc.copy_from_slice(&ws.k);
     // k2
     for i in 0..n {
         ws.xtmp[i] = x[i] + 0.5 * dt * ws.k[i];
     }
-    op.apply_l(&ws.xtmp, m, &mut ws.k);
+    op.apply_l(lanes, &ws.xtmp, m, &mut ws.k);
     for i in 0..n {
         ws.acc[i] += 2.0 * ws.k[i];
     }
@@ -62,7 +84,7 @@ pub fn rk4_step(
     for i in 0..n {
         ws.xtmp[i] = x[i] + 0.5 * dt * ws.k[i];
     }
-    op.apply_l(&ws.xtmp, m, &mut ws.k);
+    op.apply_l(lanes, &ws.xtmp, m, &mut ws.k);
     for i in 0..n {
         ws.acc[i] += 2.0 * ws.k[i];
     }
@@ -70,15 +92,16 @@ pub fn rk4_step(
     for i in 0..n {
         ws.xtmp[i] = x[i] + dt * ws.k[i];
     }
-    op.apply_l(&ws.xtmp, m, &mut ws.k);
+    op.apply_l(lanes, &ws.xtmp, m, &mut ws.k);
     for i in 0..n {
         x[i] += dt / 6.0 * (ws.acc[i] + ws.k[i]);
     }
 }
 
-/// One adjoint step (backward): given `λ` (gradient w.r.t. `x_{n+1}`),
-/// compute `y = Ψ(dtLᵀ) λ` by Horner, deposit the parameter gradient
-/// `m_grad += dt · S_bᵀ Mp⁻¹ y_p`, and update `λ ← λ + dt Lᵀ y`.
+/// One adjoint step (backward) on a panel: given `λ` (gradient w.r.t.
+/// `x_{n+1}`), compute `y = Ψ(dtLᵀ) λ` by Horner, deposit the parameter
+/// gradient `m_grad += dt · S_bᵀ Mp⁻¹ y_p` (lane-minor bottom-node panel),
+/// and update `λ ← λ + dt Lᵀ y`.
 pub fn rk4_step_transpose(
     op: &WaveOperator,
     lambda: &mut [f64],
@@ -87,37 +110,37 @@ pub fn rk4_step_transpose(
     ws: &mut Rk4Workspace,
 ) {
     let n = lambda.len();
-    debug_assert_eq!(n, op.n_state());
+    let lanes = ws.lanes;
+    debug_assert_eq!(n, op.n_state() * lanes);
     // Horner: y = λ + z(λ/2 + z(λ/6 + z·λ/24)), z = dt Lᵀ.
     // t = λ/24
     for i in 0..n {
         ws.xtmp[i] = lambda[i] / 24.0;
     }
     // t = λ/6 + z t
-    op.apply_l_transpose(&ws.xtmp, &mut ws.k);
+    op.apply_l_transpose(lanes, &ws.xtmp, &mut ws.k, &mut ws.tilde);
     for i in 0..n {
         ws.xtmp[i] = lambda[i] / 6.0 + dt * ws.k[i];
     }
     // t = λ/2 + z t
-    op.apply_l_transpose(&ws.xtmp, &mut ws.k);
+    op.apply_l_transpose(lanes, &ws.xtmp, &mut ws.k, &mut ws.tilde);
     for i in 0..n {
         ws.xtmp[i] = lambda[i] / 2.0 + dt * ws.k[i];
     }
     // y = λ + z t  (store in acc)
-    op.apply_l_transpose(&ws.xtmp, &mut ws.k);
+    op.apply_l_transpose(lanes, &ws.xtmp, &mut ws.k, &mut ws.tilde);
     for i in 0..n {
         ws.acc[i] = lambda[i] + dt * ws.k[i];
     }
     // Parameter pickup: m_grad += dt · Fᵀ y.
     if let Some(mg) = m_grad {
-        let mut trace = vec![0.0; op.bottom.len()];
-        op.forcing_transpose(&ws.acc, &mut trace);
-        for (g, t) in mg.iter_mut().zip(&trace) {
+        op.forcing_transpose(lanes, &ws.acc, &mut ws.trace);
+        for (g, t) in mg.iter_mut().zip(&ws.trace) {
             *g += dt * t;
         }
     }
     // λ ← λ + dt Lᵀ y.
-    op.apply_l_transpose(&ws.acc, &mut ws.k);
+    op.apply_l_transpose(lanes, &ws.acc, &mut ws.k, &mut ws.tilde);
     for i in 0..n {
         lambda[i] += dt * ws.k[i];
     }
@@ -171,7 +194,7 @@ mod tests {
         let m = pseudo(op.bottom.len(), 2);
         let lambda0 = pseudo(n, 3);
 
-        let mut ws = Rk4Workspace::new(n);
+        let mut ws = Rk4Workspace::new(&op, 1);
         let mut x = x0.clone();
         rk4_step(&op, &mut x, Some(&m), dt, &mut ws);
         let lhs: f64 = x.iter().zip(&lambda0).map(|(a, b)| a * b).sum();
@@ -208,7 +231,7 @@ mod tests {
         }
         let e0 = op.energy(&x);
         let dt = op.params.cfl_dt(500.0, 3, 0.1);
-        let mut ws = Rk4Workspace::new(n);
+        let mut ws = Rk4Workspace::new(&op, 1);
         for _ in 0..200 {
             rk4_step(&op, &mut x, None, dt, &mut ws);
         }
@@ -227,7 +250,7 @@ mod tests {
         }
         let e0 = op.energy(&x);
         let dt = op.params.cfl_dt(500.0, 3, 0.4);
-        let mut ws = Rk4Workspace::new(n);
+        let mut ws = Rk4Workspace::new(&op, 1);
         for _ in 0..400 {
             rk4_step(&op, &mut x, None, dt, &mut ws);
         }
@@ -247,7 +270,7 @@ mod tests {
             *v = ((i as f64) * 0.017).sin();
         }
         let dt = op.params.cfl_dt(500.0, 3, 100.0); // 100× the safe step
-        let mut ws = Rk4Workspace::new(n);
+        let mut ws = Rk4Workspace::new(&op, 1);
         for _ in 0..60 {
             rk4_step(&op, &mut x, None, dt, &mut ws);
         }

@@ -64,7 +64,7 @@ fn surface_gravity_wave_dispersion() {
     // Probe η at the left wall (antinode).
     let probe = PointEvaluator::new(&ctx.mesh, &ctx.h1, 50.0, 1000.0, 0.0).unwrap();
     let dt = params.cfl_dt(h / 2.0, 3, 0.4);
-    let mut ws = Rk4Workspace::new(op.n_state());
+    let mut ws = Rk4Workspace::new(&op, 1);
     let steps = (1.3 * period_theory / dt) as usize;
     let mut times = Vec::with_capacity(steps);
     let mut etas = Vec::with_capacity(steps);
@@ -113,7 +113,7 @@ fn acoustic_organ_pipe_mode() {
     let probe = PointEvaluator::new(&ctx.mesh, &ctx.h1, 1000.0, 1000.0, -h * 0.98).unwrap();
     let period_theory = 4.0 * h / params.sound_speed();
     let dt = params.cfl_dt(h / 4.0, 4, 0.3);
-    let mut ws = Rk4Workspace::new(op.n_state());
+    let mut ws = Rk4Workspace::new(&op, 1);
     let steps = (1.4 * period_theory / dt) as usize;
     let mut times = Vec::with_capacity(steps);
     let mut ps = Vec::with_capacity(steps);
@@ -161,7 +161,7 @@ fn acoustic_travel_time_to_sensor() {
     let t_arrive = distance / params.sound_speed();
     let ramp = 5.0; // seconds of smooth turn-on
     let dt = params.cfl_dt(h, 3, 0.4);
-    let mut ws = Rk4Workspace::new(op.n_state());
+    let mut ws = Rk4Workspace::new(&op, 1);
     let n_u = op.n_u();
     let mut x = vec![0.0; op.n_state()];
     let mut m = vec![0.0; op.bottom.len()];
