@@ -16,7 +16,6 @@ use crate::metrics::rel_l2;
 use crate::phase4::{ForecastBatch, InferenceBatch};
 use crate::pod::PodBank;
 use crate::twin::DigitalTwin;
-use tsunami_linalg::svd::SvdOptions;
 use tsunami_linalg::DMatrix;
 use tsunami_rupture::KinematicRupture;
 use tsunami_solver::WaveSolver;
@@ -219,7 +218,7 @@ impl ScenarioBank {
     /// identification then scores misfits in `r × B` instead of
     /// `(Nd·Nt) × B` per tick.
     pub fn compress(&self, rank: usize) -> PodBank {
-        PodBank::from_clean_block(&self.d_clean, rank, SvdOptions::default())
+        PodBank::from_clean_block(&self.d_clean, rank)
     }
 
     /// Like [`Self::compress`], but picks the rank by an energy target:
@@ -231,7 +230,7 @@ impl ScenarioBank {
         if r == pod.rank() {
             pod
         } else {
-            PodBank::from_clean_block(&self.d_clean, r, SvdOptions::default())
+            PodBank::from_clean_block(&self.d_clean, r)
         }
     }
 

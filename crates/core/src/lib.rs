@@ -25,13 +25,22 @@
 //! agreement with the Phase 4 answer is itself a machine-precision test of
 //! the SMW identity.
 //!
-//! Beyond the paper's headline pipeline, three operational extensions:
+//! Beyond the paper's headline pipeline, operational extensions:
 //!
 //! - [`lti`]: the engine generalized over *any* linear time-invariant
 //!   forward model (§VIII's broader-applicability claim), used by the
 //!   elastic fault-slip/shake-map twin in `tsunami-elastic`.
-//! - [`window`]: streaming early warning from a growing observation
-//!   window, exact for every window length from one offline factorization.
+//! - [`ladder`]: streaming early warning from a growing observation
+//!   window. One type, [`RungLadder`], holds one data-to-QoI operator
+//!   per window rung, factored `T_w ≈ L_w R_wᵀ`, with three builders:
+//!
+//!   | builder | module | rung operator |
+//!   |---|---|---|
+//!   | [`RungLadder::build`] ([`DigitalTwin::windowed`]) | [`goal`] | exact dense `T_w`, from one offline factorization for every window length |
+//!   | [`RungLadder::compress`] ([`DigitalTwin::goal_ladder`]) | [`goal`] | rank-`r` randomized SVD of `T_w` (exact with [`GoalOptions::exact`]) |
+//!   | [`RungLadder::project`] ([`DigitalTwin::mode_space_ladder`]) | [`modespace`] | `T_w` projected onto one shared POD basis |
+//!
+//!   [`window`] holds the matching windowed parameter inference.
 //! - [`oed`]: goal-oriented optimal sensor placement (A-/D-optimal greedy
 //!   design over candidate arrays), closing §III-A's sensor-network loop.
 //! - [`bank`]: a scenario bank serving many observation streams against
@@ -68,7 +77,7 @@ pub use baseline::{solve_map_cg, HessianOperator};
 pub use config::{BathymetryKind, TwinConfig};
 pub use event::SyntheticEvent;
 pub use evidence::{calibrate_noise, log_bayes_factor, log_evidence};
-pub use goal::{GoalLadder, GoalOptions};
+pub use goal::{GoalLadder, GoalOptions, WindowedForecaster};
 pub use ladder::{Rung, RungLadder};
 pub use lti::{build_maps, LtiBayesEngine, LtiModel};
 pub use modespace::{ModeSpaceLadder, ModeSpaceOptions};
@@ -80,4 +89,4 @@ pub use phase4::{Forecast, ForecastBatch, Inference, InferenceBatch};
 pub use pod::PodBank;
 pub use stprior::SpaceTimePrior;
 pub use twin::DigitalTwin;
-pub use window::{infer_window, infer_window_batch, WindowedForecaster};
+pub use window::{infer_window, infer_window_batch};

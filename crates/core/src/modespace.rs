@@ -3,10 +3,10 @@
 //! streaming tick — identify, assimilate, forecast, classify — scales
 //! with the POD rank instead of the observation dimension.
 //!
-//! PR 7 moved scenario identification into POD mode space and the
-//! goal-oriented ladder ([`crate::goal`]) made forecasting rank-sized,
-//! but the windowed assimilation panels still gathered `k = w·Nd` data
-//! rows per session and paid `O(Nq·Nt × k)` per rung online. The source
+//! POD scenario identification ([`crate::pod`]) makes identification
+//! rank-sized and the goal-oriented ladder ([`crate::goal`]) makes
+//! forecasting rank-sized, but an exact rung still gathers `k = w·Nd`
+//! data rows per session and pays `O(Nq·Nt × k)` online. The source
 //! paper (arXiv:2504.16344) gets its real-time guarantee precisely by
 //! keeping every online operation independent of the full observation
 //! dimension; this module closes that gap for assimilation.
@@ -43,7 +43,7 @@
 //! clean curves of a losslessly compressed bank) are forecast exactly
 //! at *any* rank. The posterior std is data-independent and carried
 //! over unchanged from `crate::phase3::rung_operator` — bitwise the
-//! windowed forecaster's.
+//! exact ladder's.
 //!
 //! With [`ModeSpaceOptions::inference`] set, the same Gram-absorbed
 //! projection reduces the windowed *parameter inference* operator
@@ -55,43 +55,31 @@
 //! [`crate::ladder`] (with [`RungLadder::basis`] set); this module is
 //! the Gram-absorbed-projection way of building one.
 
-use crate::ladder::{leading_rows, rung_svd, Rung, RungLadder};
+use crate::ladder::{leading_rows, normalize_windows, rung_svd, Rung, RungLadder};
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
 use crate::phase3::{rung_operator, Phase3};
-use crate::window::{self, infer_window_batch};
+use crate::window::infer_window_batch;
 use rayon::prelude::*;
-use tsunami_linalg::{randomized_svd, DMatrix, FactoredMap, SvdOptions};
+use tsunami_linalg::{randomized_svd, DMatrix};
 
-/// A [`RungLadder`] built by [`RungLadder::project`]. The two ladder
-/// names are one type; both stay because the frozen `perf_report`
-/// harness spells them.
+/// A [`RungLadder`] built by [`RungLadder::project`]. The ladder names
+/// are one type; they stay because the frozen `perf_report` harness
+/// spells them.
 pub type ModeSpaceLadder = RungLadder;
 
-/// Offline knobs for [`RungLadder::project`].
-#[derive(Clone, Copy, Debug)]
+/// Relative cutoff for the basis restriction's singular values when
+/// absorbing the Gram pseudo-inverse: modes of `U_k` at or below
+/// `GRAM_RTOL · σ₀` are dropped instead of inverted through.
+const GRAM_RTOL: f64 = 1e-10;
+
+/// Offline knob for [`RungLadder::project`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ModeSpaceOptions {
     /// Also build the reduced parameter-inference operators `M̃_w`
     /// (engine ticks with `infer: true` then fill the inference norm;
     /// the forecast-only service skips the extra offline solves).
     pub inference: bool,
-    /// Relative cutoff for the basis restriction's singular values when
-    /// absorbing the Gram pseudo-inverse: modes of `U_k` at or below
-    /// `gram_rtol · σ₀` are dropped instead of inverted through.
-    pub gram_rtol: f64,
-    /// Randomized-SVD knobs for the per-rung basis factorization (the
-    /// seed is varied per rung, as in [`crate::goal::GoalOptions`]).
-    pub svd: SvdOptions,
-}
-
-impl Default for ModeSpaceOptions {
-    fn default() -> Self {
-        ModeSpaceOptions {
-            inference: false,
-            gram_rtol: 1e-10,
-            svd: SvdOptions::default(),
-        }
-    }
 }
 
 impl RungLadder {
@@ -99,8 +87,8 @@ impl RungLadder {
     /// observation basis (`modes`: `(Nd·Nt) × r`, e.g.
     /// [`crate::PodBank::modes`]), which the ladder keeps as its shared
     /// [`Self::basis`]. Each rung's dense `T_w` is materialized once
-    /// (`phase3::rung_operator` — bitwise the windowed forecaster's
-    /// operator), projected, bounded, and dropped.
+    /// (`phase3::rung_operator` — bitwise the exact ladder's operator),
+    /// projected, bounded, and dropped.
     pub fn project(
         p1: &Phase1,
         p2: &Phase2,
@@ -119,7 +107,7 @@ impl RungLadder {
             modes.ncols() >= 1,
             "mode-space ladder needs a nonempty basis"
         );
-        let ws = window::normalize_windows(windows, p1.f.nt);
+        let ws = normalize_windows(windows, p1.f.nt);
         let per_rung = ws
             .par_iter()
             .map(|&w| reduce_rung(p1, p2, p3, w, nd, modes, opts))
@@ -138,14 +126,14 @@ fn reduce_rung(
     nd: usize,
     modes: &DMatrix,
     opts: &ModeSpaceOptions,
-) -> (Rung, Vec<f64>) {
+) -> (DMatrix, Rung, Vec<f64>) {
     let k = w * nd;
     let (t_w, _, std) = rung_operator(&p2.k_chol, &p3.b, &p3.a0, k);
     let u_k = leading_rows(modes, k);
-    let svd = randomized_svd(&u_k, modes.ncols(), rung_svd(opts.svd, w));
+    let svd = randomized_svd(&u_k, modes.ncols(), rung_svd(w));
     // X = U_k (U_kᵀU_k)⁺ (k × r): the offline Gram absorption. The online
     // fold then stays the raw shared projection a = U_kᵀ d.
-    let x = svd.pinv_transpose(opts.gram_rtol);
+    let x = svd.pinv_transpose(GRAM_RTOL);
     let q_map = t_w.matmul(&x);
 
     // Exact residual ‖T_w − F̃_w U_kᵀ‖_F, materialized once and dropped.
@@ -167,24 +155,23 @@ fn reduce_rung(
         (None, 0.0)
     };
 
-    (
-        Rung {
-            map: FactoredMap::exact(q_map),
-            trunc_bound,
-            m_map,
-            m_trunc_bound,
-        },
-        std,
-    )
+    let rung = Rung {
+        right: None,
+        trunc_bound,
+        m_map,
+        m_trunc_bound,
+    };
+    (q_map, rung, std)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TwinConfig;
+    use crate::goal::WindowedForecaster;
     use crate::twin::DigitalTwin;
-    use crate::window::WindowedForecaster;
     use tsunami_linalg::svd::orthonormalize;
+    use tsunami_linalg::SvdOptions;
 
     fn setup() -> DigitalTwin {
         DigitalTwin::offline(TwinConfig::tiny(), 0.03)
@@ -286,7 +273,7 @@ mod tests {
                 .sqrt();
             let bound = ms.mean_error_bound(i, d_norm);
             assert!(
-                ms.rungs[i].trunc_bound > 0.0 || k <= ms.rungs[i].map.rank(),
+                ms.rungs[i].trunc_bound > 0.0 || k <= ms.q_maps[i].ncols(),
                 "rung {i} should truncate"
             );
             assert!(
@@ -319,6 +306,10 @@ mod tests {
             "in-span data must forecast exactly: {}",
             diff.norm_fro() / scale
         );
+        // The single-event forecast folds through the same basis rows.
+        let single = ms.forecast(0, d.as_slice());
+        let drift = crate::metrics::rel_l2(&single.q_map, reduced.q_map.as_slice());
+        assert!(drift < 1e-12, "single vs batch {drift}");
     }
 
     #[test]
@@ -326,10 +317,7 @@ mod tests {
         let twin = setup();
         let nt = twin.solver.grid.nt_obs;
         let n = twin.n_data();
-        let opts = ModeSpaceOptions {
-            inference: true,
-            ..ModeSpaceOptions::default()
-        };
+        let opts = ModeSpaceOptions { inference: true };
         let ms = twin.mode_space_ladder(&[nt / 2, nt], &complete_basis(n), &opts);
         assert!(ms.rungs.iter().all(|r| r.m_map.is_some()));
         for i in 0..ms.windows.len() {
@@ -337,9 +325,7 @@ mod tests {
             assert!(ms.rungs[i].m_trunc_bound < 1e-8, "rung {i} m-bound");
             let d = DMatrix::from_fn(k, 2, |r, c| ((r + 3 * c) as f64 * 0.17).cos());
             let dense = infer_window_batch(&twin.phase1, &twin.phase2, &d, ms.windows[i]).m_map;
-            let u_k = DMatrix::from_fn(k, ms.rungs[i].map.rank(), |r, c| {
-                ms.basis().unwrap()[(r, c)]
-            });
+            let u_k = DMatrix::from_fn(k, ms.q_maps[i].ncols(), |r, c| ms.basis().unwrap()[(r, c)]);
             let a = u_k.matmul_tn(&d);
             let reduced = ms.rungs[i].m_map.as_ref().unwrap().matmul(&a);
             let scale = dense.norm_fro().max(1e-300);
@@ -354,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn rebuilds_are_bitwise_reproducible_and_seeded_per_rung() {
+    fn rebuilds_are_bitwise_reproducible() {
         let twin = setup();
         let nt = twin.solver.grid.nt_obs;
         let n = twin.n_data();
@@ -367,29 +353,12 @@ mod tests {
             // reduced factor bit for bit (per-rung seeds are derived, not
             // drawn from shared state).
             assert_eq!(
-                a.rungs[i].map.left().as_slice(),
-                b.rungs[i].map.left().as_slice(),
+                a.q_maps[i].as_slice(),
+                b.q_maps[i].as_slice(),
                 "rung {i} not reproducible"
             );
             assert_eq!(a.rungs[i].trunc_bound, b.rungs[i].trunc_bound);
         }
-        // A different base seed draws different test matrices — the seed
-        // actually reaches the factorization.
-        let other = twin.mode_space_ladder(
-            &[nt / 2, nt],
-            &basis,
-            &ModeSpaceOptions {
-                svd: SvdOptions {
-                    seed: 0xDEAD_BEEF,
-                    ..SvdOptions::default()
-                },
-                ..opts
-            },
-        );
-        assert!(
-            a.rungs[0].map.left().as_slice() != other.rungs[0].map.left().as_slice(),
-            "base seed must reach the per-rung factorizations"
-        );
     }
 
     #[test]
@@ -401,7 +370,7 @@ mod tests {
         let ms =
             twin.mode_space_ladder(&[2, 1, nt, 2, nt + 7], &basis, &ModeSpaceOptions::default());
         assert_eq!(ms.windows, vec![1, 2, nt]);
-        assert_eq!(ms.rungs[0].map.rank(), 3);
+        assert_eq!(ms.q_maps[0].ncols(), 3);
         assert_eq!(ms.window_for(0), None);
         assert_eq!(ms.window_for(1), Some(0));
         assert_eq!(ms.window_for(nt + 5), Some(2));

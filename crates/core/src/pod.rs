@@ -51,8 +51,8 @@ impl PodBank {
     /// Compress a clean observation block (`(Nd·Nt) × B`) to `rank`
     /// modes. The effective rank is `min(rank, Nd·Nt, B)`, possibly less
     /// if the block is numerically rank-deficient.
-    pub fn from_clean_block(clean: &DMatrix, rank: usize, opts: SvdOptions) -> Self {
-        let svd = randomized_svd(clean, rank, opts);
+    pub fn from_clean_block(clean: &DMatrix, rank: usize) -> Self {
+        let svd = randomized_svd(clean, rank, SvdOptions::default());
         let coeffs = svd.u.matmul_tn(clean);
         let residual_energy: Vec<f64> = (0..clean.ncols())
             .map(|j| {

@@ -77,19 +77,20 @@ impl DigitalTwin {
         phase4::predict_batch(&self.phase3, d_obs)
     }
 
-    /// Precompute window-restricted forecast operators for a ladder of
-    /// observation windows (in observation steps) — the offline extension
-    /// that makes streaming assimilation a sequence of cheap online
-    /// applies (see [`crate::window`]).
-    pub fn windowed(&self, windows: &[usize]) -> crate::window::WindowedForecaster {
-        crate::window::WindowedForecaster::build(&self.phase1, &self.phase2, &self.phase3, windows)
+    /// Precompute the exact window ladder: one dense data-to-QoI operator
+    /// `T_w = B_w K_w⁻¹` per observation window (in observation steps) —
+    /// the offline extension that makes streaming assimilation a sequence
+    /// of cheap online applies ([`RungLadder::build`]; the same ladder as
+    /// [`Self::goal_ladder`] with [`GoalOptions::exact`]).
+    pub fn windowed(&self, windows: &[usize]) -> RungLadder {
+        RungLadder::build(&self.phase1, &self.phase2, &self.phase3, windows)
     }
 
     /// Precompute the goal-oriented factored ladder for a window ladder:
     /// per-rung data-to-QoI operators `T_w ≈ L_w R_wᵀ` so online
     /// forecasting is folds and small GEMMs with no factor walk at all
-    /// (see [`crate::goal`]). With [`GoalOptions::exact`] the ladder
-    /// bit-matches [`Self::windowed`]'s forecasts.
+    /// (see [`crate::goal`]). With [`GoalOptions::exact`] this is
+    /// [`Self::windowed`].
     pub fn goal_ladder(&self, windows: &[usize], opts: &GoalOptions) -> RungLadder {
         RungLadder::compress(&self.phase1, &self.phase2, &self.phase3, windows, opts)
     }

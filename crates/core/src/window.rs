@@ -1,4 +1,5 @@
-//! Streaming early warning: assimilation of a *growing* observation window.
+//! Streaming inference: the exact posterior mean from a *growing*
+//! observation window.
 //!
 //! In operation, data arrive continuously: seconds after rupture onset only
 //! a short pressure record exists, yet a warning decision cannot wait for
@@ -9,108 +10,24 @@
 //! is the factor of the leading principal block. One offline factorization
 //! therefore serves *every* window length, preserving the paper's
 //! fraction-of-a-second online guarantee for each update as data stream in.
-//! Each window's operator is Phase 3's own `rung_operator` at a shorter
-//! `k`; the full window *is* Phase 3, bit for bit.
+//!
+//! This module holds the parameter side: [`infer_window`] /
+//! [`infer_window_batch`] solve with the leading block of the factor and
+//! map back through `Gᵀ`. The forecast side — one data-to-QoI operator
+//! per window — is the exact [`crate::RungLadder`] of
+//! [`crate::RungLadder::build`] (also named
+//! [`crate::WindowedForecaster`]), whose full-horizon rung *is* Phase 3,
+//! bit for bit.
 //!
 //! For each window the posterior is exact (no approximation): it is the
 //! Bayesian solution given the data observed so far, with the unobserved
-//! future contributing nothing. Forecast uncertainty shrinks monotonically
-//! as the window grows — the basis of the latency-vs-confidence trade
-//! curve that an early-warning operator acts on.
+//! future contributing nothing.
 
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
-use crate::phase3::{rung_operator, Phase3};
-use crate::phase4::{Forecast, ForecastBatch, Inference, InferenceBatch};
-use rayon::prelude::*;
+use crate::phase4::{Inference, InferenceBatch};
 use std::time::Instant;
 use tsunami_linalg::DMatrix;
-
-/// Precomputed window-restricted forecast operators for a ladder of
-/// observation windows (offline Phase 3 extension).
-pub struct WindowedForecaster {
-    /// Window lengths in observation steps, strictly increasing.
-    pub windows: Vec<usize>,
-    /// Per-window data-to-QoI maps `Q_w = B_w K_w⁻¹` (`Nq·Nt × k·Nd`).
-    pub q_maps: Vec<DMatrix>,
-    /// Per-window forecast standard deviations `√diag(Γpost(q; w))`.
-    pub q_stds: Vec<Vec<f64>>,
-    /// Number of sensors `Nd` (data entries per observation step).
-    pub nd: usize,
-}
-
-impl WindowedForecaster {
-    /// Precompute forecast operators for the given window lengths (in
-    /// observation steps). Windows are clamped to the full horizon and
-    /// must be positive.
-    pub fn build(p1: &Phase1, p2: &Phase2, p3: &Phase3, windows: &[usize]) -> Self {
-        let nd = p1.f.out_dim;
-        let ws = normalize_windows(windows, p1.f.nt);
-        let per_window: Vec<(DMatrix, Vec<f64>)> = ws
-            .par_iter()
-            .map(|&w| {
-                let (q_map, _, q_std) = rung_operator(&p2.k_chol, &p3.b, &p3.a0, w * nd);
-                (q_map, q_std)
-            })
-            .collect();
-        let (q_maps, q_stds) = per_window.into_iter().unzip();
-        WindowedForecaster {
-            windows: ws,
-            q_maps,
-            q_stds,
-            nd,
-        }
-    }
-
-    /// Forecast from the first `windows[i]` observation steps of data.
-    /// `d_window` must hold exactly `windows[i]·Nd` entries (the data seen
-    /// so far, time-major). One lane-width pass over `Q_w`
-    /// ([`DMatrix::matvec`]), so the full window is bit-identical to
-    /// [`crate::phase4::predict`].
-    pub fn forecast(&self, i: usize, d_window: &[f64]) -> Forecast {
-        crate::phase4::forecast_with(&self.q_maps[i], &self.q_stds[i], d_window)
-    }
-
-    /// Forecast a whole block of observation streams from the same window:
-    /// `d_window` is `windows[i]·Nd × B`, one stream per column, and the
-    /// result is one dense `Q_w · D` product instead of `B` matvecs. The
-    /// posterior std is data-independent, so one vector serves every
-    /// column.
-    pub fn forecast_batch(&self, i: usize, d_window: &DMatrix) -> ForecastBatch {
-        let t0 = Instant::now();
-        let k = self.windows[i] * self.nd;
-        assert_eq!(d_window.nrows(), k, "window {i} expects {k} data rows");
-        let q_map = self.q_maps[i].matmul(d_window);
-        ForecastBatch {
-            q_map,
-            q_std: self.q_stds[i].clone(),
-            seconds: t0.elapsed().as_secs_f64(),
-        }
-    }
-
-    /// Index of the widest precomputed window not exceeding `steps`.
-    /// Returns `None` if even the narrowest window needs more data.
-    pub fn window_for(&self, steps: usize) -> Option<usize> {
-        self.windows.iter().rposition(|&w| w <= steps)
-    }
-}
-
-/// Clamp a requested window ladder to the horizon, sort it, and dedup it
-/// — the shared normalization of [`WindowedForecaster::build`] and
-/// the [`crate::ladder::RungLadder`] builders, so ladders built from the
-/// same request always line up rung for rung.
-pub(crate) fn normalize_windows(windows: &[usize], nt: usize) -> Vec<usize> {
-    let mut ws: Vec<usize> = windows
-        .iter()
-        .map(|&w| {
-            assert!(w > 0, "window length must be positive");
-            w.min(nt)
-        })
-        .collect();
-    ws.sort_unstable();
-    ws.dedup();
-    ws
-}
 
 /// Online inference from a truncated observation window: the exact
 /// posterior mean given only the first `k_steps` observation times,
@@ -164,6 +81,7 @@ mod tests {
     use super::*;
     use crate::config::TwinConfig;
     use crate::event::SyntheticEvent;
+    use crate::goal::WindowedForecaster;
     use crate::metrics::rel_l2;
     use crate::stprior::SpaceTimePrior;
     use crate::twin::DigitalTwin;
@@ -188,13 +106,31 @@ mod tests {
             assert!((a - b).abs() < 1e-12 * b.abs().max(1e-12));
         }
 
-        let wf = WindowedForecaster::build(&twin.phase1, &twin.phase2, &twin.phase3, &[nt]);
+        let wf =
+            WindowedForecaster::build(&twin.phase1, &twin.phase2, &twin.phase3, &[1, nt / 2, nt]);
+        let last = wf.windows.len() - 1;
         let fc_full = twin.forecast(&d);
-        let fc_win = wf.forecast(0, &d);
+        let fc_win = wf.forecast(last, &d);
         // The nt-rung is Phase 3 itself (one `rung_operator`): bit-equal.
-        assert_eq!(wf.q_maps[0].as_slice(), twin.phase3.q_map.as_slice());
+        assert_eq!(wf.q_maps[last].as_slice(), twin.phase3.q_map.as_slice());
         assert_eq!(fc_win.q_map, fc_full.q_map);
         assert_eq!(fc_win.q_std, fc_full.q_std);
+
+        // On every rung, the single-event forecast is a column of the
+        // batched one. Not bitwise: `forecast` is one lane-width dot per
+        // row (`dot_lanes` sums 16 interleaved partials) and the batch is
+        // the GEMM, which accumulates each entry in ascending order.
+        for i in 0..wf.windows.len() {
+            let k = wf.windows[i] * wf.nd;
+            let block = DMatrix::from_fn(k, 3, |r, c| ((r * 5 + 3 * c) as f64 * 0.13).sin());
+            let batch = wf.forecast_batch(i, &block);
+            for j in 0..block.ncols() {
+                let single = wf.forecast(i, &block.col(j));
+                let err = rel_l2(&single.q_map, &batch.q_map.col(j));
+                assert!(err < 1e-13, "rung {i} column {j}: {err}");
+                assert_eq!(single.q_std, batch.q_std);
+            }
+        }
     }
 
     #[test]

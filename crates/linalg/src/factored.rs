@@ -26,9 +26,8 @@ pub struct FactoredMap {
 
 impl FactoredMap {
     /// The exact map as a degenerate factorization `M · Iᵀ`: folding is a
-    /// copy, materialization is the dense product itself — bitwise equal
-    /// to [`DMatrix::matmul`] on the original map (the full-rank oracle).
-    pub fn exact(map: DMatrix) -> Self {
+    /// copy, and the lift is the dense product itself.
+    fn exact(map: DMatrix) -> Self {
         FactoredMap {
             left: map,
             right: None,
@@ -42,7 +41,7 @@ impl FactoredMap {
     /// apply error obeys `‖(M − L Rᵀ) d‖₂ ≤ residual · ‖d‖₂`).
     ///
     /// A requested rank at or above `min(out_dim, in_dim)` falls back to
-    /// [`Self::exact`] (residual 0): the SVD could only add roundoff.
+    /// the exact map (residual 0): the SVD could only add roundoff.
     pub fn compress(map: &DMatrix, rank: usize, opts: SvdOptions) -> (Self, f64) {
         assert!(rank >= 1, "factored rank must be at least 1");
         if rank >= map.nrows().min(map.ncols()) {
@@ -68,36 +67,10 @@ impl FactoredMap {
         )
     }
 
-    /// Output dimension of the map.
-    pub fn out_dim(&self) -> usize {
-        self.left.nrows()
-    }
-
-    /// Input dimension of the map.
-    pub fn in_dim(&self) -> usize {
-        self.right.as_ref().map_or(self.left.ncols(), |r| r.nrows())
-    }
-
     /// Factor rank `r` — the per-stream fold-state length (`in_dim` for
-    /// the exact passthrough).
+    /// the exact map).
     pub fn rank(&self) -> usize {
         self.left.ncols()
-    }
-
-    /// True for the exact passthrough (`R = I`, residual 0).
-    pub fn is_exact(&self) -> bool {
-        self.right.is_none()
-    }
-
-    /// The left factor `L` (`out_dim × rank`).
-    pub fn left(&self) -> &DMatrix {
-        &self.left
-    }
-
-    /// The right factor `R` (`in_dim × rank`); `None` for the exact
-    /// passthrough whose fold is a plain copy.
-    pub fn right(&self) -> Option<&DMatrix> {
-        self.right.as_ref()
     }
 
     /// Fold a block of inputs into rank space: `Z = Rᵀ X` (`rank × B`).
@@ -108,33 +81,21 @@ impl FactoredMap {
         }
     }
 
-    /// Materialize outputs from folded state: `Q = L · Z`, written into a
-    /// caller-owned `out_dim × B` block ([`DMatrix::matmul_into`], so the
-    /// exact passthrough is bitwise the dense product).
-    pub fn materialize_into(&self, z: &DMatrix, q: &mut DMatrix) {
-        self.left.matmul_into(z, q);
-    }
-
-    /// Apply the factored map to a block: `Q ≈ M X`.
-    pub fn apply(&self, x: &DMatrix) -> DMatrix {
-        let z = self.fold(x);
-        let mut q = DMatrix::zeros(self.out_dim(), x.ncols());
-        self.materialize_into(&z, &mut q);
-        q
-    }
-
-    /// Resident elements of the factored form, `r · (out + in)` for a
-    /// compressed map and `out · in` for the exact passthrough — the
-    /// working-set figure the offline/online split is sized by.
-    pub fn resident_elems(&self) -> usize {
-        self.left.nrows() * self.left.ncols()
-            + self.right.as_ref().map_or(0, |r| r.nrows() * r.ncols())
+    /// The factors `(L, R)`; `R` is `None` for the exact map, whose fold
+    /// is a plain copy.
+    pub fn into_parts(self) -> (DMatrix, Option<DMatrix>) {
+        (self.left, self.right)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Q ≈ M X` through the factors: fold, then lift.
+    fn apply(f: &FactoredMap, x: &DMatrix) -> DMatrix {
+        f.left.matmul(&f.fold(x))
+    }
 
     fn smooth_map(rows: usize, cols: usize) -> DMatrix {
         // Rapidly decaying spectrum: a sum of a few smooth outer products
@@ -152,9 +113,9 @@ mod tests {
         let m = smooth_map(23, 40);
         let x = DMatrix::from_fn(40, 7, |i, j| ((i * 3 + j) as f64 * 0.17).sin());
         let f = FactoredMap::exact(m.clone());
-        assert!(f.is_exact());
+        assert!(f.right.is_none());
         assert_eq!(f.rank(), 40);
-        assert_eq!(f.apply(&x).as_slice(), m.matmul(&x).as_slice());
+        assert_eq!(apply(&f, &x).as_slice(), m.matmul(&x).as_slice());
     }
 
     #[test]
@@ -163,10 +124,10 @@ mod tests {
         let x = DMatrix::from_fn(50, 5, |i, j| ((i + 7 * j) as f64 * 0.23).cos());
         for rank in [1usize, 2, 4, 8] {
             let (f, residual) = FactoredMap::compress(&m, rank, SvdOptions::default());
-            assert_eq!(f.out_dim(), 30);
-            assert_eq!(f.in_dim(), 50);
+            assert_eq!(f.left.nrows(), 30);
+            assert_eq!(f.right.as_ref().map(|r| r.nrows()), Some(50));
             assert!(f.rank() <= rank);
-            let q = f.apply(&x);
+            let q = apply(&f, &x);
             let dense = m.matmul(&x);
             for j in 0..x.ncols() {
                 let dn: f64 = (0..50).map(|i| x[(i, j)] * x[(i, j)]).sum::<f64>().sqrt();
@@ -196,16 +157,7 @@ mod tests {
             prev = residual;
         }
         let (f, residual) = FactoredMap::compress(&m, 20, SvdOptions::default());
-        assert!(f.is_exact(), "rank ≥ min dim must fall back to exact");
+        assert!(f.right.is_none(), "rank ≥ min dim must fall back to exact");
         assert_eq!(residual, 0.0);
-    }
-
-    #[test]
-    fn resident_elems_counts_the_factored_working_set() {
-        let m = smooth_map(24, 48);
-        let (f, _) = FactoredMap::compress(&m, 4, SvdOptions::default());
-        assert_eq!(f.resident_elems(), f.rank() * (24 + 48));
-        let e = FactoredMap::exact(m);
-        assert_eq!(e.resident_elems(), 24 * 48);
     }
 }

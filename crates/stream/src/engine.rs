@@ -13,16 +13,18 @@
 //! `w` of the window ladder has a precomputed data-to-QoI operator
 //! factored as `T_w ≈ L_w R_wᵀ`; arriving data fold into a small state
 //! `z += R_wᵀ d`, and a rung crossing lifts `q = L_w z`. The engine is
-//! handed one ladder at construction and resolves it into per-rung views
-//! (where the lift input comes from, a borrowed lift matrix, an optional
-//! inference operator, the posterior std); the ladder handed in *is* the
-//! path selection ([`TickPath`]):
+//! handed one [`RungLadder`] at construction ([`StreamEngine::new`];
+//! [`StreamEngine::goal_oriented`] and [`StreamEngine::mode_space`] are
+//! the same constructor) and resolves it into per-rung views (where the
+//! lift input comes from, a borrowed lift matrix, an optional inference
+//! operator, the posterior std); the ladder handed in *is* the path
+//! selection ([`TickPath`]):
 //!
-//! | constructor | `R_w` | per-session state | certified bound |
-//! |---|---|---|---|
-//! | [`StreamEngine::new`] — dense [`WindowedForecaster`] | `I` | none (reads the ring) | exact |
-//! | [`StreamEngine::goal_oriented`] — SVD-compressed [`RungLadder`] | own factor per rung (`I` for an exact rung) | `Σ rank_w` | `‖T_w − L_w R_wᵀ‖_F · ‖d_w‖₂` |
-//! | [`StreamEngine::mode_space`] — [`RungLadder`] over a POD basis `U` | leading rows `U_k` of one basis | `r` per rung + `r` | `‖T_w (I − P_w)‖_F · ‖d_w‖₂` |
+//! | ladder built by | `R_w` | per-session state | certified bound | [`TickPath`] |
+//! |---|---|---|---|---|
+//! | [`RungLadder::build`] — exact | `I` | none (reads the ring) | exact | `Windowed` |
+//! | [`RungLadder::compress`] — SVD-compressed | own factor per rung (`I` for a rung kept exact) | `Σ rank_w` | `‖T_w − L_w R_wᵀ‖_F · ‖d_w‖₂` | `GoalOriented` |
+//! | [`RungLadder::project`] — over a POD basis `U` | leading rows `U_k` of one basis | `r` per rung + `r` | `‖T_w (I − P_w)‖_F · ‖d_w‖₂` | `ModeSpace` |
 //!
 //! A tick does five things, each independently per shard:
 //!
@@ -73,11 +75,10 @@
 //! Every shard owns its session table, freelist, and inbox, so a tick
 //! fans the shards out across the worker pool with **one barrier per
 //! tick** — no cross-shard locks, no per-session synchronization. With
-//! `shards = 1` (the default) the engine degenerates to the exact
-//! pre-shard sequential behavior. Shard results are invariant in the
-//! shard count: identification and folds update each session
-//! independently, and the lift acts columnwise, so K-shard and 1-shard
-//! ticks agree to roundoff.
+//! `shards = 1` (the default) the whole tick runs as one sequential
+//! shard. Shard results are invariant in the shard count:
+//! identification and folds update each session independently, and the
+//! lift acts columnwise, so K-shard and 1-shard ticks agree to roundoff.
 //!
 //! Groups are processed in bounded chunks of [`StreamConfig::chunk`]
 //! sessions: the largest dense block any shard ever materializes is
@@ -117,9 +118,7 @@ use crate::tick::{read_misfit, tick_shard, Shard, TickCtx, TickSpans};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
-use tsunami_core::{
-    DigitalTwin, Forecast, ForecastBatch, PodBank, RungLadder, ScenarioBank, WindowedForecaster,
-};
+use tsunami_core::{DigitalTwin, Forecast, ForecastBatch, PodBank, RungLadder, ScenarioBank};
 use tsunami_obs::{AuditRing, Counter, Gauge, Histogram, Registry};
 
 /// Which scenario-identification path a tick runs (see the
@@ -158,7 +157,7 @@ pub struct StreamConfig {
     /// point) leave `m_norm` at `None`.
     pub infer: bool,
     /// Session shards ticked in parallel (see the [module docs](self)).
-    /// Must be ≥ 1; 1 recovers the exact pre-shard sequential engine.
+    /// Must be ≥ 1; 1 ticks every session in one sequential shard.
     pub shards: usize,
     /// Scenario-identification backend ([`IdentifyBackend::Exact`] by
     /// default; [`IdentifyBackend::ModeSpace`] needs an attached
@@ -193,6 +192,36 @@ pub struct ScenarioMatch {
     pub log_likelihood: f64,
     /// Posterior probability over the bank (uniform prior).
     pub probability: f64,
+}
+
+/// The uniform-prior scenario posterior of one session's misfits, in
+/// bank order — the one definition behind [`StreamEngine::ranked_matches`]
+/// and the audit record's [`WarningTransition::top_scenario`]. Scenario
+/// `j` scores the Gaussian log-likelihood `ll_j = −misfit_j/(2σ²)` and
+/// the probability `exp(ll_j − ll_max) / Σ_i exp(ll_i − ll_max)`.
+pub(crate) fn scenario_posterior(misfit: &[f64], noise_std: f64) -> Vec<ScenarioMatch> {
+    let sigma2 = noise_std * noise_std;
+    let mut matches: Vec<ScenarioMatch> = misfit
+        .iter()
+        .enumerate()
+        .map(|(j, &mis)| ScenarioMatch {
+            scenario: j,
+            log_likelihood: -mis / (2.0 * sigma2),
+            probability: 0.0,
+        })
+        .collect();
+    let ll_max = matches
+        .iter()
+        .map(|m| m.log_likelihood)
+        .fold(f64::NEG_INFINITY, f64::max);
+    for m in &mut matches {
+        m.probability = (m.log_likelihood - ll_max).exp();
+    }
+    let z: f64 = matches.iter().map(|m| m.probability).sum();
+    for m in &mut matches {
+        m.probability /= z;
+    }
+    matches
 }
 
 /// Per-tick latency/throughput record.
@@ -391,40 +420,16 @@ pub struct StreamEngine<'a> {
 }
 
 impl<'a> StreamEngine<'a> {
-    /// An engine on the dense windowed ladder ([`TickPath::Windowed`]):
-    /// every rung gathers the raw window and applies `Q_w` — the exact
-    /// path, and the oracle for the reduced ones.
-    pub fn new(
-        twin: &'a DigitalTwin,
-        forecaster: &'a WindowedForecaster,
-        config: StreamConfig,
-    ) -> Self {
-        Self::on_ladder(twin, Ladder::windowed(forecaster, config.infer), config)
-    }
-
-    /// An engine on a factored ladder: no dense [`WindowedForecaster`] —
-    /// and none of its `O(Nq · Σ w·Nd)` resident memory — is needed at
-    /// all, and a tick is rank-sized folds plus small GEMMs. The path is
-    /// read off the ladder: [`TickPath::ModeSpace`] when its rungs share
-    /// an observation basis, else [`TickPath::GoalOriented`].
-    ///
-    /// [`Self::mode_space`] is the same constructor: the two ladder
-    /// kinds are one type, and both names stay only because the frozen
-    /// `perf_report` harness spells them.
-    pub fn goal_oriented(
-        twin: &'a DigitalTwin,
-        ladder: &'a RungLadder,
-        config: StreamConfig,
-    ) -> Self {
-        Self::on_ladder(twin, Ladder::reduced(ladder, config.infer), config)
-    }
-
-    /// See [`Self::goal_oriented`].
-    pub fn mode_space(twin: &'a DigitalTwin, ladder: &'a RungLadder, config: StreamConfig) -> Self {
-        Self::goal_oriented(twin, ladder, config)
-    }
-
-    fn on_ladder(twin: &'a DigitalTwin, ladder: Ladder<'a>, config: StreamConfig) -> Self {
+    /// An engine on a rung ladder. The ladder handed in *is* the path
+    /// selection ([`TickPath`], read off the ladder): an exact ladder
+    /// ([`RungLadder::build`]) gathers the raw window at every rung and
+    /// applies the dense `T_w` — the exact path, and the oracle for the
+    /// reduced ones; a compressed ladder ([`RungLadder::compress`]) or a
+    /// shared-basis ladder ([`RungLadder::project`]) makes a tick
+    /// rank-sized folds plus small GEMMs, with none of the exact
+    /// ladder's `O(Nq · Σ w·Nd)` resident memory.
+    pub fn new(twin: &'a DigitalTwin, ladder: &'a RungLadder, config: StreamConfig) -> Self {
+        let ladder = Ladder::new(ladder, config.infer);
         assert!(config.chunk >= 1, "chunk must be at least 1");
         assert!(config.shards >= 1, "shards must be at least 1");
         assert!(
@@ -463,6 +468,22 @@ impl<'a> StreamEngine<'a> {
             audit: AuditRing::new(config.audit_capacity),
             last_pool: rayon::pool_stats(),
         }
+    }
+
+    /// [`Self::new`], under the name the frozen `perf_report` harness
+    /// spells for the goal-oriented path.
+    pub fn goal_oriented(
+        twin: &'a DigitalTwin,
+        ladder: &'a RungLadder,
+        config: StreamConfig,
+    ) -> Self {
+        Self::new(twin, ladder, config)
+    }
+
+    /// [`Self::new`], under the name the frozen `perf_report` harness
+    /// spells for the mode-space path.
+    pub fn mode_space(twin: &'a DigitalTwin, ladder: &'a RungLadder, config: StreamConfig) -> Self {
+        Self::new(twin, ladder, config)
     }
 
     /// Attach a scenario bank: every arrived sample then also updates the
@@ -877,23 +898,9 @@ impl<'a> StreamEngine<'a> {
         let Some(bank) = self.bank else {
             return Vec::new();
         };
-        let sigma2 = bank.noise_std() * bank.noise_std();
         let mut buf = Vec::new();
         let misfit = self.read_misfit(id, &mut buf);
-        let lls: Vec<f64> = misfit.iter().map(|&mis| -mis / (2.0 * sigma2)).collect();
-        let ll_max = lls.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let weights: Vec<f64> = lls.iter().map(|&ll| (ll - ll_max).exp()).collect();
-        let z: f64 = weights.iter().sum();
-        let mut out: Vec<ScenarioMatch> = lls
-            .iter()
-            .zip(&weights)
-            .enumerate()
-            .map(|(j, (&ll, &w))| ScenarioMatch {
-                scenario: j,
-                log_likelihood: ll,
-                probability: w / z,
-            })
-            .collect();
+        let mut out = scenario_posterior(misfit, bank.noise_std());
         out.sort_by(|a, b| b.log_likelihood.total_cmp(&a.log_likelihood));
         out
     }
@@ -903,7 +910,7 @@ impl<'a> StreamEngine<'a> {
     /// the session's identification posterior
     /// ([`superpose_forecasts`] over [`Self::ranked_matches`]).
     /// `bank_forecasts` holds one forecast column per bank scenario
-    /// (e.g. [`tsunami_core::WindowedForecaster::forecast_batch`] on the
+    /// (e.g. [`tsunami_core::RungLadder::forecast_batch`] on the
     /// bank's clean observations). Falls back to the identification
     /// posterior as-is — works under both identification backends.
     pub fn superposed_forecast(&self, id: usize, bank_forecasts: &ForecastBatch) -> Forecast {

@@ -2,32 +2,34 @@
 //!
 //! Every tick path is the same construction — fold `z += R_wᵀ d` as data
 //! arrive, lift `q = L_w z` at a rung crossing — and differs only in
-//! where a rung's lift input comes from. [`Ladder`] resolves that once,
-//! at engine construction, into one [`RungView`] per rung, all borrowing
-//! the caller's precomputed operators:
+//! where a rung's lift input comes from. [`Ladder::new`] resolves that
+//! once, at engine construction, into one [`RungView`] per rung, all
+//! borrowing the caller's [`RungLadder`]:
 //!
-//! | ladder handed in | [`TickPath`] | rung input ([`Source`]) | lift |
-//! |---|---|---|---|
-//! | [`WindowedForecaster`] | `Windowed` | ring prefix | `Q_w` |
-//! | [`RungLadder`], exact rung | `GoalOriented` | ring prefix | `T_w` |
-//! | [`RungLadder`], compressed rung | `GoalOriented` | own fold through `R_w` | `L_w` |
-//! | [`RungLadder`] with a shared basis | `ModeSpace` | boundary snapshot of `Uᵀd` | `F̃_w` |
+//! | rung of the [`RungLadder`] | rung input ([`Source`]) | lift |
+//! |---|---|---|
+//! | exact, `R = I` ([`RungLadder::build`]) | ring prefix | `T_w` |
+//! | own right factor ([`RungLadder::compress`]) | own fold through `R_w` | `L_w` |
+//! | shared basis ([`RungLadder::project`]) | boundary snapshot of `Uᵀd` | `F̃_w` |
+//!
+//! The [`TickPath`] is read off the same ladder: a shared basis runs
+//! [`TickPath::ModeSpace`], a ladder with any rung carrying its own
+//! right factor runs [`TickPath::GoalOriented`], and a ladder of exact
+//! rungs only runs [`TickPath::Windowed`].
 
-use tsunami_core::{RungLadder, WindowedForecaster};
+use tsunami_core::RungLadder;
 use tsunami_linalg::DMatrix;
 
 /// The tick path an engine runs — fixed by the ladder it was constructed
 /// on, and stamped into every [`crate::WarningTransition`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TickPath {
-    /// Dense windowed operators over the raw window
-    /// ([`crate::StreamEngine::new`]).
+    /// Every rung exact: dense `T_w` over the raw window, no fold state.
     Windowed,
-    /// Goal-oriented per-rung factors `T_w ≈ L_w R_wᵀ`
-    /// ([`crate::StreamEngine::goal_oriented`]).
+    /// At least one rung folds through its own right factor `R_w`
+    /// (`T_w ≈ L_w R_wᵀ`).
     GoalOriented,
-    /// Reduced operators over one shared POD observation basis
-    /// ([`crate::StreamEngine::mode_space`]).
+    /// Every rung folds through one shared POD observation basis.
     ModeSpace,
 }
 
@@ -84,35 +86,15 @@ pub(crate) struct Ladder<'a> {
 }
 
 impl<'a> Ladder<'a> {
-    pub fn windowed(wf: &'a WindowedForecaster, infer: bool) -> Self {
-        let rungs = (0..wf.windows.len())
-            .map(|w| RungView {
-                k: wf.windows[w] * wf.nd,
-                rows: wf.windows[w] * wf.nd,
-                source: Source::Ring,
-                lift: &wf.q_maps[w],
-                infer: if infer { Infer::Window } else { Infer::None },
-                q_std: &wf.q_stds[w],
-            })
-            .collect();
-        Ladder {
-            path: TickPath::Windowed,
-            windows: &wf.windows,
-            nd: wf.nd,
-            rungs,
-            basis: None,
-            fold_len: 0,
-        }
-    }
-
-    pub fn reduced(ladder: &'a RungLadder, infer: bool) -> Self {
+    pub fn new(ladder: &'a RungLadder, infer: bool) -> Self {
         let basis = ladder.basis();
         let mut fold_len = 0;
         let rungs = (0..ladder.windows.len())
             .map(|w| {
                 let rung = &ladder.rungs[w];
-                let rows = rung.map.rank();
-                let source = match (basis, rung.map.right()) {
+                let lift = &ladder.q_maps[w];
+                let rows = lift.ncols();
+                let source = match (basis, &rung.right) {
                     (Some(_), _) => Source::Snapshot { off: fold_len },
                     (None, Some(right)) => Source::Own {
                         right,
@@ -134,18 +116,21 @@ impl<'a> Ladder<'a> {
                     k: ladder.windows[w] * ladder.nd,
                     rows,
                     source,
-                    lift: rung.map.left(),
+                    lift,
                     infer,
                     q_std: &ladder.q_stds[w],
                 }
             })
             .collect();
+        let path = if basis.is_some() {
+            TickPath::ModeSpace
+        } else if ladder.rungs.iter().any(|r| r.right.is_some()) {
+            TickPath::GoalOriented
+        } else {
+            TickPath::Windowed
+        };
         Ladder {
-            path: if basis.is_some() {
-                TickPath::ModeSpace
-            } else {
-                TickPath::GoalOriented
-            },
+            path,
             windows: &ladder.windows,
             nd: ladder.nd,
             rungs,
@@ -158,26 +143,67 @@ impl<'a> Ladder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsunami_core::{DigitalTwin, GoalOptions, ModeSpaceOptions, TwinConfig};
 
     #[test]
-    fn windowed_view_borrows_the_dense_maps_without_cloning() {
-        // The dense ladder is the engine's largest resident artefact; a
-        // view that cloned it would double the service's footprint.
-        let wf = WindowedForecaster {
-            windows: vec![1, 3],
-            q_maps: vec![DMatrix::zeros(4, 2), DMatrix::zeros(4, 6)],
-            q_stds: vec![vec![0.1; 4], vec![0.05; 4]],
-            nd: 2,
-        };
-        let view = Ladder::windowed(&wf, true);
-        assert_eq!(view.path, TickPath::Windowed);
-        assert_eq!(view.fold_len, 0);
-        for (w, rung) in view.rungs.iter().enumerate() {
-            assert!(std::ptr::eq(rung.lift, &wf.q_maps[w]), "rung {w} cloned");
-            assert!(std::ptr::eq(rung.q_std, wf.q_stds[w].as_slice()));
-            assert_eq!(rung.rows, rung.k);
-            assert!(matches!(rung.source, Source::Ring));
-            assert!(matches!(rung.infer, Infer::Window));
+    fn view_borrows_every_ladder_kind_without_cloning() {
+        // The ladder is the engine's largest resident artefact (the exact
+        // one holds every dense T_w); a view that cloned it would double
+        // the service's footprint.
+        let twin = DigitalTwin::offline(TwinConfig::tiny(), 0.03);
+        let nt = twin.solver.grid.nt_obs;
+        let nd = twin.solver.sensors.len();
+        let ws = [1, nt];
+        let basis = DMatrix::from_fn(twin.n_data(), 3, |i, j| f64::from(u8::from(i == j)));
+        let exact = twin.windowed(&ws);
+        // Rank nd keeps the one-step rung exact (its full rank) and
+        // compresses the full-horizon rung: a mixed ladder.
+        let svd = twin.goal_ladder(&ws, &GoalOptions::rank(nd));
+        let shared = twin.mode_space_ladder(&ws, &basis, &ModeSpaceOptions::default());
+
+        let cases: [(&RungLadder, TickPath, [&str; 2]); 3] = [
+            (&exact, TickPath::Windowed, ["ring", "ring"]),
+            (&svd, TickPath::GoalOriented, ["ring", "own"]),
+            (&shared, TickPath::ModeSpace, ["snapshot", "snapshot"]),
+        ];
+        for (ladder, path, sources) in cases {
+            let view = Ladder::new(ladder, true);
+            assert_eq!(view.path, path);
+            let mut fold_len = 0;
+            for (w, rung) in view.rungs.iter().enumerate() {
+                assert!(
+                    std::ptr::eq(rung.lift, &ladder.q_maps[w]),
+                    "{path:?} rung {w} cloned"
+                );
+                assert!(std::ptr::eq(rung.q_std, ladder.q_stds[w].as_slice()));
+                assert_eq!(rung.k, ladder.windows[w] * nd);
+                assert_eq!(rung.rows, ladder.q_maps[w].ncols());
+                let source = match rung.source {
+                    Source::Ring => {
+                        assert_eq!(rung.rows, rung.k);
+                        assert!(matches!(rung.infer, Infer::Window));
+                        "ring"
+                    }
+                    Source::Own { right, off } => {
+                        let own = ladder.rungs[w].right.as_ref().expect("own right factor");
+                        assert!(std::ptr::eq(right, own), "{path:?} rung {w} cloned R");
+                        assert_eq!(off, fold_len);
+                        fold_len += rung.rows;
+                        "own"
+                    }
+                    Source::Snapshot { off } => {
+                        assert_eq!(off, fold_len);
+                        fold_len += rung.rows;
+                        "snapshot"
+                    }
+                };
+                assert_eq!(source, sources[w], "{path:?} rung {w}");
+            }
+            assert_eq!(view.fold_len, fold_len);
+            assert_eq!(view.basis.is_some(), path == TickPath::ModeSpace);
+            if let Some(u) = view.basis {
+                assert!(std::ptr::eq(u, ladder.basis().unwrap()));
+            }
         }
     }
 }

@@ -24,14 +24,13 @@
 //!   lift → classify: sessions that crossed the same window rung are
 //!   gathered into one block and lifted with one GEMM, instead of one
 //!   operator application per session.
-//! - The engine is constructed on one ladder, and that ladder *is* the
-//!   path ([`TickPath`]): the dense [`tsunami_core::WindowedForecaster`]
-//!   ([`StreamEngine::new`]; `R = I`, reads the ring, exact), an
-//!   SVD-compressed [`tsunami_core::RungLadder`]
-//!   ([`StreamEngine::goal_oriented`]; per-rung right factors, an exact
-//!   ladder bit-matches the windowed path), or a `RungLadder` over a
-//!   shared POD basis ([`StreamEngine::mode_space`]; every row folds
-//!   once for all rungs). Truncated ranks carry exactly computed per-rung
+//! - The engine is constructed on one [`tsunami_core::RungLadder`]
+//!   ([`StreamEngine::new`]), and that ladder *is* the path
+//!   ([`TickPath`]): the exact ladder of `RungLadder::build` (`R = I`,
+//!   reads the ring, exact), an SVD-compressed ladder of
+//!   `RungLadder::compress` (per-rung right factors), or a ladder over a
+//!   shared POD basis from `RungLadder::project` (every row folds once
+//!   for all rungs). Truncated ranks carry exactly computed per-rung
 //!   Frobenius bounds certified down to the warning decision boundary.
 //! - Sessions are sharded by id across [`StreamConfig::shards`] shards,
 //!   each with its own session table, freelist, and inbox; a tick fans

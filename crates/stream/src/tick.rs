@@ -3,7 +3,8 @@
 //! stage does and why the stages are batched the way they are).
 
 use crate::engine::{
-    classify_band, forecast_band, IdentifyBackend, StreamConfig, TickMetrics, WarningTransition,
+    classify_band, forecast_band, scenario_posterior, IdentifyBackend, StreamConfig, TickMetrics,
+    WarningTransition,
 };
 use crate::identify;
 use crate::inbox::Inbox;
@@ -446,10 +447,19 @@ fn assimilate_crossed(
                 if s.level != prev {
                     let top_scenario = ctx.bank.and_then(|bk| {
                         p.misfits_materialized += usize::from(ctx.pod.is_some());
-                        top_posterior(
-                            read_misfit(s, ctx.pod, ctx.sq_prefix, &mut arena.misfit),
-                            bk,
-                        )
+                        let misfit = read_misfit(s, ctx.pod, ctx.sq_prefix, &mut arena.misfit);
+                        // The best match, the first on ties (as the stable
+                        // sort of `ranked_matches` orders them).
+                        scenario_posterior(misfit, bk.noise_std())
+                            .into_iter()
+                            .reduce(|best, m| {
+                                if m.log_likelihood > best.log_likelihood {
+                                    m
+                                } else {
+                                    best
+                                }
+                            })
+                            .map(|m| (m.scenario, m.probability))
                     });
                     audit_scratch.push(WarningTransition {
                         session: s.id,
@@ -532,30 +542,4 @@ pub(crate) fn read_misfit<'r>(
     buf.resize(pod.len(), 0.0);
     identify::score_group_pod(pod.mode_coeffs(), sq_prefix, scored, &mut [(dd, a, buf)]);
     buf
-}
-
-/// The bank scenario with the highest posterior probability under a
-/// session's misfit (uniform prior) — `O(B)`, evaluated only when a
-/// warning transition needs an audit record.
-fn top_posterior(misfit: &[f64], bank: &ScenarioBank) -> Option<(usize, f64)> {
-    if misfit.is_empty() {
-        return None;
-    }
-    let sigma2 = bank.noise_std() * bank.noise_std();
-    let mut best = 0usize;
-    let mut best_ll = f64::NEG_INFINITY;
-    for (j, &mis) in misfit.iter().enumerate() {
-        let ll = -mis / (2.0 * sigma2);
-        if ll > best_ll {
-            best = j;
-            best_ll = ll;
-        }
-    }
-    // Softmax normalizer relative to the best scenario: its own weight is
-    // exactly 1, so its posterior is 1/z.
-    let z: f64 = misfit
-        .iter()
-        .map(|&mis| (-mis / (2.0 * sigma2) - best_ll).exp())
-        .sum();
-    Some((best, 1.0 / z))
 }

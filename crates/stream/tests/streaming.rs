@@ -1040,10 +1040,9 @@ fn goal_oriented_truncated_ladder_stays_within_the_rung_bound() {
 
 #[test]
 fn goal_backend_crossing_two_rungs_in_one_tick_lands_on_the_widest() {
-    // A single push spanning two ladder rungs must fold both rungs'
-    // states in one tick (ranges clipped per rung) and assimilate at the
-    // widest — bit-identical to the one-shot goal forecast from the same
-    // prefix.
+    // A single push spanning two ladder rungs must assimilate at the
+    // widest in one tick — bit-identical to the one-shot goal forecast
+    // from the same prefix. Exact rungs read the ring, so nothing folds.
     let (twin, bank) = setup_bank(1, 13);
     let nt = twin.solver.grid.nt_obs;
     let nd = twin.solver.sensors.len();
@@ -1058,7 +1057,7 @@ fn goal_backend_crossing_two_rungs_in_one_tick_lands_on_the_widest() {
     let tm = engine.tick();
     assert_eq!(engine.session(id).window(), Some(1), "must land on rung 1");
     assert_eq!(tm.sessions_assimilated, 1, "one assimilation, not two");
-    assert_eq!(tm.samples_folded, 2 * nd + 1, "partial step folds too");
+    assert_eq!(tm.samples_folded, 0, "exact rungs fold nothing");
 
     let k = gl.windows[1] * nd;
     let one_shot = gl.forecast_batch(
@@ -1389,6 +1388,56 @@ fn rewind_replay_reproduces_the_audit_trail_of_a_fresh_engine() {
     assert_eq!(strip_tick(&fresh, 0), first);
 }
 
+#[test]
+fn audit_top_scenario_is_the_first_ranked_match_under_both_backends() {
+    // The audit record's top scenario and `ranked_matches` read one
+    // posterior: right after the tick that classified a transition, the
+    // record's `(scenario, probability)` is the first ranked match, bit
+    // for bit — under exact and under mode-space identification.
+    let (twin, bank) = setup_bank(5, 11);
+    let nt = twin.solver.grid.nt_obs;
+    let wf = twin.windowed(&[1, nt / 2, nt]);
+    let pod = bank.compress(3);
+    let horizon = twin.n_data();
+    for backend in [IdentifyBackend::Exact, IdentifyBackend::ModeSpace] {
+        let cfg = StreamConfig {
+            warn_threshold: 0.5,
+            infer: false,
+            identify: backend,
+            ..StreamConfig::default()
+        };
+        let mut engine = StreamEngine::new(&twin, &wf, cfg).with_bank(&bank);
+        if backend == IdentifyBackend::ModeSpace {
+            engine = engine.with_pod(&pod);
+        }
+        let ids: Vec<usize> = (0..bank.len()).map(|_| engine.open()).collect();
+        let (mut fed, mut checked) = (0, 0);
+        while fed < horizon {
+            let hi = (fed + 5).min(horizon);
+            for (j, &id) in ids.iter().enumerate() {
+                engine.push(id, &bank.observations().col(j)[fed..hi]);
+            }
+            fed = hi;
+            let before = engine.audit().len();
+            engine.tick();
+            for t in engine.audit().iter().skip(before) {
+                let top = engine.ranked_matches(t.session)[0];
+                let (scenario, p) = t.top_scenario.expect("bank attached");
+                assert_eq!(
+                    (scenario, p.to_bits()),
+                    (top.scenario, top.probability.to_bits()),
+                    "{backend:?}: session {} at tick {}",
+                    t.session,
+                    t.tick
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(engine.audit().evicted(), 0, "every record was checked");
+        assert!(checked > 0, "{backend:?}: threshold must trip transitions");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Mode-space assimilation backend
 // ---------------------------------------------------------------------------
@@ -1439,10 +1488,7 @@ fn mode_space_engine_matches_the_windowed_engine_on_a_complete_basis() {
     let nt = twin.solver.grid.nt_obs;
     let ladder = [2, nt / 2, nt];
     let wf = twin.windowed(&ladder);
-    let opts = ModeSpaceOptions {
-        inference: true,
-        ..ModeSpaceOptions::default()
-    };
+    let opts = ModeSpaceOptions { inference: true };
     let ms = twin.mode_space_ladder(&ladder, &complete_basis(twin.n_data()), &opts);
     let cfg = StreamConfig::default();
     let mut exact = StreamEngine::new(&twin, &wf, cfg);
