@@ -1,6 +1,6 @@
 //! Criterion bench: Matérn prior application — DCT fast diagonalization vs
 //! honest CG elliptic solves (Phase 2's `Nd + Nq` prior solves; the
-//! cuDSS-vs-spectral ablation called out in DESIGN.md).
+//! cuDSS-vs-spectral ablation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -20,15 +20,8 @@
 //! and off ([`tsunami_obs::set_enabled`]) and asserts the off tick time
 //! is within 1% of the on tick time (min-of-N, so noise-robust) — the
 //! `OBS=off` kill switch must actually kill the instrumentation cost.
-//!
-//! With `BENCH_JSON=<path>` set, every sweep row and the gate figures
-//! are appended as machine-readable JSONL records
-//! ([`tsunami_bench::emit`]).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Instant;
-use tsunami_bench::emit;
-use tsunami_bench::fixtures::smoke_mode;
 use tsunami_core::{DigitalTwin, ScenarioBank, TwinConfig};
 use tsunami_linalg::DMatrix;
 use tsunami_stream::{StreamConfig, StreamEngine};
@@ -39,6 +32,11 @@ fn synthetic_bank(twin: &DigitalTwin, n_scen: usize) -> ScenarioBank {
     let n_d = twin.n_data();
     let clean = DMatrix::from_fn(n_d, n_scen, |i, j| ((i * 13 + 7 * j) as f64 * 0.17).sin());
     ScenarioBank::synthetic(clean.clone(), clean, 0.05)
+}
+
+/// `BENCH_SMOKE=1`: the small CI configuration (in-bench gates still run).
+fn smoke_mode() -> bool {
+    std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1")
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -102,7 +100,6 @@ fn service_scale_sweep() {
             // One observation step per session per tick: the steady
             // service pattern, every session advancing in lockstep.
             let mut latencies = Vec::with_capacity(n_ticks);
-            let t_all = Instant::now();
             for step in 0..n_ticks {
                 let lo = step * nd;
                 for (s, &id) in ids.iter().enumerate() {
@@ -114,7 +111,6 @@ fn service_scale_sweep() {
                 let tm = engine.tick();
                 latencies.push(tm.seconds * 1e3);
             }
-            let wall = t_all.elapsed().as_secs_f64();
             latencies.sort_by(f64::total_cmp);
 
             let em = engine.metrics();
@@ -136,33 +132,6 @@ fn service_scale_sweep() {
                 em.pool_jobs,
             );
             assert_eq!(em.assimilations, 2 * n_sessions * usize::from(!smoke));
-            let _ = wall;
-
-            let config = format!("sessions={n_sessions} shards={shards}");
-            emit::record("service_scale", &config, "sessions_per_sec", rate, "1/s");
-            for (metric, p) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                emit::record(
-                    "service_scale",
-                    &config,
-                    metric,
-                    percentile(&latencies, p),
-                    "ms",
-                );
-            }
-            emit::record(
-                "service_scale",
-                &config,
-                "peak_panel_per_shard",
-                per_shard_peak as f64,
-                "elems",
-            );
-            emit::record(
-                "service_scale",
-                &config,
-                "pool_jobs",
-                em.pool_jobs as f64,
-                "count",
-            );
 
             // The engine's telemetry must render as a *parseable*
             // Prometheus exposition covering all four tick stages, and
@@ -238,20 +207,6 @@ fn obs_off_gate() {
         "obs_gate: re-assimilation tick min-of-{passes}: on {:.3} ms, off {:.3} ms",
         t_on * 1e3,
         t_off * 1e3
-    );
-    emit::record(
-        "obs_gate",
-        &format!("sessions={n_sessions}"),
-        "tick_on_min",
-        t_on * 1e3,
-        "ms",
-    );
-    emit::record(
-        "obs_gate",
-        &format!("sessions={n_sessions}"),
-        "tick_off_min",
-        t_off * 1e3,
-        "ms",
     );
     assert!(
         t_off <= t_on * 1.01 + 100e-6,

@@ -1,6 +1,6 @@
 //! Ablation: halo-minimizing processor-grid tuner vs naive 1D partitions.
 //!
-//! DESIGN.md §7 calls out the Table II design choice — "the dimensions of
+//! Table II rests on one design choice — "the dimensions of
 //! the processor grid are adaptively tuned according to the problem sizes
 //! and total number of GPUs in order to further reduce communication
 //! costs" (§V-A). This harness quantifies the choice: for each machine

@@ -2,7 +2,7 @@
 //!
 //! Per-rank compute comes from the machines' published Fused-PA throughput
 //! with the Fig 7 saturation roll-off; communication from the α–β–γ
-//! dragonfly model (DESIGN.md documents the calibration). Host-kernel
+//! dragonfly model (`tsunami_hpc::comm` documents it). Host-kernel
 //! measurements (printed first) demonstrate the size-independence of the
 //! per-DOF cost in the saturated regime, which is what makes the projection
 //! legitimate.

@@ -136,6 +136,6 @@ fn main() {
     println!(
         "note: speedup magnitudes scale with problem size; at the paper's\n\
          10^9 parameters both factors grow by the ratio of PDE cost to FFT\n\
-         cost at that scale (see EXPERIMENTS.md for the scaling argument)."
+         cost at that scale."
     );
 }

@@ -1,16 +1,13 @@
 //! Shared harness utilities for the table/figure regenerators.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation section (see DESIGN.md §4 for the index), printing
+//! paper's evaluation section (the binary's name says which), printing
 //! paper-reported values next to the values measured in this repository.
 //! Absolute numbers differ — the substrate is a CPU simulator, not El
 //! Capitan — but the *shape* (who wins, by what factor, where crossovers
-//! fall) is the reproduction target, recorded in EXPERIMENTS.md.
+//! fall) is the reproduction target.
 
 use std::fmt::Write as _;
-
-pub mod emit;
-pub mod fixtures;
 
 /// A labeled paper-vs-measured comparison row.
 #[derive(Clone, Debug)]

@@ -28,8 +28,9 @@ pub struct Phase3 {
     /// Pointwise posterior standard deviations `√diag(Γpost(q))`.
     pub q_std: Vec<f64>,
     /// Cross term `B = Fq Γprior Fᵀ` (`Nq·Nt × Nd·Nt`) — retained for
-    /// window-restricted posteriors ([`crate::window`]) and sensor-design
-    /// studies ([`crate::oed`]).
+    /// the window-restricted rung operators, which the ladder builders in
+    /// [`crate::goal`] and [`crate::modespace`] read, and for
+    /// sensor-design studies ([`crate::oed`]).
     pub b: DMatrix,
     /// Prior QoI covariance `A0 = Fq Γprior Fqᵀ` (`Nq·Nt × Nq·Nt`).
     pub a0: DMatrix,

@@ -10,8 +10,8 @@
 //!
 //! plus 95% credible intervals from `√diag(Γpost(q))`. The paper's
 //! wall-clock targets: < 0.2 s for `m_map` on 512 A100s at `Nm·Nt ≈ 10⁹`,
-//! < 1 ms for `q_map` on one GPU. The `online_phase` bench measures the
-//! CPU-scaled analogues.
+//! < 1 ms for `q_map` on one GPU. `perf_report` measures the CPU-scaled
+//! analogues as `core.phase4.infer.us` and `core.phase4.predict.us`.
 
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;

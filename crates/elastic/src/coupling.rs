@@ -12,8 +12,8 @@
 //! acoustic twin's source field lives on an (x, y) seafloor grid, so the
 //! section is extruded along strike in the standard 2.5D fashion: the
 //! cross-section response is delayed by the along-strike rupture-front
-//! propagation and tapered at the rupture ends. DESIGN.md documents this
-//! substitution (the paper uses full-3D SeisSol output for the same role).
+//! propagation and tapered at the rupture ends (the paper uses full-3D
+//! SeisSol output for the same role).
 
 use crate::solver::ElasticSolver;
 

@@ -14,8 +14,8 @@
 //!   per-byte link bandwidth, and a logarithmic contention term for the
 //!   dragonfly topologies, parameterized by published system specs.
 //!
-//! DESIGN.md documents this substitution; `fig5_scaling` regenerates the
-//! efficiency tables.
+//! [`comm`] documents the communication model and [`scaling`] the
+//! substitution; the `fig5_scaling` bin regenerates the efficiency tables.
 
 // Numeric kernels use index loops that mirror the tensor/math indices
 // of the discretizations; enumerate()-style rewrites obscure the formulas.

@@ -1442,7 +1442,7 @@ fn audit_top_scenario_is_the_first_ranked_match_under_both_backends() {
 // Mode-space assimilation backend
 // ---------------------------------------------------------------------------
 
-use tsunami_core::ModeSpaceOptions;
+use tsunami_core::{ModeSpaceOptions, RungLadder};
 use tsunami_linalg::{randomized_svd, svd::orthonormalize, DMatrix, SvdOptions};
 use tsunami_stream::{forecast_band, TickPath};
 
@@ -1640,93 +1640,124 @@ fn mode_space_panels_report_the_rank_sized_working_set() {
     );
 }
 
+/// An engine constructor, so one test body can drive several tick paths.
+type Build = for<'a> fn(&'a DigitalTwin, &'a RungLadder, StreamConfig) -> StreamEngine<'a>;
+
 #[test]
 fn truncated_warnings_flip_only_within_the_certified_bound() {
-    // The decision-boundary contract: a truncated mode-space engine may
+    // The decision-boundary contract: a truncated engine — a rank-5
+    // mode-space basis or a rank-5 goal-oriented compression — may
     // classify a session differently from the dense windowed path only
     // when the dense credible band sits within the rung's certified
-    // forecast-error bound of the threshold. Checked at shard counts
-    // 1/2/4, at a threshold pinned to a dense band endpoint (the worst
-    // case) and at generic thresholds.
+    // forecast-error bound of the threshold, and its forecast must stay
+    // within that bound. Checked at shard counts 1/2/4, at a threshold
+    // pinned to a dense band endpoint (the worst case) and at generic
+    // thresholds.
     let (twin, bank) = setup_bank(8, 47);
     let nt = twin.solver.grid.nt_obs;
     let pod = bank.compress(5);
     let ms = twin.mode_space_ladder(&[nt], pod.modes(), &ModeSpaceOptions::default());
-    assert!(
-        ms.rungs[0].trunc_bound > 0.0,
-        "rank-5 ladder should actually truncate"
-    );
+    let gl = twin.goal_ladder(&[nt], &GoalOptions::rank(5));
     let wf = twin.windowed(&[nt]);
 
-    // Dense reference bands and per-session certified bounds.
-    let bands: Vec<(f64, f64)> = (0..bank.len())
-        .map(|j| forecast_band(&wf.forecast(0, &bank.observations().col(j))))
+    // Dense reference forecasts and bands.
+    let dense: Vec<_> = (0..bank.len())
+        .map(|j| wf.forecast(0, &bank.observations().col(j)))
         .collect();
-    let bounds: Vec<f64> = (0..bank.len())
-        .map(|j| {
-            let d = bank.observations().col(j);
-            let d_norm = d.iter().map(|v| v * v).sum::<f64>().sqrt();
-            ms.mean_error_bound(0, d_norm)
-        })
-        .collect();
+    let bands: Vec<(f64, f64)> = dense.iter().map(forecast_band).collect();
     let hi_max = bands.iter().fold(0.0f64, |m, b| m.max(b.1));
-    let bound_max = bounds.iter().fold(0.0f64, |m, &b| m.max(b));
-    let thresholds = [
-        bands[0].1,               // pinned to a dense endpoint
-        0.5 * hi_max,             // generic, inside the range
-        1.1 * hi_max + bound_max, // beyond every band: all-clear everywhere
+
+    let ladders: [(&str, &RungLadder, Build); 2] = [
+        ("mode-space", &ms, |t, l, c| {
+            StreamEngine::mode_space(t, l, c)
+        }),
+        ("goal", &gl, |t, l, c| StreamEngine::goal_oriented(t, l, c)),
     ];
+    for (label, ladder, build) in ladders {
+        assert!(
+            ladder.rungs[0].trunc_bound > 0.0,
+            "rank-5 {label} ladder should actually truncate"
+        );
+        // Per-session certified bounds.
+        let bounds: Vec<f64> = (0..bank.len())
+            .map(|j| {
+                let d = bank.observations().col(j);
+                let d_norm = d.iter().map(|v| v * v).sum::<f64>().sqrt();
+                ladder.mean_error_bound(0, d_norm)
+            })
+            .collect();
+        let bound_max = bounds.iter().fold(0.0f64, |m, &b| m.max(b));
+        let thresholds = [
+            bands[0].1,               // pinned to a dense endpoint
+            0.5 * hi_max,             // generic, inside the range
+            1.1 * hi_max + bound_max, // beyond every band: all-clear everywhere
+        ];
 
-    for thr in thresholds {
-        let mut per_shard: Vec<Vec<(WarningLevel, Vec<f64>)>> = Vec::new();
-        for shards in [1usize, 2, 4] {
-            let cfg = StreamConfig {
-                shards,
-                infer: false,
-                warn_threshold: thr,
-                ..StreamConfig::default()
-            };
-            let mut engine = StreamEngine::mode_space(&twin, &ms, cfg);
-            let ids: Vec<usize> = (0..bank.len()).map(|_| engine.open()).collect();
-            for (j, &id) in ids.iter().enumerate() {
-                engine.push(id, &bank.observations().col(j));
-            }
-            engine.tick();
-            per_shard.push(
-                ids.iter()
-                    .map(|&id| {
-                        let s = engine.session(id);
-                        (s.level, s.forecast.as_ref().unwrap().q_map.clone())
-                    })
-                    .collect(),
-            );
+        for thr in thresholds {
+            let mut per_shard: Vec<Vec<(WarningLevel, Vec<f64>)>> = Vec::new();
+            for shards in [1usize, 2, 4] {
+                let cfg = StreamConfig {
+                    shards,
+                    infer: false,
+                    warn_threshold: thr,
+                    ..StreamConfig::default()
+                };
+                let mut engine = build(&twin, ladder, cfg);
+                let ids: Vec<usize> = (0..bank.len()).map(|_| engine.open()).collect();
+                for (j, &id) in ids.iter().enumerate() {
+                    engine.push(id, &bank.observations().col(j));
+                }
+                engine.tick();
+                per_shard.push(
+                    ids.iter()
+                        .map(|&id| {
+                            let s = engine.session(id);
+                            (s.level, s.forecast.as_ref().unwrap().q_map.clone())
+                        })
+                        .collect(),
+                );
 
-            for (j, &(level, _)) in per_shard.last().unwrap().iter().enumerate() {
-                let dense_level = tsunami_stream::classify_band(bands[j], thr);
-                let margin = (bands[j].0 - thr).abs().min((bands[j].1 - thr).abs());
-                let certified = bounds[j] * (1.0 + 1e-9) + 1e-12;
-                if level != dense_level {
+                for (j, &(level, ref q)) in per_shard.last().unwrap().iter().enumerate() {
+                    let dense_level = tsunami_stream::classify_band(bands[j], thr);
+                    let margin = (bands[j].0 - thr).abs().min((bands[j].1 - thr).abs());
+                    let certified = bounds[j] * (1.0 + 1e-9) + 1e-12;
+                    let err = q
+                        .iter()
+                        .zip(&dense[j].q_map)
+                        .map(|(a, b)| (a - b) * (a - b))
+                        .sum::<f64>()
+                        .sqrt();
                     assert!(
-                        margin <= certified,
-                        "{shards} shards, session {j}, thr {thr}: level flipped \
-                         ({dense_level:?} → {level:?}) with dense margin {margin} \
-                         outside certified bound {certified}"
+                        err <= certified,
+                        "{label}, {shards} shards, session {j}: forecast error {err} \
+                         exceeds certified bound {certified}"
                     );
-                }
-                if margin > certified {
-                    assert_eq!(
-                        level, dense_level,
-                        "{shards} shards, session {j}, thr {thr}: certified-safe \
-                         session must not flip"
-                    );
+                    if level != dense_level {
+                        assert!(
+                            margin <= certified,
+                            "{label}, {shards} shards, session {j}, thr {thr}: level \
+                             flipped ({dense_level:?} → {level:?}) with dense margin \
+                             {margin} outside certified bound {certified}"
+                        );
+                    }
+                    if margin > certified {
+                        assert_eq!(
+                            level, dense_level,
+                            "{label}, {shards} shards, session {j}, thr {thr}: \
+                             certified-safe session must not flip"
+                        );
+                    }
                 }
             }
-        }
-        // Shard invariance: forecasts to roundoff, levels exactly.
-        for shard_res in &per_shard[1..] {
-            for (j, ((la, qa), (lb, qb))) in per_shard[0].iter().zip(shard_res).enumerate() {
-                assert_eq!(la, lb, "session {j}: level must be shard-invariant");
-                assert!(rel_err(qb, qa) < 1e-12, "session {j}: shard drift");
+            // Shard invariance: forecasts to roundoff, levels exactly.
+            for shard_res in &per_shard[1..] {
+                for (j, ((la, qa), (lb, qb))) in per_shard[0].iter().zip(shard_res).enumerate() {
+                    assert_eq!(
+                        la, lb,
+                        "{label}, session {j}: level must be shard-invariant"
+                    );
+                    assert!(rel_err(qb, qa) < 1e-12, "{label}, session {j}: shard drift");
+                }
             }
         }
     }

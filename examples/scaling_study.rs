@@ -71,7 +71,7 @@ fn main() {
     }
 
     // --- Part 2: modeled machine projections (Fig 5).
-    println!("\n== modeled projections (Fig 5; see DESIGN.md for the model) ==");
+    println!("\n== modeled projections (Fig 5; the model is tsunami_hpc::comm, the full tables fig5_scaling) ==");
     let studies = [
         (
             "El Capitan",
