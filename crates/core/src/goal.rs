@@ -8,10 +8,10 @@
 //! Because the data vector is ordered time-major, `K_w` is the leading
 //! `w·Nd × w·Nd` principal block of the full `K`, and the leading block
 //! of a Cholesky factor is the factor of the leading block: one offline
-//! factorization serves *every* window length, and each rung's `T_w` is
-//! Phase 3's own `rung_operator` at a shorter `k` (the full window *is*
-//! Phase 3, bit for bit). Each rung is the exact Bayesian posterior given
-//! the data observed so far, and its forecast uncertainty shrinks
+//! factorization serves *every* window length. Each rung's `T_w` and std
+//! (never its posterior covariance) come from `Phase3::rung`; the full
+//! window *is* Phase 3's `Q`, reused. Each rung is the exact posterior
+//! given the data observed so far, and its forecast uncertainty shrinks
 //! monotonically as the window grows.
 //!
 //! [`RungLadder::build`] keeps every `T_w` dense (`R = I`, implicit):
@@ -35,7 +35,7 @@
 use crate::ladder::{normalize_windows, rung_svd, Rung, RungLadder};
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
-use crate::phase3::{rung_operator, Phase3};
+use crate::phase3::Phase3;
 use rayon::prelude::*;
 use tsunami_linalg::{DMatrix, FactoredMap};
 
@@ -78,9 +78,8 @@ impl RungLadder {
     }
 
     /// Precompute the ladder from the offline phases, compressed per the
-    /// options. Each rung's dense `T_w` is materialized once
-    /// (`phase3::rung_operator`), factored, and dropped, so peak memory
-    /// is a few dense rungs, not the whole dense ladder.
+    /// options. Each rung's dense `T_w` (`Phase3::rung`) is factored and
+    /// dropped, so peak memory is a few dense rungs, not the whole ladder.
     pub fn compress(
         p1: &Phase1,
         p2: &Phase2,
@@ -93,7 +92,7 @@ impl RungLadder {
         let per_rung = ws
             .par_iter()
             .map(|&w| {
-                let (t_w, _, std) = rung_operator(&p2.k_chol, &p3.b, &p3.a0, w * nd);
+                let (t_w, std) = p3.rung(&p2.k_chol, w * nd);
                 let (lift, rung) = factor_rung(t_w, w, opts.rank);
                 (lift, rung, std)
             })
@@ -168,6 +167,25 @@ mod tests {
                 assert_eq!(gl.rungs[i].trunc_bound, 0.0);
             }
         }
+    }
+
+    #[test]
+    fn full_horizon_rung_is_phase3s_own() {
+        // The exact and the rank-4 builders take Phase 3's own `Q` and std
+        // as the full-horizon rung's lift input: no second solve.
+        let twin = setup();
+        let nt = twin.solver.grid.nt_obs;
+        let p3 = &twin.phase3;
+        let wf = twin.windowed(&[nt / 2, nt]);
+        assert_eq!(wf.q_maps[1].as_slice(), p3.q_map.as_slice());
+        assert_eq!(wf.q_stds[1], p3.q_std);
+        let gl = twin.goal_ladder(&[nt / 2, nt], &GoalOptions::rank(4));
+        let (lift, rung) = factor_rung(p3.q_map.clone(), nt, Some(4));
+        assert_eq!(gl.q_maps[1].as_slice(), lift.as_slice());
+        let right = |r: &Rung| r.right.as_ref().unwrap().as_slice().to_vec();
+        assert_eq!(right(&gl.rungs[1]), right(&rung));
+        assert_eq!(gl.rungs[1].trunc_bound, rung.trunc_bound);
+        assert_eq!(gl.q_stds[1], p3.q_std);
     }
 
     #[test]

@@ -42,8 +42,7 @@
 //! bound, and data lying in the basis's span (`(I − P_w) d_k = 0`, e.g.
 //! clean curves of a losslessly compressed bank) are forecast exactly
 //! at *any* rank. The posterior std is data-independent and carried
-//! over unchanged from `crate::phase3::rung_operator` — bitwise the
-//! exact ladder's.
+//! over unchanged from `Phase3::rung` — bitwise the exact ladder's.
 //!
 //! With [`ModeSpaceOptions::inference`] set, the same Gram-absorbed
 //! projection reduces the windowed *parameter inference* operator
@@ -58,7 +57,7 @@
 use crate::ladder::{leading_rows, normalize_windows, rung_svd, Rung, RungLadder};
 use crate::phase1::Phase1;
 use crate::phase2::Phase2;
-use crate::phase3::{rung_operator, Phase3};
+use crate::phase3::Phase3;
 use crate::window::infer_window_batch;
 use rayon::prelude::*;
 use tsunami_linalg::{randomized_svd, DMatrix};
@@ -86,9 +85,9 @@ impl RungLadder {
     /// Precompute the reduced ladder from the offline phases and a POD
     /// observation basis (`modes`: `(Nd·Nt) × r`, e.g.
     /// [`crate::PodBank::modes`]), which the ladder keeps as its shared
-    /// [`Self::basis`]. Each rung's dense `T_w` is materialized once
-    /// (`phase3::rung_operator` — bitwise the exact ladder's operator),
-    /// projected, bounded, and dropped.
+    /// [`Self::basis`]. Each rung's dense `T_w` and std come from
+    /// `Phase3::rung` (bitwise the exact ladder's; Phase 3's own at the
+    /// full horizon), then `T_w` is projected, bounded, and dropped.
     pub fn project(
         p1: &Phase1,
         p2: &Phase2,
@@ -128,7 +127,7 @@ fn reduce_rung(
     opts: &ModeSpaceOptions,
 ) -> (DMatrix, Rung, Vec<f64>) {
     let k = w * nd;
-    let (t_w, _, std) = rung_operator(&p2.k_chol, &p3.b, &p3.a0, k);
+    let (t_w, std) = p3.rung(&p2.k_chol, k);
     let u_k = leading_rows(modes, k);
     let svd = randomized_svd(&u_k, modes.ncols(), rung_svd(w));
     // X = U_k (U_kᵀU_k)⁺ (k × r): the offline Gram absorption. The online
@@ -281,6 +280,20 @@ mod tests {
                 "rung {i}: error {err} exceeds certified bound {bound}"
             );
         }
+    }
+
+    #[test]
+    fn full_horizon_rung_lifts_phase3s_own_operator() {
+        // At the full horizon `U_k = U`: the lift is Phase 3's own `Q`
+        // through the same Gram absorption, and the std is Phase 3's.
+        let twin = setup();
+        let nt = twin.solver.grid.nt_obs;
+        let basis = truncated_basis(twin.n_data(), 5);
+        let ms = twin.mode_space_ladder(&[nt / 2, nt], &basis, &ModeSpaceOptions::default());
+        let x = randomized_svd(&basis, 5, rung_svd(nt)).pinv_transpose(GRAM_RTOL);
+        let lift = twin.phase3.q_map.matmul(&x);
+        assert_eq!(ms.q_maps[1].as_slice(), lift.as_slice());
+        assert_eq!(ms.q_stds[1], twin.phase3.q_std);
     }
 
     #[test]

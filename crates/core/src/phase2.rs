@@ -20,7 +20,7 @@ use crate::phase1::Phase1;
 use rayon::prelude::*;
 use tsunami_fft::{BlockToeplitz, FftBlockToeplitz};
 use tsunami_hpc::TimerRegistry;
-use tsunami_linalg::{Cholesky, DMatrix};
+use tsunami_linalg::{randomized_svd, Cholesky, DMatrix, SvdOptions};
 use tsunami_prior::MaternPrior;
 
 /// Prior-smoothed maps and the factorized data-space Hessian.
@@ -50,9 +50,7 @@ impl Phase2 {
         let k = timers.time("Phase 2: form K (FFT matvecs)", || {
             form_k(&p1.fast_f, &fast_g, sigma2)
         });
-        let k_chol = timers.time("Phase 2: factorize K (Cholesky)", || {
-            Cholesky::factor(&k).expect("data-space Hessian must be SPD")
-        });
+        let k_chol = timers.time("Phase 2: factorize K (Cholesky)", || factor_k(&k, sigma2));
         Phase2 {
             fast_g,
             fast_gq,
@@ -72,6 +70,21 @@ impl Phase2 {
     pub fn k_solve_multi(&self, b: &DMatrix) -> DMatrix {
         self.k_chol.solve_multi(b)
     }
+}
+
+/// Cholesky-factor `K`. Only on failure, the panic names σ², the failing
+/// pivot, `‖K‖₂` (a rank-1 randomized SVD: two subspace iterations) and
+/// the noise margin `σ²/(ε·‖K‖₂)` (below 1 the noise floor is lost in the
+/// roundoff of `F Γprior Fᵀ`).
+fn factor_k(k: &DMatrix, sigma2: f64) -> Cholesky {
+    Cholesky::factor(k).unwrap_or_else(|e| {
+        let norm = randomized_svd(k, 1, SvdOptions::default()).s[0];
+        let margin = sigma2 / (f64::EPSILON * norm);
+        panic!(
+            "data-space Hessian: {e} with σ² = {sigma2:.3e}, ‖K‖₂ ≈ {norm:.3e}, \
+             noise margin σ²/(ε·‖K‖₂) = {margin:.3e}"
+        )
+    })
 }
 
 /// Apply the spatial prior to each defining block: `B_k = T_k Γ_s`
@@ -109,9 +122,7 @@ pub(crate) fn toeplitz_gram(left: &FftBlockToeplitz, right: &FftBlockToeplitz) -
         }
         let y = left.matmat(&right.matmat_transpose(&e));
         for r in 0..gram.nrows() {
-            for c in c0..c1 {
-                gram[(r, c)] = y[(r, c - c0)];
-            }
+            gram.row_mut(r)[c0..c1].copy_from_slice(y.row(r));
         }
     }
     gram
@@ -230,6 +241,14 @@ mod tests {
             "B mismatch: {}",
             diff.norm_fro()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "noise margin")]
+    fn failed_factorization_names_the_noise_margin() {
+        // Eigenvalues 3 and −1: the second pivot fails.
+        let k = DMatrix::from_fn(2, 2, |i, j| if i == j { 1.0 } else { 2.0 });
+        let _ = factor_k(&k, 1e-4);
     }
 
     #[test]

@@ -23,22 +23,22 @@ use tsunami_linalg::{Cholesky, DMatrix};
 pub struct Phase3 {
     /// Data-to-QoI map `Q = B K⁻¹` (`Nq·Nt × Nd·Nt`).
     pub q_map: DMatrix,
-    /// QoI posterior covariance `Γpost(q)` (`Nq·Nt × Nq·Nt`).
+    /// QoI posterior covariance `Γpost(q)` (`Nq·Nt × Nq·Nt`). Formed here
+    /// only: the window rungs keep just its diagonal.
     pub gamma_post_q: DMatrix,
     /// Pointwise posterior standard deviations `√diag(Γpost(q))`.
     pub q_std: Vec<f64>,
     /// Cross term `B = Fq Γprior Fᵀ` (`Nq·Nt × Nd·Nt`) — retained for
-    /// the window-restricted rung operators, which the ladder builders in
-    /// [`crate::goal`] and [`crate::modespace`] read, and for
-    /// sensor-design studies ([`crate::oed`]).
+    /// the shorter window rungs (`Phase3::rung`) and for sensor-design
+    /// studies ([`crate::oed`]).
     pub b: DMatrix,
     /// Prior QoI covariance `A0 = Fq Γprior Fqᵀ` (`Nq·Nt × Nq·Nt`).
     pub a0: DMatrix,
 }
 
 impl Phase3 {
-    /// Assemble `B`, `A0`, `Γpost(q)`, and `Q` — the last two as the
-    /// full-horizon rung of `rung_operator`.
+    /// Assemble `B`, `A0`, `Q = Xᵀ` with `X = K⁻¹ Bᵀ` (one panel-blocked
+    /// solve), and the full `Γpost(q) = A0 − B X` with its pointwise std.
     pub fn build(p1: &Phase1, p2: &Phase2, timers: &TimerRegistry) -> Self {
         let b = timers.time("Phase 3: form B = Fq*Post basis", || {
             toeplitz_gram(&p2.fast_gq, &p1.fast_f)
@@ -47,7 +47,12 @@ impl Phase3 {
             toeplitz_gram(&p2.fast_gq, &p1.fast_fq)
         });
         let (q_map, gamma_post_q, q_std) = timers.time("Phase 3: Gamma_post(q) and Q", || {
-            rung_operator(&p2.k_chol, &b, &a0, b.ncols())
+            let x = p2.k_chol.solve_leading_multi(b.ncols(), &b.transpose());
+            let mut gpq = a0.clone();
+            gpq.add_scaled(-1.0, &b.matmul(&x));
+            gpq.symmetrize();
+            let std = gpq.diag().iter().map(|&v| v.max(0.0).sqrt()).collect();
+            (x.transpose(), gpq, std)
         });
         Phase3 {
             q_map,
@@ -57,31 +62,38 @@ impl Phase3 {
             a0,
         }
     }
+
+    /// `(T_w, std)` of the rung of the first `k` data entries, for every
+    /// ladder builder: Phase 3's own `Q` and std at the full horizon (no
+    /// second solve), else `rung_operator`.
+    pub(crate) fn rung(&self, k_chol: &Cholesky, k: usize) -> (DMatrix, Vec<f64>) {
+        if k == self.b.ncols() {
+            return (self.q_map.clone(), self.q_std.clone());
+        }
+        rung_operator(k_chol, &self.b, &self.a0, k)
+    }
 }
 
-/// The posterior given the first `k` data entries (time-major, so a whole
-/// number of observation steps): the dense data-to-QoI operator `T_w = B_w
-/// K_w⁻¹` (`Nq·Nt × k`) via one panel-blocked leading solve `X = K_w⁻¹
-/// B_wᵀ` (the factor is walked once per panel, not once per QoI row),
-/// `Γpost(q; w) = A0 − B_w X`, and its pointwise std. The leading
-/// principal block of the Cholesky factor of `K` is the factor of `K_w`,
-/// so one factorization serves every `k`; `k = Nd·Nt` is Phase 3 itself.
-/// The windowed forecaster and both reduced ladders take their rungs from
-/// here, so all derive bitwise the same operator from the same offline
-/// phases.
-pub(crate) fn rung_operator(
-    k_chol: &Cholesky,
-    b: &DMatrix,
-    a0: &DMatrix,
-    k: usize,
-) -> (DMatrix, DMatrix, Vec<f64>) {
-    let bw = DMatrix::from_fn(b.nrows(), k, |r, c| b[(r, c)]);
-    let x = k_chol.solve_leading_multi(k, &bw.transpose());
-    let mut gpq = a0.clone();
-    gpq.add_scaled(-1.0, &bw.matmul(&x));
-    gpq.symmetrize();
-    let std = gpq.diag().iter().map(|&v| v.max(0.0).sqrt()).collect();
-    (x.transpose(), gpq, std)
+/// The posterior given the first `k` data entries (time-major, so whole
+/// observation steps): `T_w = B_w K_w⁻¹` (`Nq·Nt × k`) via one leading
+/// solve `X = K_w⁻¹ B_wᵀ` (the leading block of the factor of `K` is the
+/// factor of `K_w`), and its std `√(A0ᵢᵢ − (B_w X)ᵢᵢ)`. `Γpost(q; w)` is
+/// never formed: each `(B_w X)ᵢᵢ` is a row-wise dot summed from zero in
+/// ascending order, skipping zero `B_w` entries as [`DMatrix::matmul`]
+/// does, so it is bit for bit the GEMM's diagonal.
+fn rung_operator(k_chol: &Cholesky, b: &DMatrix, a0: &DMatrix, k: usize) -> (DMatrix, Vec<f64>) {
+    let bw_t = DMatrix::from_fn(k, b.nrows(), |r, c| b[(c, r)]);
+    let t_w = k_chol.solve_leading_multi(k, &bw_t).transpose();
+    let std = (0..b.nrows())
+        .map(|i| {
+            let terms = b.row(i)[..k].iter().zip(t_w.row(i));
+            let s = terms
+                .filter(|(&bip, _)| bip != 0.0)
+                .fold(0.0, |s, (bip, tip)| s + bip * tip);
+            (a0[(i, i)] - s).max(0.0).sqrt()
+        })
+        .collect();
+    (t_w, std)
 }
 
 #[cfg(test)]
@@ -90,6 +102,79 @@ mod tests {
     use crate::config::TwinConfig;
     use crate::stprior::SpaceTimePrior;
     use tsunami_linalg::LinearOperator;
+
+    /// The GEMM-diagonal rung operator: forms the full `Γpost(q; w) =
+    /// A0 − B_w X` and reads its diagonal. The oracle the row-wise std must
+    /// reproduce bit for bit.
+    fn gemm_rung_operator(
+        k_chol: &Cholesky,
+        b: &DMatrix,
+        a0: &DMatrix,
+        k: usize,
+    ) -> (DMatrix, DMatrix, Vec<f64>) {
+        let bw = DMatrix::from_fn(b.nrows(), k, |r, c| b[(r, c)]);
+        let x = k_chol.solve_leading_multi(k, &bw.transpose());
+        let mut gpq = a0.clone();
+        gpq.add_scaled(-1.0, &bw.matmul(&x));
+        gpq.symmetrize();
+        let std = gpq.diag().iter().map(|&v| v.max(0.0).sqrt()).collect();
+        (x.transpose(), gpq, std)
+    }
+
+    fn assert_matches_gemm_oracle(k_chol: &Cholesky, b: &DMatrix, a0: &DMatrix, k: usize) {
+        let (t_w, std) = rung_operator(k_chol, b, a0, k);
+        let (t_ref, _, std_ref) = gemm_rung_operator(k_chol, b, a0, k);
+        assert_eq!(t_w.as_slice(), t_ref.as_slice(), "T_w at k = {k}");
+        assert_eq!(std, std_ref, "std at k = {k}");
+    }
+
+    #[test]
+    fn rung_operator_bit_matches_the_gemm_diagonal() {
+        let cfg = TwinConfig::tiny();
+        let solver = cfg.build_solver();
+        let timers = tsunami_hpc::TimerRegistry::new();
+        let p1 = crate::phase1::Phase1::build(&solver, &timers);
+        let p2 = crate::phase2::Phase2::build(&p1, &cfg.build_prior(), 0.03, &timers);
+        let p3 = Phase3::build(&p1, &p2, &timers);
+        let n = p3.b.ncols();
+        // 7 of 12 steps (k = 28): no multiple of the GEMM's KC or MC.
+        let k = 7 * n / solver.grid.nt_obs;
+        assert_matches_gemm_oracle(&p2.k_chol, &p3.b, &p3.a0, k);
+        assert_matches_gemm_oracle(&p2.k_chol, &p3.b, &p3.a0, n);
+        // Phase 3 is the oracle's full-horizon rung, Γpost(q) included,
+        // and its `rung` at the full horizon hands back its own pieces.
+        let (q_map, gpq, q_std) = gemm_rung_operator(&p2.k_chol, &p3.b, &p3.a0, n);
+        assert_eq!(p3.q_map.as_slice(), q_map.as_slice());
+        assert_eq!(p3.gamma_post_q.as_slice(), gpq.as_slice());
+        assert_eq!(p3.q_std, q_std);
+        let (t_full, std_full) = p3.rung(&p2.k_chol, n);
+        assert_eq!(t_full.as_slice(), q_map.as_slice());
+        assert_eq!(std_full, q_std);
+        // An exact zero planted in a row of B takes the GEMM's skip.
+        let mut b = p3.b.clone();
+        b[(3, 5)] = 0.0;
+        b[(3, 9)] = -0.0;
+        assert_matches_gemm_oracle(&p2.k_chol, &b, &p3.a0, k);
+    }
+
+    #[test]
+    fn row_wise_std_bit_matches_across_gemm_blocks() {
+        // Large enough that the GEMM walks two KC = 128 panels of the inner
+        // dimension and two MC = 64 row blocks, at k = 201 of 300.
+        let (n, nq) = (300, 70);
+        let g = DMatrix::from_fn(n, n, |i, j| ((i * 7 + 3 * j) as f64 * 0.013).sin());
+        let mut kmat = g.matmul_nt(&g);
+        kmat.shift_diag(1.0);
+        kmat.symmetrize();
+        let k_chol = Cholesky::factor(&kmat).unwrap();
+        let mut b = DMatrix::from_fn(nq, n, |i, j| ((i * 5 + 11 * j) as f64 * 0.017).cos());
+        for p in (0..n).step_by(3) {
+            b[(65, p)] = 0.0;
+        }
+        let mut a0 = b.matmul_nt(&b);
+        a0.shift_diag(2.0);
+        assert_matches_gemm_oracle(&k_chol, &b, &a0, 201);
+    }
 
     #[test]
     fn phase3_matches_dense_bayesian_algebra() {

@@ -111,7 +111,7 @@ mod tests {
         let last = wf.windows.len() - 1;
         let fc_full = twin.forecast(&d);
         let fc_win = wf.forecast(last, &d);
-        // The nt-rung is Phase 3 itself (one `rung_operator`): bit-equal.
+        // The nt-rung is Phase 3's own `Q`, reused, not solved again.
         assert_eq!(wf.q_maps[last].as_slice(), twin.phase3.q_map.as_slice());
         assert_eq!(fc_win.q_map, fc_full.q_map);
         assert_eq!(fc_win.q_std, fc_full.q_std);
