@@ -8,14 +8,20 @@
 //! - **Phase 1** ([`phase1`]): `Nd + Nq` adjoint PDE solves build the block
 //!   lower-triangular Toeplitz p2o map `F` and p2q map `Fq`.
 //! - **Phase 2** ([`phase2`]): prior solves form `G = F Γprior` (equivalently
-//!   `G* = Γprior F*`), then `Nd·Nt` FFT matvecs form the **data-space
-//!   Hessian** `K = Γnoise + F Γprior Fᵀ`, which is Cholesky-factorized.
-//!   This is the Sherman–Morrison–Woodbury move of the inverse operator from
-//!   parameter space (dim `Nm·Nt`) to data space (dim `Nd·Nt`).
-//! - **Phase 3** ([`phase3`]): the QoI posterior covariance
-//!   `Γpost(q) = FqΓpriorFqᵀ − B K⁻¹ Bᵀ` (`B = FqΓpriorFᵀ`) and the
-//!   **data-to-QoI map** `Q = B K⁻¹`, enabling forecasts that bypass
-//!   parameter reconstruction entirely.
+//!   `G* = Γprior F*`), then the **data-space Hessian**
+//!   `K = Γnoise + F Γprior Fᵀ` is formed as a displacement Gram — the Gram
+//!   of two causal block-Toeplitz maps is one GEMM of their stacked lag
+//!   blocks (`Nt²·Nd·Nd·Nm` MACs) plus a running sum down each block
+//!   diagonal, where the paper pushes `Nd·Nt` columns through FFT matvecs —
+//!   and Cholesky-factorized. This is the Sherman–Morrison–Woodbury move of
+//!   the inverse operator from parameter space (dim `Nm·Nt`) to data space
+//!   (dim `Nd·Nt`).
+//! - **Phase 3** ([`phase3`]): the displacement Grams `B = FqΓpriorFᵀ` and
+//!   `A0 = FqΓpriorFqᵀ`, the **data-to-QoI map** `Q = B K⁻¹`, enabling
+//!   forecasts that bypass parameter reconstruction entirely, and the
+//!   pointwise std `√diag Γpost(q)`. The QoI posterior covariance
+//!   `Γpost(q) = A0 − B K⁻¹ Bᵀ` is formed on demand
+//!   ([`Phase3::gamma_post_q`]).
 //! - **Phase 4** ([`phase4`]): given observations `d`, the exact posterior
 //!   mean `m_map = Gᵀ K⁻¹ d` and forecast `q_map = Q d` with 95% credible
 //!   intervals — sub-second online work.

@@ -15,10 +15,10 @@
 //!   A0 = Fq Γprior Fqᵀ,  B = Fq Γprior Fᵀ,  P = F Γprior Fᵀ,
 //! ```
 //!
-//! so the *only* quantities needed are the prior Gram matrices `P`, `B`,
-//! `A0` over the full candidate array — computed once with FFT matvecs —
-//! and every subset evaluation is a small dense Cholesky. Two classical
-//! criteria are provided:
+//! so the *only* quantities needed are the prior Gram matrices `P`, `B`
+//! over the full candidate array and `trace A0` — displacement Grams
+//! computed once — and every subset evaluation is a small dense Cholesky.
+//! Two classical criteria are provided:
 //!
 //! - **A-optimal (goal-oriented)**: minimize `trace Γpost(q; S)` — the
 //!   total forecast variance at the warning locations.
@@ -40,8 +40,8 @@ pub struct OedCandidates {
     pub p: DMatrix,
     /// `B = Fq Γprior Fᵀ` (`Nq·Nt × Nc·Nt`).
     pub b: DMatrix,
-    /// `A0 = Fq Γprior Fqᵀ` (`Nq·Nt × Nq·Nt`).
-    pub a0: DMatrix,
+    /// Prior forecast variance `trace A0`, `A0 = Fq Γprior Fqᵀ`.
+    pub prior_trace: f64,
     /// Number of candidate sensors `Nc`.
     pub n_cand: usize,
     /// Observation steps `Nt`.
@@ -75,14 +75,14 @@ impl OedCandidates {
     /// built over the *candidate* array (its Phase 1/2/3 treat every
     /// candidate as a live sensor).
     pub fn build(p1: &Phase1, p2: &Phase2, p3: &Phase3) -> Self {
-        // P = K − σ²I, re-formed via FFT matvecs: Phase 2 only keeps the
-        // factor of K.
-        let mut p = toeplitz_gram(&p2.fast_g, &p1.fast_f);
+        // P = K − σ²I, re-formed as a displacement Gram: Phase 2 only
+        // keeps the factor of K.
+        let mut p = toeplitz_gram(&p2.g, &p1.f);
         p.symmetrize();
         OedCandidates {
             p,
             b: p3.b.clone(),
-            a0: p3.a0.clone(),
+            prior_trace: p3.a0.diag().iter().sum(),
             n_cand: p1.f.out_dim,
             nt: p1.f.nt,
             sigma2: p2.sigma2,
@@ -105,9 +105,8 @@ impl OedCandidates {
     /// Total QoI posterior variance `trace Γpost(q; S)` for a subset.
     /// The empty set returns the prior value `trace A0`.
     pub fn qoi_trace(&self, sensors: &[usize]) -> f64 {
-        let prior_trace: f64 = self.a0.diag().iter().sum();
         if sensors.is_empty() {
-            return prior_trace;
+            return self.prior_trace;
         }
         let idx = self.subset_indices(sensors);
         let k = self.restrict_k(&idx);
@@ -122,7 +121,7 @@ impl OedCandidates {
                 reduction += bs[(r, c)] * x[(c, r)];
             }
         }
-        prior_trace - reduction
+        self.prior_trace - reduction
     }
 
     /// Expected information gain `½ log det(I + P_SS/σ²)` for a subset.
@@ -217,7 +216,7 @@ mod tests {
         let (twin, cand) = candidates();
         let all: Vec<usize> = (0..cand.n_cand).collect();
         let trace_full = cand.qoi_trace(&all);
-        let trace_p3: f64 = twin.phase3.gamma_post_q.diag().iter().sum();
+        let trace_p3: f64 = twin.phase3.gamma_post_q().diag().iter().sum();
         assert!(
             (trace_full - trace_p3).abs() < 1e-7 * trace_p3.abs().max(1e-12),
             "full-array OED trace {trace_full} vs Phase 3 trace {trace_p3}"
@@ -308,8 +307,8 @@ mod tests {
 
     #[test]
     fn empty_design_returns_prior_uncertainty() {
-        let (_twin, cand) = candidates();
-        let prior_trace: f64 = cand.a0.diag().iter().sum();
+        let (twin, cand) = candidates();
+        let prior_trace: f64 = twin.phase3.a0.diag().iter().sum();
         assert_eq!(cand.qoi_trace(&[]), prior_trace);
         assert_eq!(cand.info_gain(&[]), 0.0);
     }

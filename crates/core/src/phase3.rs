@@ -1,7 +1,7 @@
 //! Phase 3 (offline): QoI posterior covariance and the data-to-QoI map.
 //!
 //! With `B := Fq Γprior Fᵀ = Gq Fᵀ` and `A0 := Fq Γprior Fqᵀ = Gq Fqᵀ` (both
-//! from Phase 2's `toeplitz_gram`),
+//! displacement Grams from Phase 2's `toeplitz_gram`),
 //!
 //! ```text
 //!   Γpost(q) = A0 − B K⁻¹ Bᵀ,      Q = Fq Γpost Fᵀ Γnoise⁻¹ = B K⁻¹,
@@ -12,7 +12,9 @@
 //! algebraically, `Γpost F* Γn⁻¹ = Γprior F* K⁻¹`, the classic Kalman-gain
 //! identity. `Q` is a small dense matrix: wave-height forecasts become a
 //! single matvec on the observations, deployable "entirely without any HPC
-//! infrastructure" (§VIII).
+//! infrastructure" (§VIII). Phase 3 keeps only the diagonal of `Γpost(q)`
+//! (the pointwise std); the full covariance is formed on demand by
+//! [`Phase3::gamma_post_q`] as `A0 − B Qᵀ`.
 
 use crate::phase1::Phase1;
 use crate::phase2::{toeplitz_gram, Phase2};
@@ -23,44 +25,49 @@ use tsunami_linalg::{Cholesky, DMatrix};
 pub struct Phase3 {
     /// Data-to-QoI map `Q = B K⁻¹` (`Nq·Nt × Nd·Nt`).
     pub q_map: DMatrix,
-    /// QoI posterior covariance `Γpost(q)` (`Nq·Nt × Nq·Nt`). Formed here
-    /// only: the window rungs keep just its diagonal.
-    pub gamma_post_q: DMatrix,
     /// Pointwise posterior standard deviations `√diag(Γpost(q))`.
     pub q_std: Vec<f64>,
     /// Cross term `B = Fq Γprior Fᵀ` (`Nq·Nt × Nd·Nt`) — retained for
-    /// the shorter window rungs (`Phase3::rung`) and for sensor-design
-    /// studies ([`crate::oed`]).
+    /// the shorter window rungs (`Phase3::rung`), for `Γpost(q)` and for
+    /// sensor-design studies ([`crate::oed`]).
     pub b: DMatrix,
     /// Prior QoI covariance `A0 = Fq Γprior Fqᵀ` (`Nq·Nt × Nq·Nt`).
     pub a0: DMatrix,
 }
 
 impl Phase3 {
-    /// Assemble `B`, `A0`, `Q = Xᵀ` with `X = K⁻¹ Bᵀ` (one panel-blocked
-    /// solve), and the full `Γpost(q) = A0 − B X` with its pointwise std.
+    /// Assemble `B` and `A0` (displacement Grams), then `Q` and its std as
+    /// the full-horizon rung: `Q = Xᵀ` with `X = K⁻¹ Bᵀ` (one panel-blocked
+    /// solve) and the std from a row-wise dot, bit for bit the diagonal of
+    /// `A0 − B X`. `Γpost(q)` itself is not formed.
     pub fn build(p1: &Phase1, p2: &Phase2, timers: &TimerRegistry) -> Self {
         let b = timers.time("Phase 3: form B = Fq*Post basis", || {
-            toeplitz_gram(&p2.fast_gq, &p1.fast_f)
+            toeplitz_gram(&p2.gq, &p1.f)
         });
         let a0 = timers.time("Phase 3: form A0 = Fq*Prior*Fq'", || {
-            toeplitz_gram(&p2.fast_gq, &p1.fast_fq)
+            toeplitz_gram(&p2.gq, &p1.fq)
         });
-        let (q_map, gamma_post_q, q_std) = timers.time("Phase 3: Gamma_post(q) and Q", || {
-            let x = p2.k_chol.solve_leading_multi(b.ncols(), &b.transpose());
-            let mut gpq = a0.clone();
-            gpq.add_scaled(-1.0, &b.matmul(&x));
-            gpq.symmetrize();
-            let std = gpq.diag().iter().map(|&v| v.max(0.0).sqrt()).collect();
-            (x.transpose(), gpq, std)
+        let (q_map, q_std) = timers.time("Phase 3: Gamma_post(q) and Q", || {
+            rung_operator(&p2.k_chol, &b, &a0, b.ncols())
         });
         Phase3 {
             q_map,
-            gamma_post_q,
             q_std,
             b,
             a0,
         }
+    }
+
+    /// The QoI posterior covariance `Γpost(q) = A0 − B Qᵀ`
+    /// (`Nq·Nt × Nq·Nt`), symmetrized, formed on demand: one
+    /// `Nq·Nt × Nd·Nt × Nq·Nt` GEMM per call, for the readers that sample
+    /// from it or take its trace. `Qᵀ` is `X = K⁻¹ Bᵀ`, so this is bit for
+    /// bit `A0 − B X`.
+    pub fn gamma_post_q(&self) -> DMatrix {
+        let mut gpq = self.a0.clone();
+        gpq.add_scaled(-1.0, &self.b.matmul(&self.q_map.transpose()));
+        gpq.symmetrize();
+        gpq
     }
 
     /// `(T_w, std)` of the rung of the first `k` data entries, for every
@@ -101,6 +108,7 @@ mod tests {
     use super::*;
     use crate::config::TwinConfig;
     use crate::stprior::SpaceTimePrior;
+    use tsunami_fft::FftBlockToeplitz;
     use tsunami_linalg::LinearOperator;
 
     /// The GEMM-diagonal rung operator: forms the full `Γpost(q; w) =
@@ -141,11 +149,12 @@ mod tests {
         let k = 7 * n / solver.grid.nt_obs;
         assert_matches_gemm_oracle(&p2.k_chol, &p3.b, &p3.a0, k);
         assert_matches_gemm_oracle(&p2.k_chol, &p3.b, &p3.a0, n);
-        // Phase 3 is the oracle's full-horizon rung, Γpost(q) included,
-        // and its `rung` at the full horizon hands back its own pieces.
+        // Phase 3 is the oracle's full-horizon rung, its on-demand
+        // Γpost(q) included, and its `rung` at the full horizon hands back
+        // its own pieces.
         let (q_map, gpq, q_std) = gemm_rung_operator(&p2.k_chol, &p3.b, &p3.a0, n);
         assert_eq!(p3.q_map.as_slice(), q_map.as_slice());
-        assert_eq!(p3.gamma_post_q.as_slice(), gpq.as_slice());
+        assert_eq!(p3.gamma_post_q().as_slice(), gpq.as_slice());
         assert_eq!(p3.q_std, q_std);
         let (t_full, std_full) = p3.rung(&p2.k_chol, n);
         assert_eq!(t_full.as_slice(), q_map.as_slice());
@@ -205,7 +214,7 @@ mod tests {
         gamma_post.add_scaled(-1.0, &correction);
         let gpq_dense = fq.matmul(&gamma_post).matmul_nt(&fq);
 
-        let mut diff = p3.gamma_post_q.clone();
+        let mut diff = p3.gamma_post_q();
         diff.add_scaled(-1.0, &gpq_dense);
         assert!(
             diff.norm_fro() < 1e-7 * gpq_dense.norm_fro().max(1e-12),
@@ -240,15 +249,13 @@ mod tests {
         let prior = cfg.build_prior();
         let p2 = crate::phase2::Phase2::build(&p1, &prior, 0.02, &timers);
         let p3 = Phase3::build(&p1, &p2, &timers);
-        // Prior QoI variance = diag(A0); recompute here.
+        // Prior QoI variance = diag(A0); recompute here with FFT applies.
         let n_q = p1.fast_fq.nrows();
-        let mut e = DMatrix::zeros(n_q, n_q);
+        let fast_gq = FftBlockToeplitz::from_blocks(&p2.gq);
+        let a0 = fast_gq.matmat(&p1.fast_fq.matmat_transpose(&DMatrix::identity(n_q)));
+        let gpq = p3.gamma_post_q();
         for i in 0..n_q {
-            e[(i, i)] = 1.0;
-        }
-        let a0 = p2.fast_gq.matmat(&p1.fast_fq.matmat_transpose(&e));
-        for i in 0..n_q {
-            let post = p3.gamma_post_q[(i, i)];
+            let post = gpq[(i, i)];
             let pri = a0[(i, i)];
             assert!(
                 post <= pri + 1e-10 * pri.abs().max(1e-12),

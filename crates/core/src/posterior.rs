@@ -146,9 +146,10 @@ mod tests {
             }
         }
         // Compare a handful of entries with decent signal.
+        let gpq = p3.gamma_post_q();
         let mut checked = 0;
         for i in 0..nq {
-            let exact = p3.gamma_post_q[(i, i)];
+            let exact = gpq[(i, i)];
             if exact < 1e-12 {
                 continue;
             }

@@ -28,7 +28,7 @@ pub struct DigitalTwin {
     pub phase1: Phase1,
     /// Phase 2 products (`G`, `Gq`, factorized `K`).
     pub phase2: Phase2,
-    /// Phase 3 products (`Q`, `Γpost(q)`).
+    /// Phase 3 products (`Q`, its std, `B`, `A0`; `Γpost(q)` on demand).
     pub phase3: Phase3,
     /// Offline-phase wall-clock accounting (Table III analogue).
     pub timers: TimerRegistry,

@@ -59,14 +59,14 @@ pub struct ShakeMap {
 }
 
 /// Build a shake map from the QoI posterior: mean series `q_map`, QoI
-/// covariance `Γpost(q)`, site count `nq`, horizon `nt`.
+/// covariance `Γpost(q)` (taken by value), site count `nq`, horizon `nt`.
 ///
 /// Sampling uses the Cholesky factor of `Γpost(q)` with a relative jitter
-/// on the diagonal (the covariance is only positive *semi*-definite when
-/// some series entries are fully determined).
+/// added to its diagonal in place (the covariance is only positive
+/// *semi*-definite when some series entries are fully determined).
 pub fn shake_map(
     q_map: &[f64],
-    gamma_post_q: &DMatrix,
+    mut cov: DMatrix,
     nq: usize,
     nt: usize,
     n_samples: usize,
@@ -74,9 +74,8 @@ pub fn shake_map(
 ) -> ShakeMap {
     assert!(n_samples >= 2, "need at least two samples for spread");
     assert_eq!(q_map.len(), nq * nt, "QoI mean dimension");
-    assert_eq!(gamma_post_q.nrows(), nq * nt, "QoI covariance dimension");
+    assert_eq!(cov.nrows(), nq * nt, "QoI covariance dimension");
     let n = q_map.len();
-    let mut cov = gamma_post_q.clone();
     let max_diag = cov.diag().iter().fold(0.0f64, |a, &v| a.max(v.abs()));
     cov.shift_diag(1e-10 * max_diag.max(1e-300));
     let ch = Cholesky::factor(&cov).expect("jittered QoI covariance must be SPD");
@@ -143,7 +142,7 @@ mod tests {
         let q_map: Vec<f64> = (0..nq * nt).map(|i| (i as f64 * 0.7).sin()).collect();
         let cov = DMatrix::zeros(nq * nt, nq * nt);
         let mut rng = seeded_rng(1);
-        let sm = shake_map(&q_map, &cov, nq, nt, 50, &mut rng);
+        let sm = shake_map(&q_map, cov, nq, nt, 50, &mut rng);
         // With (numerically) zero uncertainty every sample equals the mean.
         for s in 0..nq {
             assert!((sm.pgv_mean[s] - sm.pgv_map[s]).abs() < 1e-6);
@@ -163,9 +162,9 @@ mod tests {
         let mut large = DMatrix::zeros(n, n);
         large.shift_diag(1.0);
         let mut rng = seeded_rng(2);
-        let sm_small = shake_map(&q_map, &small, nq, nt, 400, &mut rng);
+        let sm_small = shake_map(&q_map, small, nq, nt, 400, &mut rng);
         let mut rng = seeded_rng(2);
-        let sm_large = shake_map(&q_map, &large, nq, nt, 400, &mut rng);
+        let sm_large = shake_map(&q_map, large, nq, nt, 400, &mut rng);
         assert!(sm_large.pgv_std[0] > sm_small.pgv_std[0]);
         assert!(
             sm_large.pgv_p95[0] - sm_large.pgv_p05[0] > sm_small.pgv_p95[0] - sm_small.pgv_p05[0]
@@ -181,7 +180,7 @@ mod tests {
         let mut cov = DMatrix::zeros(n, n);
         cov.shift_diag(0.01);
         let mut rng = seeded_rng(3);
-        let sm = shake_map(&q_map, &cov, nq, nt, 300, &mut rng);
+        let sm = shake_map(&q_map, cov, nq, nt, 300, &mut rng);
         for s in 0..nq {
             assert!(sm.pgv_p05[s] <= sm.pgv_mean[s] + 1e-12);
             assert!(sm.pgv_p95[s] >= sm.pgv_mean[s] - 1e-12);

@@ -79,7 +79,7 @@ impl ShakeTwin {
         let fc = self.engine.predict(d_obs);
         shake_map(
             &fc.q_map,
-            &self.engine.phase3.gamma_post_q,
+            self.engine.phase3.gamma_post_q(),
             self.solver.qoi_sites.len(),
             self.solver.nt_obs,
             n_samples,

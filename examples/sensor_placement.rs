@@ -21,10 +21,10 @@ fn main() {
     let n_cand = config.n_sensors();
     let twin = DigitalTwin::offline(config, 0.02);
     let cand = OedCandidates::build(&twin.phase1, &twin.phase2, &twin.phase3);
-    let prior_trace: f64 = cand.a0.diag().iter().sum();
+    let prior_trace = cand.prior_trace;
     println!(
         "{n_cand} candidate sites | {} QoI entries | prior forecast variance {prior_trace:.4e}",
-        cand.a0.nrows()
+        cand.b.nrows()
     );
 
     let n_pick = (n_cand / 2).max(2);

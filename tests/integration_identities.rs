@@ -167,11 +167,12 @@ fn posterior_samples_consistent_with_qoi_covariance() {
             *sq += q * q;
         }
     }
+    let gpq = twin.phase3.gamma_post_q();
     let mut checked = 0;
     for i in 0..nq {
         let mu = mean[i] / n_samp as f64;
         let var = m2[i] / n_samp as f64 - mu * mu;
-        let exact = twin.phase3.gamma_post_q[(i, i)];
+        let exact = gpq[(i, i)];
         if exact < 1e-10 {
             continue;
         }
