@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 use std::time::Duration;
-use tsunami_fem::kernels::{KernelContext, KernelVariant};
+use tsunami_fem::kernels::KernelContext;
 use tsunami_mesh::{CascadiaBathymetry, HexMesh};
 use tsunami_solver::rk4::{rk4_step, Rk4Workspace};
 use tsunami_solver::{PhysicalParams, WaveOperator, LANES};
@@ -25,7 +25,7 @@ fn bench_step(c: &mut Criterion) {
         let bath = CascadiaBathymetry::standard(100e3, 100e3);
         let mesh = Arc::new(HexMesh::terrain_following(n, n, 2, 100e3, 100e3, &bath));
         let ctx = Arc::new(KernelContext::new(mesh, 4));
-        let op = WaveOperator::new(ctx, KernelVariant::FusedPa, PhysicalParams::seawater());
+        let op = WaveOperator::new(ctx, PhysicalParams::seawater());
         let dofs = op.n_state();
         let dt = op.params.cfl_dt(500.0, 4, 0.3);
 

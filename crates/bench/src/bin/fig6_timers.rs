@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 use tsunami_bench::{comparison_table, fmt_secs, Row};
-use tsunami_fem::kernels::{KernelContext, KernelVariant};
+use tsunami_fem::kernels::KernelContext;
 use tsunami_hpc::TimerRegistry;
 use tsunami_mesh::{CascadiaBathymetry, HexMesh};
 use tsunami_solver::rk4::{rk4_step, Rk4Workspace};
@@ -23,7 +23,7 @@ fn breakdown(label: &str, nx: usize, ny: usize, nz: usize) -> (Vec<Row>, f64) {
         let bath = CascadiaBathymetry::standard(100e3, 200e3);
         let mesh = Arc::new(HexMesh::terrain_following(nx, ny, nz, 100e3, 200e3, &bath));
         let ctx = Arc::new(KernelContext::new(mesh, 4));
-        WaveOperator::new(ctx, KernelVariant::FusedPa, PhysicalParams::seawater())
+        WaveOperator::new(ctx, PhysicalParams::seawater())
     });
     let n = op.n_state();
     let mut x = vec![0.0; n];

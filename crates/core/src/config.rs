@@ -1,7 +1,7 @@
 //! Twin configuration: one struct describing the whole scenario.
 
 use std::sync::Arc;
-use tsunami_fem::kernels::{KernelContext, KernelVariant};
+use tsunami_fem::kernels::KernelContext;
 use tsunami_mesh::{Bathymetry, CascadiaBathymetry, FlatBathymetry, HexMesh};
 use tsunami_solver::{
     BilinearParamMap, PhysicalParams, QoiArray, SensorArray, TimeGrid, WaveOperator, WaveSolver,
@@ -69,8 +69,6 @@ pub struct TwinConfig {
     /// Noise level as a fraction of the RMS clean datum
     /// (paper: 1% relative noise).
     pub noise_frac: f64,
-    /// FEM kernel variant for the wave solver.
-    pub kernel: KernelVariant,
 }
 
 impl TwinConfig {
@@ -96,7 +94,6 @@ impl TwinConfig {
             prior_ell: 1500.0,
             prior_sigma: 1.0,
             noise_frac: 0.01,
-            kernel: KernelVariant::FusedPa,
         }
     }
 
@@ -126,7 +123,6 @@ impl TwinConfig {
             prior_ell: 15e3,
             prior_sigma: 0.5,
             noise_frac: 0.01,
-            kernel: KernelVariant::FusedPa,
         }
     }
 
@@ -155,7 +151,6 @@ impl TwinConfig {
             prior_ell: 20e3,
             prior_sigma: 0.5,
             noise_frac: 0.01,
-            kernel: KernelVariant::FusedPa,
         }
     }
 
@@ -228,7 +223,7 @@ impl TwinConfig {
         let min_edge = mesh.min_edge_length();
         let ctx = Arc::new(KernelContext::new(mesh, self.order));
         let params = self.physics();
-        let op = WaveOperator::new(ctx, self.kernel, params);
+        let op = WaveOperator::new(ctx, params);
         let sensors = SensorArray::on_seafloor(&op, &self.sensor_positions(), 0.03);
         let qoi = QoiArray::on_surface(&op, &self.qoi_positions());
         let pmap = BilinearParamMap::new(

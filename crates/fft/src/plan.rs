@@ -79,23 +79,6 @@ impl FftPlan {
         }
     }
 
-    /// Unnormalized inverse (no 1/n): useful when the normalization is folded
-    /// into precomputed spectra.
-    pub fn inverse_unnormalized(&self, data: &mut [C64]) {
-        assert_eq!(data.len(), self.n);
-        if self.n == 1 {
-            return;
-        }
-        for z in data.iter_mut() {
-            *z = z.conj();
-        }
-        self.permute(data);
-        self.butterflies(data);
-        for z in data.iter_mut() {
-            *z = z.conj();
-        }
-    }
-
     #[inline]
     fn permute(&self, data: &mut [C64]) {
         for i in 0..self.n {

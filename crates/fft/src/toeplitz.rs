@@ -208,29 +208,6 @@ impl BlockToeplitz {
         }
         a
     }
-
-    /// Map each defining block through `f` (e.g. apply the prior covariance
-    /// to every column — Phase 2's construction of `G* = Γprior F*` reuses
-    /// the Toeplitz structure because `Γprior` is block-diagonal in time with
-    /// identical spatial blocks).
-    pub fn map_blocks(&self, f: impl Fn(&DMatrix) -> DMatrix) -> BlockToeplitz {
-        let blocks: Vec<DMatrix> = self.blocks.iter().map(f).collect();
-        let out_dim = blocks[0].nrows();
-        let in_dim = blocks[0].ncols();
-        BlockToeplitz::new(blocks, out_dim, in_dim)
-    }
-
-    /// Transposed copy: the defining blocks of `Fᵀ` (an upper-triangular
-    /// block Toeplitz matrix) are `T_kᵀ`; we represent it as the
-    /// lower-triangular Toeplitz with blocks `T_kᵀ` plus the time-reversal
-    /// identity used in [`crate::fast_toeplitz`].
-    pub fn transpose_blocks(&self) -> BlockToeplitz {
-        BlockToeplitz::new(
-            self.blocks.iter().map(|b| b.transpose()).collect(),
-            self.in_dim,
-            self.out_dim,
-        )
-    }
 }
 
 #[cfg(test)]

@@ -268,11 +268,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Parallel Euclidean norm.
-pub fn par_norm2(x: &[f64]) -> f64 {
-    par_dot(x, x).sqrt()
-}
-
 /// Max norm `‖x‖∞`.
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
@@ -292,16 +287,6 @@ pub fn rel_err(x: &[f64], y: &[f64]) -> f64 {
         num.sqrt()
     } else {
         (num / den).sqrt()
-    }
-}
-
-/// Componentwise `z ← x ⊙ y` (Hadamard product).
-#[inline]
-pub fn hadamard(x: &[f64], y: &[f64], z: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    assert_eq!(x.len(), z.len());
-    for ((zi, xi), yi) in z.iter_mut().zip(x).zip(y) {
-        *zi = xi * yi;
     }
 }
 

@@ -247,7 +247,7 @@ mod tests {
     use super::*;
     use crate::params::PhysicalParams;
     use std::sync::Arc;
-    use tsunami_fem::kernels::{KernelContext, KernelVariant};
+    use tsunami_fem::kernels::KernelContext;
     use tsunami_mesh::{FlatBathymetry, HexMesh};
 
     fn op() -> WaveOperator {
@@ -260,7 +260,7 @@ mod tests {
             &FlatBathymetry { depth: 400.0 },
         ));
         let ctx = Arc::new(KernelContext::new(mesh, 3));
-        WaveOperator::new(ctx, KernelVariant::FusedPa, PhysicalParams::seawater())
+        WaveOperator::new(ctx, PhysicalParams::seawater())
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::params::PhysicalParams;
 use std::sync::Arc;
-use tsunami_fem::kernels::{make_kernel, KernelContext, KernelVariant, WaveKernel};
+use tsunami_fem::kernels::{FusedPa, KernelContext, WaveKernel};
 use tsunami_fem::{gauss_lobatto, SurfaceMass};
 use tsunami_mesh::BoundaryTag;
 
@@ -29,8 +29,8 @@ use tsunami_mesh::BoundaryTag;
 pub struct WaveOperator {
     /// Shared discretization context.
     pub ctx: Arc<KernelContext>,
-    /// The off-diagonal kernel pair (any Fig 7 variant).
-    pub kernel: Box<dyn WaveKernel>,
+    /// The off-diagonal kernel pair (Fig 7's fused partial assembly).
+    pub kernel: FusedPa,
     /// Physics constants.
     pub params: PhysicalParams,
     /// Inverse velocity mass per L2 scalar dof (`1/(ρ·w·detJ)`), shared by
@@ -50,9 +50,9 @@ pub struct WaveOperator {
 }
 
 impl WaveOperator {
-    /// Assemble masses and boundary operators for the given kernel variant.
-    pub fn new(ctx: Arc<KernelContext>, variant: KernelVariant, params: PhysicalParams) -> Self {
-        let kernel = make_kernel(variant, ctx.clone());
+    /// Assemble masses, boundary operators and the fused kernel pair.
+    pub fn new(ctx: Arc<KernelContext>, params: PhysicalParams) -> Self {
+        let kernel = FusedPa::new(ctx.clone());
         let surface = SurfaceMass::assemble(&ctx.mesh, &ctx.h1, BoundaryTag::Surface);
         let bottom = SurfaceMass::assemble(&ctx.mesh, &ctx.h1, BoundaryTag::Bottom);
         let absorbing = SurfaceMass::assemble(&ctx.mesh, &ctx.h1, BoundaryTag::Absorbing);
@@ -129,11 +129,6 @@ impl WaveOperator {
     /// Split a state slice into `(u, p)`.
     pub fn split<'a>(&self, x: &'a [f64]) -> (&'a [f64], &'a [f64]) {
         x.split_at(self.n_u())
-    }
-
-    /// Split a mutable state slice into `(u, p)`.
-    pub fn split_mut<'a>(&self, x: &'a mut [f64]) -> (&'a mut [f64], &'a mut [f64]) {
-        x.split_at_mut(self.n_u())
     }
 
     /// `out = L x` (+ optional seafloor forcing `m` on the bottom nodes)
@@ -235,17 +230,6 @@ impl WaveOperator {
         }
         0.5 * (e_u + e_p)
     }
-
-    /// Surface wave height `η = p/(ρg)` trace at the free surface
-    /// (boundary-node ordering of `self.surface`).
-    pub fn eta_trace(&self, x: &[f64], out: &mut [f64]) {
-        let (_, xp) = self.split(x);
-        assert_eq!(out.len(), self.surface.len());
-        let rg_inv = 1.0 / (self.params.rho * self.params.gravity);
-        for (o, &n) in out.iter_mut().zip(&self.surface.nodes) {
-            *o = rg_inv * xp[n];
-        }
-    }
 }
 
 /// `v ← f(v, d_i)` on every lane of row `i` of a lane-minor panel.
@@ -280,7 +264,7 @@ mod tests {
             &FlatBathymetry { depth: 800.0 },
         ));
         let ctx = Arc::new(KernelContext::new(mesh, 3));
-        let mut op = WaveOperator::new(ctx, KernelVariant::FusedPa, PhysicalParams::seawater());
+        let mut op = WaveOperator::new(ctx, PhysicalParams::seawater());
         if !absorbing {
             op.absorbing_coeff = 0.0;
         }

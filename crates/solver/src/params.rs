@@ -46,11 +46,6 @@ impl PhysicalParams {
         self.rho * self.sound_speed()
     }
 
-    /// Long-wave (shallow-water) gravity wave speed `√(gH)` at depth `H`.
-    pub fn gravity_wave_speed(&self, depth: f64) -> f64 {
-        (self.gravity * depth).sqrt()
-    }
-
     /// Surface gravity-wave dispersion relation `ω² = g k tanh(kH)`
     /// (incompressible limit) — the analytic oracle for physics tests.
     pub fn gravity_wave_omega(&self, k: f64, depth: f64) -> f64 {

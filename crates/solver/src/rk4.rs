@@ -151,7 +151,7 @@ mod tests {
     use super::*;
     use crate::params::PhysicalParams;
     use std::sync::Arc;
-    use tsunami_fem::kernels::{KernelContext, KernelVariant};
+    use tsunami_fem::kernels::KernelContext;
     use tsunami_mesh::{FlatBathymetry, HexMesh};
 
     fn op() -> WaveOperator {
@@ -164,11 +164,7 @@ mod tests {
             &FlatBathymetry { depth: 500.0 },
         ));
         let ctx = Arc::new(KernelContext::new(mesh, 3));
-        WaveOperator::new(
-            ctx,
-            KernelVariant::FusedPa,
-            PhysicalParams::slow_ocean(100.0),
-        )
+        WaveOperator::new(ctx, PhysicalParams::slow_ocean(100.0))
     }
 
     fn pseudo(n: usize, seed: u64) -> Vec<f64> {

@@ -217,7 +217,7 @@ pub(crate) mod tests {
     use crate::parammap::IdentityParamMap;
     use crate::params::PhysicalParams;
     use std::sync::Arc;
-    use tsunami_fem::kernels::{KernelContext, KernelVariant};
+    use tsunami_fem::kernels::KernelContext;
     use tsunami_fft::BlockToeplitz;
     use tsunami_mesh::{FlatBathymetry, HexMesh};
 
@@ -255,7 +255,7 @@ pub(crate) mod tests {
         ));
         let ctx = Arc::new(KernelContext::new(mesh, 3));
         let params = PhysicalParams::slow_ocean(100.0);
-        let op = WaveOperator::new(ctx, KernelVariant::FusedPa, params);
+        let op = WaveOperator::new(ctx, params);
         let sensors = SensorArray::on_seafloor(&op, sensors, 0.05);
         let qoi = QoiArray::on_surface(&op, qoi);
         let n_bottom = op.bottom.len();

@@ -21,6 +21,9 @@
 //! ```text
 //! cargo run --release --example goal_oriented_warning
 //! ```
+//!
+//! `cargo test` runs it too: the `assert!`s check the bit-identity, the
+//! bound and the final call.
 
 use cascadia_dt::prelude::*;
 
@@ -53,6 +56,7 @@ fn main() {
         gl_trunc.resident_elems(),
         gl_trunc.windowed_resident_elems() as f64 / gl_trunc.resident_elems() as f64
     );
+    assert!(gl_trunc.resident_elems() < gl_trunc.windowed_resident_elems());
     println!(
         "  per-stream fold state: {} values (vs re-reading up to {} window samples)\n",
         gl_trunc.fold_len(),
@@ -98,6 +102,7 @@ fn main() {
             let fe = exact.session(ids[1]).forecast.as_ref().unwrap();
             let ft = trunc.session(ids[2]).forecast.as_ref().unwrap();
             assert_eq!(fw.q_map, fe.q_map, "exact ladder must bit-match");
+            assert_eq!(sw.level, exact.session(ids[1]).level);
             let err: f64 = ft
                 .q_map
                 .iter()
@@ -134,4 +139,5 @@ fn main() {
     let final_level = windowed.session(ids[0]).level;
     println!("final call: {final_level} from all backends at threshold {threshold} m");
     assert_eq!(final_level, exact.session(ids[1]).level);
+    assert_eq!(final_level, WarningLevel::Warning);
 }

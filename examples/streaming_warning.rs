@@ -13,6 +13,9 @@
 //! cargo run --release --example streaming_warning
 //! ```
 //!
+//! `cargo test` runs it too: the `assert!`s check the identification, the
+//! engine's accounting and its audit trail.
+//!
 //! By default the replay runs on `TwinConfig::tiny()` (seconds). Set
 //! `STREAMING_DEMO=1` for the demo-scale variant on `TwinConfig::demo()`
 //! — a 4×4 sensor array over an 18-step horizon whose offline build takes
@@ -20,6 +23,7 @@
 //! tick and bank-scale identification actually pay off.
 
 use cascadia_dt::prelude::*;
+use cascadia_dt::stream::classify_band;
 
 /// `STREAMING_DEMO=1` selects the demo-scale configuration.
 fn demo_scale() -> bool {
@@ -73,7 +77,9 @@ fn main() {
     let feeds: Vec<Vec<f64>> = (0..bank.len())
         .map(|j| bank.observations().col(j))
         .collect();
-    let mut levels = vec![WarningLevel::AllClear; bank.len()];
+    // Every level change seen from outside the engine, per session: the
+    // audit trail must reproduce it.
+    let mut observed: Vec<Vec<(WarningLevel, WarningLevel)>> = vec![Vec::new(); bank.len()];
 
     // 3. Replay: interleaved live feeds, one observation step per session
     //    per round, with a tick after every round.
@@ -83,9 +89,22 @@ fn main() {
     );
     for t in 0..nt {
         for (d, &id) in feeds.iter().zip(&ids) {
-            engine.push(id, &d[t * nd..(t + 1) * nd]);
+            assert_eq!(engine.push(id, &d[t * nd..(t + 1) * nd]), nd);
         }
         let tm = engine.tick();
+        assert!(tm.seconds >= 0.0 && tm.seconds.is_finite());
+        let flipped: Vec<bool> = ids
+            .iter()
+            .zip(&mut observed)
+            .map(|(&id, seen)| {
+                let level = engine.session(id).level;
+                let from = seen.last().map_or(WarningLevel::AllClear, |&(_, to)| to);
+                if level != from {
+                    seen.push((from, level));
+                }
+                level != from
+            })
+            .collect();
         if tm.sessions_assimilated == 0 {
             continue;
         }
@@ -104,12 +123,7 @@ fn main() {
             };
             let peak = fc.q_map.iter().cloned().fold(f64::MIN, f64::max);
             let top = &engine.ranked_matches(id)[0];
-            let flip = if s.level != levels[j] {
-                " <-- level change"
-            } else {
-                ""
-            };
-            levels[j] = s.level;
+            let flip = if flipped[j] { " <-- level change" } else { "" };
             println!(
                 "    S{j}: window {:>2} steps | peak {:>6.2} m ± {:>5.2} | {:<9} | best match #{} (p = {:.2}){flip}",
                 forecaster.windows[w],
@@ -129,8 +143,11 @@ fn main() {
         .filter(|(j, &id)| engine.ranked_matches(id)[0].scenario == *j)
         .count();
     let em = *engine.metrics();
+    let panel_bound = twin.n_data().max(twin.n_params()) * stream_cfg.chunk;
     println!("\n--- scorecard ---");
     println!("identified {correct}/{} streams correctly", bank.len());
+    // The streams are the bank's own scenarios (loose on purpose).
+    assert!(correct * 2 >= bank.len(), "identification collapsed");
     println!(
         "{} assimilations over {} ticks in {} panels, total {:.2} ms",
         em.assimilations,
@@ -139,18 +156,28 @@ fn main() {
         em.seconds * 1e3
     );
     println!(
-        "peak materialized panel: {} elements (chunk bound: {})",
-        em.peak_panel_elems,
-        twin.n_data().max(twin.n_params()) * stream_cfg.chunk
+        "peak materialized panel: {} elements (chunk bound: {panel_bound})",
+        em.peak_panel_elems
     );
+    // Every session crossed every rung once, in bounded panels.
+    assert_eq!(em.ticks, nt);
+    assert_eq!(em.assimilations, bank.len() * forecaster.windows.len());
+    assert_eq!(em.samples_ingested, bank.len() * twin.n_data());
+    assert!(em.peak_panel_elems <= panel_bound);
     for (j, &id) in ids.iter().enumerate() {
         let s = engine.session(id);
+        let fc = s.forecast.as_ref().expect("session never assimilated");
+        let m_norm = s.m_norm.expect("inference enabled");
         println!(
-            "  S{j}: Mw {:>4.2} | final {:<9} | m-norm {:.3}",
-            bank.scenarios[j].event.magnitude,
-            s.level,
-            s.m_norm.unwrap_or(0.0),
+            "  S{j}: Mw {:>4.2} | final {:<9} | m-norm {m_norm:.3}",
+            bank.scenarios[j].event.magnitude, s.level,
         );
+        assert!(s.is_complete() && s.window() == Some(forecaster.windows.len() - 1));
+        assert!(fc.q_map.iter().all(|v| v.is_finite()) && m_norm.is_finite());
+        assert!(fc.q_std.iter().all(|v| v.is_finite() && *v >= 0.0));
+        let ranked = engine.ranked_matches(id);
+        let z: f64 = ranked.iter().map(|m| m.probability).sum();
+        assert!(ranked.len() == bank.len() && (z - 1.0).abs() < 1e-9);
     }
 
     // 5. Audit trail: the engine's bounded ring has recorded every
@@ -159,14 +186,27 @@ fn main() {
         "\n--- warning audit trail ({} transitions) ---",
         engine.audit().len()
     );
-    for tr in engine.audit().iter() {
-        let top = tr
-            .top_scenario
-            .map(|(s, p)| format!("#{s} (p = {p:.2})"))
-            .unwrap_or_else(|| "-".into());
+    let audit = engine.audit();
+    let n_observed: usize = observed.iter().map(Vec::len).sum();
+    assert_eq!(audit.total(), n_observed as u64);
+    assert_eq!(audit.evicted(), 0, "the replay must fit the ring");
+    for (j, &id) in ids.iter().enumerate() {
+        let audited = engine.audit_for(id).map(|tr| (tr.from, tr.to));
+        assert!(
+            audited.eq(observed[j].iter().copied()),
+            "S{j}: audit trail diverges"
+        );
+    }
+    for tr in audit.iter() {
+        let (s, p) = tr.top_scenario.expect("bank attached: posterior available");
         println!(
-            "  tick {:>2} S{} rung {}: {:<9} -> {:<9} | band [{:>6.2}, {:>6.2}] m | top {top}",
+            "  tick {:>2} S{} rung {}: {:<9} -> {:<9} | band [{:>6.2}, {:>6.2}] m | top #{s} (p = {p:.2})",
             tr.tick, tr.session, tr.rung, tr.from, tr.to, tr.band_lo, tr.band_hi
         );
+        // The recorded credible band reclassifies to the recorded level.
+        let band = (tr.band_lo, tr.band_hi);
+        assert!(band.0.is_finite() && band.1.is_finite());
+        assert_eq!(classify_band(band, stream_cfg.warn_threshold), tr.to);
+        assert!(s < bank.len() && (0.0..=1.0).contains(&p));
     }
 }

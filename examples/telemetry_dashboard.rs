@@ -18,12 +18,18 @@
 //! cargo run --release --example telemetry_dashboard
 //! ```
 //!
-//! Set `OBS=off` to disable all recording: the dashboard then prints an
-//! empty registry while the engine runs at its uninstrumented speed (the
-//! `service_scale` bench gates that overhead at ≤ 1% per tick).
+//! Set `OBS=off` to disable all recording: the dashboard then prints
+//! every metric at zero while the engine runs at its uninstrumented speed
+//! (the `service_scale` bench gates that overhead at ≤ 1% per tick).
+//!
+//! `cargo test` runs it too: the `assert!`s check that every surface is
+//! populated (zero under `OBS=off`) and consistent with the audit ring.
 
-use cascadia_dt::obs::{validate_exposition, Metric};
+use cascadia_dt::obs::{self, validate_exposition, Metric};
 use cascadia_dt::prelude::*;
+
+/// The per-shard tick stages, in pipeline order.
+const STAGES: [&str; 4] = ["drain", "identify", "assimilate", "classify"];
 
 fn main() {
     println!("== Telemetry dashboard: goal-oriented + mode-space replay ==\n");
@@ -86,34 +92,50 @@ fn main() {
     );
 
     // 1. Per-stage latency table straight from the registry histograms.
+    //    Each stage records once per shard-visit per tick (never under
+    //    `OBS=off`).
     let reg = engine.registry();
+    let on = obs::enabled();
+    let visits = if on {
+        (em.ticks * stream_cfg.shards) as u64
+    } else {
+        0
+    };
     println!("--- per-stage tick latency (per shard-visit) ---");
     println!(
         "{:<24} {:>8} {:>10} {:>10} {:>10} {:>10}",
         "stage", "count", "mean µs", "p50 µs", "p95 µs", "p99 µs"
     );
     let stage_row = |name: &str| {
-        if let Some(Metric::Histogram(h)) = reg.get(name) {
-            let s = h.snapshot();
-            println!(
-                "{:<24} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                name,
-                s.count,
-                s.mean() / 1e3,
-                s.quantile(0.5) as f64 / 1e3,
-                s.quantile(0.95) as f64 / 1e3,
-                s.quantile(0.99) as f64 / 1e3
-            );
-        }
+        let Some(Metric::Histogram(h)) = reg.get(name) else {
+            panic!("{name} missing from the registry");
+        };
+        let s = h.snapshot();
+        let (p50, p95, p99) = (s.quantile(0.5), s.quantile(0.95), s.quantile(0.99));
+        println!(
+            "{:<24} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+            name,
+            s.count,
+            s.mean() / 1e3,
+            p50 as f64 / 1e3,
+            p95 as f64 / 1e3,
+            p99 as f64 / 1e3
+        );
+        assert!(p50 <= p95 && p95 <= p99, "{name}: quantiles out of order");
+        s.count
     };
-    for stage in ["drain", "identify", "assimilate", "classify", "total"] {
-        stage_row(&format!("stream.tick.{stage}"));
+    for stage in STAGES {
+        let name = format!("stream.tick.{stage}");
+        assert_eq!(stage_row(&name), visits, "{name}");
     }
+    stage_row("stream.tick.total");
 
-    // 2. Per-rung assimilation cost across the window ladder.
+    // 2. Per-rung assimilation cost across the window ladder: every rung
+    //    assimilated at least one chunk.
     println!("\n--- per-rung assimilation latency ---");
     for w in 0..windows.len() {
-        stage_row(&format!("stream.rung.{w}.assimilate"));
+        let name = format!("stream.rung.{w}.assimilate");
+        assert_eq!(stage_row(&name) > 0, on, "{name}");
     }
 
     // 3. The audit trail for the loudest session.
@@ -126,6 +148,18 @@ fn main() {
         "\n--- audit trail: session S{loud} ({} transitions engine-wide) ---",
         engine.audit().len()
     );
+    // The replay trips warnings; every transition's evidence is
+    // self-consistent and the registry counts each one.
+    assert!(!engine.audit().is_empty(), "replay produced no transitions");
+    for tr in engine.audit().iter() {
+        assert!(ids.contains(&tr.session) && tr.rung < windows.len() && tr.from != tr.to);
+        assert!(tr.band_lo.is_finite() && tr.band_hi.is_finite());
+        assert_eq!(tr.path, TickPath::GoalOriented);
+    }
+    let Some(Metric::Counter(c)) = reg.get("stream.warnings.transitions") else {
+        panic!("stream.warnings.transitions missing from the registry");
+    };
+    assert_eq!(c.get(), if on { engine.audit().total() } else { 0 });
     for tr in engine.audit_for(loud) {
         let top = tr
             .top_scenario
@@ -140,16 +174,20 @@ fn main() {
     // 4. The machine-facing views: validated Prometheus exposition and
     //    the equivalent JSON snapshot.
     let text = reg.render_prometheus();
-    match validate_exposition(&text) {
-        Ok(samples) => println!("\n--- exposition ({samples} samples, parser-clean) ---"),
-        Err(e) => {
-            eprintln!("exposition failed validation: {e}");
-            std::process::exit(1);
-        }
-    }
+    let samples = validate_exposition(&text).expect("exposition must parse");
+    assert!(samples > 0);
+    println!("\n--- exposition ({samples} samples, parser-clean) ---");
     print!("{text}");
+    let json = reg.render_json();
     println!(
         "\n(JSON snapshot: {} bytes via Registry::render_json)",
-        reg.render_json().len()
+        json.len()
     );
+    for stage in STAGES {
+        let key = format!("\"stream.tick.{stage}\":{{\"count\"");
+        assert!(
+            json.contains(&key),
+            "JSON snapshot missing stream.tick.{stage}"
+        );
+    }
 }

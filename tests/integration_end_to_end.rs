@@ -85,22 +85,3 @@ fn online_is_far_faster_than_offline() {
         "offline {offline} s vs online {online} s — decomposition pointless"
     );
 }
-
-#[test]
-fn kernel_variant_does_not_change_answers() {
-    // The twin built with MatrixFree kernels must produce the same maps as
-    // with FusedPa (same operator, different implementation).
-    let mut cfg_a = TwinConfig::tiny();
-    cfg_a.kernel = KernelVariant::FusedPa;
-    let mut cfg_b = TwinConfig::tiny();
-    cfg_b.kernel = KernelVariant::MatrixFree;
-    let solver = cfg_a.build_solver();
-    let rupture = SyntheticEvent::default_rupture(&cfg_a);
-    let ev = SyntheticEvent::generate(&cfg_a, &solver, &rupture, 9);
-    let twin_a = DigitalTwin::offline(cfg_a, ev.noise_std);
-    let twin_b = DigitalTwin::offline(cfg_b, ev.noise_std);
-    let ma = twin_a.infer(&ev.d_obs).m_map;
-    let mb = twin_b.infer(&ev.d_obs).m_map;
-    let err = rel_l2(&ma, &mb);
-    assert!(err < 1e-8, "kernel variants disagree: {err}");
-}

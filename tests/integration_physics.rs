@@ -3,7 +3,7 @@
 //! eq. (1) of the paper, not merely *some* stable PDE.
 
 use std::sync::Arc;
-use tsunami_fem::kernels::{KernelContext, KernelVariant};
+use tsunami_fem::kernels::KernelContext;
 use tsunami_fem::{gauss_lobatto, PointEvaluator};
 use tsunami_mesh::{FlatBathymetry, HexMesh};
 use tsunami_solver::rk4::{rk4_step, Rk4Workspace};
@@ -42,7 +42,7 @@ fn surface_gravity_wave_dispersion() {
     ));
     let ctx = Arc::new(KernelContext::new(mesh, 3));
     let params = PhysicalParams::slow_ocean(600.0);
-    let mut op = WaveOperator::new(ctx.clone(), KernelVariant::FusedPa, params);
+    let mut op = WaveOperator::new(ctx.clone(), params);
     op.absorbing_coeff = 0.0; // rigid walls: cos(kx) satisfies u·n = 0
 
     let k = std::f64::consts::PI / lx;
@@ -99,7 +99,7 @@ fn acoustic_organ_pipe_mode() {
     ));
     let ctx = Arc::new(KernelContext::new(mesh, 4));
     let params = PhysicalParams::slow_ocean(600.0);
-    let mut op = WaveOperator::new(ctx.clone(), KernelVariant::FusedPa, params);
+    let mut op = WaveOperator::new(ctx.clone(), params);
     op.absorbing_coeff = 0.0;
 
     let (gll, _) = gauss_lobatto(5);
@@ -146,7 +146,7 @@ fn acoustic_travel_time_to_sensor() {
     ));
     let ctx = Arc::new(KernelContext::new(mesh, 3));
     let params = PhysicalParams::slow_ocean(400.0);
-    let op = WaveOperator::new(ctx.clone(), KernelVariant::FusedPa, params);
+    let op = WaveOperator::new(ctx.clone(), params);
     // Well-resolved bottom source near x = 1.5 km (width ≫ element size,
     // smooth onset — abrupt unresolved sources excite dispersive numerical
     // precursors that travel faster than c, as in any spectral scheme).
