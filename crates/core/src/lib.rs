@@ -42,7 +42,7 @@
 //!
 //!   | builder | module | rung operator |
 //!   |---|---|---|
-//!   | [`RungLadder::build`] ([`DigitalTwin::windowed`]) | [`goal`] | exact dense `T_w`, from one offline factorization for every window length |
+//!   | [`RungLadder::build`] ([`DigitalTwin::windowed`]) | [`goal`] | exact, held as segments of the whitened map `G = B L⁻ᵀ` (no dense `T_w`), from one offline factorization for every window length |
 //!   | [`RungLadder::compress`] ([`DigitalTwin::goal_ladder`]) | [`goal`] | rank-`r` randomized SVD of `T_w` (exact with [`GoalOptions::exact`]) |
 //!   | [`RungLadder::project`] ([`DigitalTwin::mode_space_ladder`]) | [`modespace`] | `T_w` projected onto one shared POD basis |
 //!

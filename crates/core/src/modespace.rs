@@ -111,7 +111,7 @@ impl RungLadder {
             .par_iter()
             .map(|&w| reduce_rung(p1, p2, p3, w, nd, modes, opts))
             .collect();
-        Self::assemble(ws, per_rung, nd, Some(modes.clone()))
+        Self::assemble(ws, per_rung, nd, Some(modes.clone()), None)
     }
 }
 

@@ -22,6 +22,7 @@
 
 use crate::phase1::Phase1;
 use rayon::prelude::*;
+use std::sync::Arc;
 use tsunami_fft::{BlockToeplitz, FftBlockToeplitz};
 use tsunami_hpc::TimerRegistry;
 use tsunami_linalg::{randomized_svd, Cholesky, DMatrix, SvdOptions};
@@ -37,8 +38,10 @@ pub struct Phase2 {
     pub gq: BlockToeplitz,
     /// `G` in FFT form (`Gᵀ` gives Phase 4's `G* = Γprior F*` actions).
     pub fast_g: FftBlockToeplitz,
-    /// Cholesky factor of `K`.
-    pub k_chol: Cholesky,
+    /// Cholesky factor of `K`, shared with the exact rungs of every
+    /// [`crate::RungLadder`] built from this phase (they whiten their
+    /// data with it) instead of copied into each.
+    pub k_chol: Arc<Cholesky>,
     /// Noise variance σ² on the diagonal of `K`.
     pub sigma2: f64,
 }
@@ -60,7 +63,8 @@ impl Phase2 {
         let k = timers.time("Phase 2: form K (FFT matvecs)", || {
             form_k(&p1.f, &g, sigma2)
         });
-        let k_chol = timers.time("Phase 2: factorize K (Cholesky)", || factor_k(&k, sigma2));
+        let k_chol =
+            Arc::new(timers.time("Phase 2: factorize K (Cholesky)", || factor_k(&k, sigma2)));
         Phase2 {
             g,
             gq,

@@ -84,14 +84,22 @@ impl Phase3 {
 /// The posterior given the first `k` data entries (time-major, so whole
 /// observation steps): `T_w = B_w K_w⁻¹` (`Nq·Nt × k`) via one leading
 /// solve `X = K_w⁻¹ B_wᵀ` (the leading block of the factor of `K` is the
-/// factor of `K_w`), and its std `√(A0ᵢᵢ − (B_w X)ᵢᵢ)`. `Γpost(q; w)` is
-/// never formed: each `(B_w X)ᵢᵢ` is a row-wise dot summed from zero in
-/// ascending order, skipping zero `B_w` entries as [`DMatrix::matmul`]
-/// does, so it is bit for bit the GEMM's diagonal.
+/// factor of `K_w`), and its std ([`rung_std`]).
 fn rung_operator(k_chol: &Cholesky, b: &DMatrix, a0: &DMatrix, k: usize) -> (DMatrix, Vec<f64>) {
     let bw_t = DMatrix::from_fn(k, b.nrows(), |r, c| b[(c, r)]);
     let t_w = k_chol.solve_leading_multi(k, &bw_t).transpose();
-    let std = (0..b.nrows())
+    let std = rung_std(b, a0, &t_w);
+    (t_w, std)
+}
+
+/// The std `√(A0ᵢᵢ − (B_w T_wᵀ)ᵢᵢ)` of the rung whose operator is `t_w`
+/// (`Nq·Nt × k`). `Γpost(q; w)` is never formed: each `(B_w T_wᵀ)ᵢᵢ` is a
+/// row-wise dot summed from zero in ascending order, skipping zero `B_w`
+/// entries as [`DMatrix::matmul`] does, so it is bit for bit the GEMM's
+/// diagonal.
+pub(crate) fn rung_std(b: &DMatrix, a0: &DMatrix, t_w: &DMatrix) -> Vec<f64> {
+    let k = t_w.ncols();
+    (0..b.nrows())
         .map(|i| {
             let terms = b.row(i)[..k].iter().zip(t_w.row(i));
             let s = terms
@@ -99,8 +107,7 @@ fn rung_operator(k_chol: &Cholesky, b: &DMatrix, a0: &DMatrix, k: usize) -> (DMa
                 .fold(0.0, |s, (bip, tip)| s + bip * tip);
             (a0[(i, i)] - s).max(0.0).sqrt()
         })
-        .collect();
-    (t_w, std)
+        .collect()
 }
 
 #[cfg(test)]

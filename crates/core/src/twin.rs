@@ -77,10 +77,11 @@ impl DigitalTwin {
         phase4::predict_batch(&self.phase3, d_obs)
     }
 
-    /// Precompute the exact window ladder: one dense data-to-QoI operator
-    /// `T_w = B_w K_w⁻¹` per observation window (in observation steps) —
-    /// the offline extension that makes streaming assimilation a sequence
-    /// of cheap online applies ([`RungLadder::build`]; the same ladder as
+    /// Precompute the exact window ladder: the data-to-QoI operator
+    /// `T_w = B_w K_w⁻¹` of every observation window (in observation
+    /// steps), held as segments of the whitened map `G = B L⁻ᵀ` — the
+    /// offline extension that makes streaming assimilation a sequence of
+    /// cheap online applies ([`RungLadder::build`]; the same ladder as
     /// [`Self::goal_ladder`] with [`GoalOptions::exact`]).
     pub fn windowed(&self, windows: &[usize]) -> RungLadder {
         RungLadder::build(&self.phase1, &self.phase2, &self.phase3, windows)

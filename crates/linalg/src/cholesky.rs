@@ -214,36 +214,75 @@ impl Cholesky {
     }
 
     /// Forward sweep `L[..k,..k] Y = B` in place on RHS-major rows of
-    /// length `k` (one RHS per contiguous row; a single RHS is one row).
-    /// Each row's update is a *unit-stride* dot of the factor row prefix
-    /// against the RHS row prefix ([`vec_ops::dot_lanes`]), with the factor
-    /// row loaded once for all RHS rows. Pivot division, not a reciprocal
-    /// multiply. Single and panel solves share this step, so a single
-    /// solve is bit-identical to any panel column.
+    /// length `k` (one RHS per contiguous row; a single RHS is one row):
+    /// [`Self::forward_range`] over `[0, k)`.
     fn forward(&self, k: usize, rhs: &mut [f64]) {
-        let n = self.l.ncols();
-        let ld = self.l.as_slice();
-        for i in 0..k {
-            let lrow = &ld[i * n..i * n + i];
-            let piv = ld[i * n + i];
-            for row in rhs.chunks_exact_mut(k) {
-                row[i] = (row[i] - vec_ops::dot_lanes(lrow, &row[..i])) / piv;
-            }
+        if k > 0 {
+            let mut rows: Vec<&mut [f64]> = rhs.chunks_exact_mut(k).collect();
+            self.forward_range(0, k, &mut rows);
         }
     }
 
     /// Backward sweep `Lᵀ[..k,..k] X = Y` in place, same row layout as
-    /// [`Self::forward`]: row `i` of the mirrored upper triangle *is* row
-    /// `i` of `Lᵀ`, so each update is a *unit-stride* dot of two contiguous
-    /// row suffixes — no stride-`n` walk down a factor column.
+    /// [`Self::forward`]: [`Self::backward_range`] over `[0, k)`.
     fn backward(&self, k: usize, rhs: &mut [f64]) {
+        if k > 0 {
+            let mut rows: Vec<&mut [f64]> = rhs.chunks_exact_mut(k).collect();
+            self.backward_range(k, 0, k, &mut rows);
+        }
+    }
+
+    /// Forward-sweep range kernel: advance entries `[i0, i1)` of
+    /// `L y = b` on every RHS row of `rows` (RHS-major, each at least `i1`
+    /// long) whose entries `[0, i0)` are already solved. Entry `i` is a
+    /// *unit-stride* dot of the factor row prefix against the RHS row
+    /// prefix ([`vec_ops::dot_lanes`]), then pivot division, not a
+    /// reciprocal multiply. Rows are walked in panels of `SOLVE_PANEL`,
+    /// each factor row loaded once per panel.
+    ///
+    /// An entry reads only its own row's solved prefix, so a sweep over a
+    /// prefix, or over a sequence of ranges, is bit for bit the prefix of
+    /// the full sweep, whatever the grouping of rows. Every forward sweep
+    /// of this type (single, panel and leading solves) is this kernel.
+    pub fn forward_range<R: AsMut<[f64]>>(&self, i0: usize, i1: usize, rows: &mut [R]) {
+        assert!(i0 <= i1 && i1 <= self.dim(), "forward_range: bad range");
         let n = self.l.ncols();
         let ld = self.l.as_slice();
-        for i in (0..k).rev() {
-            let lrow = &ld[i * n + i + 1..i * n + k];
-            let piv = ld[i * n + i];
-            for row in rhs.chunks_exact_mut(k) {
-                row[i] = (row[i] - vec_ops::dot_lanes(lrow, &row[i + 1..k])) / piv;
+        for panel in rows.chunks_mut(SOLVE_PANEL) {
+            for i in i0..i1 {
+                let lrow = &ld[i * n..i * n + i];
+                let piv = ld[i * n + i];
+                for row in panel.iter_mut() {
+                    let row = row.as_mut();
+                    row[i] = (row[i] - vec_ops::dot_lanes(lrow, &row[..i])) / piv;
+                }
+            }
+        }
+    }
+
+    /// Backward-sweep range kernel on the leading `k × k` block: advance
+    /// entries `[i0, i1)`, in descending order, of `Lᵀ[..k,..k] x = y` on
+    /// every RHS row of `rows` (each at least `k` long) whose entries
+    /// `[i1, k)` are already solved. Row `i` of the mirrored upper
+    /// triangle *is* row `i` of `Lᵀ`, so each update is a *unit-stride*
+    /// dot of two contiguous row suffixes — no stride-`n` walk down a
+    /// factor column — then pivot division. Panels as in
+    /// [`Self::forward_range`].
+    pub fn backward_range<R: AsMut<[f64]>>(&self, k: usize, i0: usize, i1: usize, rows: &mut [R]) {
+        assert!(
+            i0 <= i1 && i1 <= k && k <= self.dim(),
+            "backward_range: bad range"
+        );
+        let n = self.l.ncols();
+        let ld = self.l.as_slice();
+        for panel in rows.chunks_mut(SOLVE_PANEL) {
+            for i in (i0..i1).rev() {
+                let lrow = &ld[i * n + i + 1..i * n + k];
+                let piv = ld[i * n + i];
+                for row in panel.iter_mut() {
+                    let row = row.as_mut();
+                    row[i] = (row[i] - vec_ops::dot_lanes(lrow, &row[i + 1..k])) / piv;
+                }
             }
         }
     }
@@ -577,6 +616,51 @@ mod tests {
         for i in 0..n {
             for j in 0..9 {
                 assert!((x1[(i, j)] - x2[(i, j)]).abs() < 1e-13);
+            }
+        }
+    }
+
+    #[test]
+    fn range_sweeps_compose_to_the_full_sweep_bit_for_bit() {
+        // Forward over a sequence of ranges is the full forward sweep, and
+        // its prefix is the forward sweep of the prefix; backward ranges in
+        // descending order then finish `solve_leading_multi` — bit for bit,
+        // whatever the grouping of rows (rows straddle SOLVE_PANEL).
+        let n = 97;
+        let a = spd(n, 73);
+        let ch = Cholesky::factor(&a).unwrap();
+        let nrhs = 70;
+        let b = DMatrix::from_fn(n, nrhs, |i, j| ((i * 5 + 11 * j) as f64 * 0.23).sin());
+        let mut full: Vec<Vec<f64>> = (0..nrhs).map(|j| b.col(j)).collect();
+        ch.forward_range(0, n, &mut full);
+        for &k in &[1usize, 17, 64, 65, 97] {
+            // Ranges [0, 5), [5, 40), [40, k) clipped to k, on rows of
+            // length k, in two uneven groups of rows.
+            let mut rows: Vec<Vec<f64>> = (0..nrhs).map(|j| b.col(j)[..k].to_vec()).collect();
+            let (head, tail) = rows.split_at_mut(23);
+            let mut prev = 0;
+            for cut in [5usize, 40, k] {
+                let cut = cut.min(k);
+                if cut > prev {
+                    ch.forward_range(prev, cut, head);
+                    ch.forward_range(prev, cut, tail);
+                    prev = cut;
+                }
+            }
+            for (row, whole) in rows.iter().zip(&full) {
+                assert_eq!(row[..], whole[..k], "forward prefix at k = {k}");
+            }
+            let bk = DMatrix::from_fn(k, nrhs, |i, j| b[(i, j)]);
+            let x = ch.solve_leading_multi(k, &bk);
+            let mid = k / 2;
+            ch.backward_range(k, mid, k, &mut rows);
+            ch.backward_range(k, 0, mid, &mut rows);
+            for (j, row) in rows.iter().enumerate() {
+                assert_eq!(
+                    row[..],
+                    x.col(j)[..],
+                    "forward + backward at k = {k}, rhs {j}"
+                );
             }
         }
     }

@@ -22,7 +22,7 @@
 //!
 //! | ladder built by | `R_w` | per-session state | certified bound | [`TickPath`] |
 //! |---|---|---|---|---|
-//! | [`RungLadder::build`] — exact | `I` | none (reads the ring) | exact | `Windowed` |
+//! | [`RungLadder::build`] — exact | `L⁻¹`, shared whitening factor | whitened data `y = L⁻¹d`, ring-sized | exact | `Windowed` |
 //! | [`RungLadder::compress`] — SVD-compressed | own factor per rung (`I` for a rung kept exact) | `Σ rank_w` | `‖T_w − L_w R_wᵀ‖_F · ‖d_w‖₂` | `GoalOriented` |
 //! | [`RungLadder::project`] — over a POD basis `U` | leading rows `U_k` of one basis | `r` per rung + `r` | `‖T_w (I − P_w)‖_F · ‖d_w‖₂` | `ModeSpace` |
 //!
@@ -57,13 +57,17 @@
 //!    the shared basis with the running projection snapshotted at every
 //!    rung boundary (mode-space). When identification is also mode-space
 //!    over the same basis, stage 2's projection *is* that fold — no row
-//!    is ever folded twice ([`TickMetrics::samples_projected`]). Rungs
-//!    that read the ring need no fold at all.
+//!    is ever folded twice ([`TickMetrics::samples_projected`]). Exact
+//!    rungs need no fold at all.
 //! 4. **Lift** — sessions whose complete-step count crossed a new rung
 //!    are grouped *by rung* and, in chunks, gathered into one `rows × b`
-//!    block and lifted with one GEMM; [`StreamConfig::infer`] adds the
-//!    rung's inference operator where it has one (the batched
-//!    leading-block solve on a raw window, or the reduced `M̃_w` GEMM).
+//!    block and lifted with one GEMM. An exact rung first whitens the
+//!    rows that arrived since the session's last rung (one forward
+//!    sweep of the shared factor, `y = L⁻¹d`), then lifts only the
+//!    segments above that rung, one GEMM each, into the session's
+//!    forecast; a plain tick whitens nothing. [`StreamConfig::infer`]
+//!    adds the rung's inference operator where it has one (the batched
+//!    leading-block solve on the raw window, or the reduced `M̃_w` GEMM).
 //! 5. **Classify** — each assimilated session's forecast band is
 //!    classified against the warning threshold; level changes are
 //!    recorded as [`WarningTransition`]s.
@@ -113,7 +117,7 @@
 
 use crate::identify;
 use crate::ladder::{Ladder, TickPath};
-use crate::session::{StreamSession, WarningLevel};
+use crate::session::{SessionLayout, StreamSession, WarningLevel};
 use crate::tick::{read_misfit, tick_shard, Shard, TickCtx, TickSpans};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -422,12 +426,13 @@ pub struct StreamEngine<'a> {
 impl<'a> StreamEngine<'a> {
     /// An engine on a rung ladder. The ladder handed in *is* the path
     /// selection ([`TickPath`], read off the ladder): an exact ladder
-    /// ([`RungLadder::build`]) gathers the raw window at every rung and
-    /// applies the dense `T_w` — the exact path, and the oracle for the
-    /// reduced ones; a compressed ladder ([`RungLadder::compress`]) or a
-    /// shared-basis ladder ([`RungLadder::project`]) makes a tick
-    /// rank-sized folds plus small GEMMs, with none of the exact
-    /// ladder's `O(Nq · Σ w·Nd)` resident memory.
+    /// ([`RungLadder::build`]) whitens the rows arrived since the last rung
+    /// and lifts the new segments of `G = B L⁻ᵀ` — the exact path, and
+    /// the oracle for the reduced ones; a compressed ladder
+    /// ([`RungLadder::compress`]) or a shared-basis ladder
+    /// ([`RungLadder::project`]) makes a tick rank-sized folds plus small
+    /// GEMMs, with none of the exact ladder's `O(Nq·Nt · Nd·Nt)` resident
+    /// lifts or its ring-sized whitened data per session.
     pub fn new(twin: &'a DigitalTwin, ladder: &'a RungLadder, config: StreamConfig) -> Self {
         let ladder = Ladder::new(ladder, config.infer);
         assert!(config.chunk >= 1, "chunk must be at least 1");
@@ -609,23 +614,26 @@ impl<'a> StreamEngine<'a> {
     /// mark of concurrently open sessions).
     pub fn open(&mut self) -> usize {
         let n = self.shards.len();
-        let n_scen = self.bank.map_or(0, |b| self.misfit_len(b));
-        let n_modes = self.pod.map_or(0, |p| p.rank());
-        let fold_len = self.ladder.fold_len;
-        let acc_len = self.ladder.basis.map_or(0, |u| u.ncols());
+        let capacity = self.twin.n_data();
+        let layout = SessionLayout {
+            n_scenarios: self.bank.map_or(0, |b| self.misfit_len(b)),
+            n_modes: self.pod.map_or(0, |p| p.rank()),
+            fold_len: self.ladder.fold_len,
+            acc_len: self.ladder.basis.map_or(0, |u| u.ncols()),
+            white_len: self.ladder.whitening.map_or(0, |_| capacity),
+        };
         let si = self.next_open % n;
         self.next_open += 1;
         let nd = self.ladder.nd;
-        let capacity = self.twin.n_data();
         let shard = &mut self.shards[si];
         if let Some(local) = shard.free.pop() {
-            shard.sessions[local].reopen(n_scen, n_modes, fold_len, acc_len);
+            shard.sessions[local].reopen(layout);
             return shard.sessions[local].id;
         }
         let id = si + shard.sessions.len() * n;
-        shard.sessions.push(StreamSession::new(
-            id, capacity, nd, n_scen, n_modes, fold_len, acc_len,
-        ));
+        shard
+            .sessions
+            .push(StreamSession::new(id, capacity, nd, layout));
         self.metrics.rings_allocated += 1;
         id
     }
@@ -748,6 +756,10 @@ impl<'a> StreamEngine<'a> {
     /// from that statistic when read, and the refold rebuilds the
     /// statistic. Misfit reads between the rewind and the next tick see
     /// the statistic of zero rows.
+    ///
+    /// An exact rung's lift restarts from `q = 0` with the ladder
+    /// position; the whitened data are a pure function of the ring, so
+    /// they are kept and not whitened again.
     ///
     /// Warning levels reset to [`WarningLevel::AllClear`] as well, so a
     /// replay re-classifies from scratch and the audit ring records the

@@ -8,7 +8,7 @@
 //!
 //! | rung of the [`RungLadder`] | rung input ([`Source`]) | lift |
 //! |---|---|---|
-//! | exact, `R = I` ([`RungLadder::build`]) | ring prefix | `T_w` |
+//! | exact, whitened ([`RungLadder::build`]) | segment `seg_w` of the whitened data `y = L⁻¹d`, added onto the previous rung's forecast | `G[:, seg_w]` |
 //! | own right factor ([`RungLadder::compress`]) | own fold through `R_w` | `L_w` |
 //! | shared basis ([`RungLadder::project`]) | boundary snapshot of `Uᵀd` | `F̃_w` |
 //!
@@ -18,13 +18,14 @@
 //! rungs only runs [`TickPath::Windowed`].
 
 use tsunami_core::RungLadder;
-use tsunami_linalg::DMatrix;
+use tsunami_linalg::{Cholesky, DMatrix};
 
 /// The tick path an engine runs — fixed by the ladder it was constructed
 /// on, and stamped into every [`crate::WarningTransition`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TickPath {
-    /// Every rung exact: dense `T_w` over the raw window, no fold state.
+    /// Every rung exact: whitened data lifted segment by segment, no fold
+    /// state.
     Windowed,
     /// At least one rung folds through its own right factor `R_w`
     /// (`T_w ≈ L_w R_wᵀ`).
@@ -35,8 +36,10 @@ pub enum TickPath {
 
 /// Where a rung's per-session lift input comes from.
 pub(crate) enum Source<'a> {
-    /// The leading `rows` ring samples (`R = I`): no fold state at all.
-    Ring,
+    /// Rows `[start, start + rows)` — the rung's segment — of the
+    /// session's whitened data `y = L⁻¹d`: an exact rung, whose lift is
+    /// added onto the previous rung's forecast.
+    Whitened { start: usize },
     /// The session's fold slot at `off`, accumulated through the rung's
     /// own right factor.
     Own { right: &'a DMatrix, off: usize },
@@ -52,7 +55,8 @@ pub(crate) enum Infer<'a> {
     /// has no inference operator.
     None,
     /// Leading-block solve on the gathered raw window
-    /// ([`tsunami_core::infer_window_batch`]).
+    /// ([`tsunami_core::infer_window_batch`]) — on an exact rung, which
+    /// still reads the ring for it.
     Window,
     /// One GEMM with the rung's reduced inference lift `M̃_w`.
     Reduced(&'a DMatrix),
@@ -80,7 +84,10 @@ pub(crate) struct Ladder<'a> {
     /// The observation basis every rung folds through
     /// ([`Source::Snapshot`] rungs), when there is one.
     pub basis: Option<&'a DMatrix>,
-    /// Per-session fold-state length: the fold slots of all non-ring
+    /// The factor whose forward sweep whitens the data of the
+    /// [`Source::Whitened`] rungs, when there are any.
+    pub whitening: Option<&'a Cholesky>,
+    /// Per-session fold-state length: the fold slots of all non-whitened
     /// rungs, concatenated.
     pub fold_len: usize,
 }
@@ -100,14 +107,17 @@ impl<'a> Ladder<'a> {
                         right,
                         off: fold_len,
                     },
-                    (None, None) => Source::Ring,
+                    (None, None) => Source::Whitened {
+                        start: ladder.segment(w).start,
+                    },
                 };
-                if !matches!(source, Source::Ring) {
+                let whitened = matches!(source, Source::Whitened { .. });
+                if !whitened {
                     fold_len += rows;
                 }
                 let infer = if !infer {
                     Infer::None
-                } else if matches!(source, Source::Ring) {
+                } else if whitened {
                     Infer::Window
                 } else {
                     rung.m_map.as_ref().map_or(Infer::None, Infer::Reduced)
@@ -135,6 +145,7 @@ impl<'a> Ladder<'a> {
             nd: ladder.nd,
             rungs,
             basis,
+            whitening: ladder.whitening(),
             fold_len,
         }
     }
@@ -147,9 +158,9 @@ mod tests {
 
     #[test]
     fn view_borrows_every_ladder_kind_without_cloning() {
-        // The ladder is the engine's largest resident artefact (the exact
-        // one holds every dense T_w); a view that cloned it would double
-        // the service's footprint.
+        // The ladder is the engine's largest resident artefact; a view that
+        // cloned a lift, a right factor or the whitening factor would
+        // double the service's footprint.
         let twin = DigitalTwin::offline(TwinConfig::tiny(), 0.03);
         let nt = twin.solver.grid.nt_obs;
         let nd = twin.solver.sensors.len();
@@ -162,8 +173,8 @@ mod tests {
         let shared = twin.mode_space_ladder(&ws, &basis, &ModeSpaceOptions::default());
 
         let cases: [(&RungLadder, TickPath, [&str; 2]); 3] = [
-            (&exact, TickPath::Windowed, ["ring", "ring"]),
-            (&svd, TickPath::GoalOriented, ["ring", "own"]),
+            (&exact, TickPath::Windowed, ["whitened", "whitened"]),
+            (&svd, TickPath::GoalOriented, ["whitened", "own"]),
             (&shared, TickPath::ModeSpace, ["snapshot", "snapshot"]),
         ];
         for (ladder, path, sources) in cases {
@@ -179,10 +190,10 @@ mod tests {
                 assert_eq!(rung.k, ladder.windows[w] * nd);
                 assert_eq!(rung.rows, ladder.q_maps[w].ncols());
                 let source = match rung.source {
-                    Source::Ring => {
-                        assert_eq!(rung.rows, rung.k);
+                    Source::Whitened { start } => {
+                        assert_eq!(start..start + rung.rows, ladder.segment(w));
                         assert!(matches!(rung.infer, Infer::Window));
-                        "ring"
+                        "whitened"
                     }
                     Source::Own { right, off } => {
                         let own = ladder.rungs[w].right.as_ref().expect("own right factor");
@@ -201,6 +212,14 @@ mod tests {
             }
             assert_eq!(view.fold_len, fold_len);
             assert_eq!(view.basis.is_some(), path == TickPath::ModeSpace);
+            assert_eq!(view.whitening.is_some(), path != TickPath::ModeSpace);
+            if let Some(l) = view.whitening {
+                assert!(std::ptr::eq(l, ladder.whitening().unwrap()));
+                assert!(
+                    std::ptr::eq(l, &*twin.phase2.k_chol),
+                    "{path:?}: whitening factor cloned"
+                );
+            }
             if let Some(u) = view.basis {
                 assert!(std::ptr::eq(u, ladder.basis().unwrap()));
             }

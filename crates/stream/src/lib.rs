@@ -26,8 +26,9 @@
 //!   operator application per session.
 //! - The engine is constructed on one [`tsunami_core::RungLadder`]
 //!   ([`StreamEngine::new`]), and that ladder *is* the path
-//!   ([`TickPath`]): the exact ladder of `RungLadder::build` (`R = I`,
-//!   reads the ring, exact), an SVD-compressed ladder of
+//!   ([`TickPath`]): the exact ladder of `RungLadder::build` (whitens
+//!   the rows that arrived since the last rung and lifts only the new
+//!   segments, exact), an SVD-compressed ladder of
 //!   `RungLadder::compress` (per-rung right factors), or a ladder over a
 //!   shared POD basis from `RungLadder::project` (every row folds once
 //!   for all rungs). Truncated ranks carry exactly computed per-rung

@@ -130,6 +130,14 @@ pub struct StreamSession {
     pub(crate) fold_acc: Vec<f64>,
     /// Samples already consumed by the fold stage.
     pub(crate) folded: usize,
+    /// Whitened data `y = L⁻¹d` over the first `whitened` samples,
+    /// ring-sized (empty unless the engine's ladder has exact rungs). A
+    /// rung crossing whitens only the rows arrived since the last one;
+    /// a plain tick whitens nothing.
+    pub(crate) white: Vec<f64>,
+    /// Samples already whitened into `white`. A pure function of the
+    /// ring, so a rewind keeps it.
+    pub(crate) whitened: usize,
     /// Running data energy `‖d‖²` over the scored samples, with its Kahan
     /// compensation term — accumulated across ticks, so compensated for
     /// the same long-horizon reason as the clean-energy prefix sums.
@@ -152,16 +160,26 @@ pub struct StreamSession {
     pub(crate) active: bool,
 }
 
+/// Per-session state lengths fixed by the engine's ladder and attached
+/// banks: what a session is (re)opened with.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SessionLayout {
+    /// Misfit accumulator length (the bank width under exact
+    /// identification, else 0).
+    pub n_scenarios: usize,
+    /// POD projection length (the attached POD rank, else 0).
+    pub n_modes: usize,
+    /// Concatenated fold-slot length.
+    pub fold_len: usize,
+    /// Shared-basis running projection length.
+    pub acc_len: usize,
+    /// Whitened-data length (the ring capacity on a ladder with exact
+    /// rungs, else 0).
+    pub white_len: usize,
+}
+
 impl StreamSession {
-    pub(crate) fn new(
-        id: usize,
-        capacity: usize,
-        nd: usize,
-        n_scenarios: usize,
-        n_modes: usize,
-        fold_len: usize,
-        acc_len: usize,
-    ) -> Self {
+    pub(crate) fn new(id: usize, capacity: usize, nd: usize, layout: SessionLayout) -> Self {
         let mut s = StreamSession {
             id,
             ring: SampleRing::new(capacity),
@@ -173,6 +191,8 @@ impl StreamSession {
             fold: Vec::new(),
             fold_acc: Vec::new(),
             folded: 0,
+            white: Vec::new(),
+            whitened: 0,
             data_energy: 0.0,
             data_energy_comp: 0.0,
             generation: 0,
@@ -181,7 +201,7 @@ impl StreamSession {
             level: WarningLevel::AllClear,
             active: false,
         };
-        s.reopen(n_scenarios, n_modes, fold_len, acc_len);
+        s.reopen(layout);
         s
     }
 
@@ -191,27 +211,23 @@ impl StreamSession {
     /// deliberately *not* reset: it was bumped at close, and keeping the
     /// new value is what invalidates inbox batches staged for the old
     /// event under the same id.
-    pub(crate) fn reopen(
-        &mut self,
-        n_scenarios: usize,
-        n_modes: usize,
-        fold_len: usize,
-        acc_len: usize,
-    ) {
+    pub(crate) fn reopen(&mut self, layout: SessionLayout) {
         debug_assert!(!self.active, "reopen of an open session");
         self.ring.clear();
         self.window_idx = None;
         self.scored = 0;
         for (v, len) in [
-            (&mut self.misfit, n_scenarios),
-            (&mut self.pod_coeff, n_modes),
-            (&mut self.fold, fold_len),
-            (&mut self.fold_acc, acc_len),
+            (&mut self.misfit, layout.n_scenarios),
+            (&mut self.pod_coeff, layout.n_modes),
+            (&mut self.fold, layout.fold_len),
+            (&mut self.fold_acc, layout.acc_len),
+            (&mut self.white, layout.white_len),
         ] {
             v.clear();
             v.resize(len, 0.0);
         }
         self.folded = 0;
+        self.whitened = 0;
         self.data_energy = 0.0;
         self.data_energy_comp = 0.0;
         self.forecast = None;
@@ -281,7 +297,7 @@ impl StreamSession {
     }
 
     /// The rank-sized per-rung fold slots, concatenated — empty when
-    /// every rung of the engine's ladder reads the ring directly (the
+    /// every rung of the engine's ladder is exact and whitened (the
     /// windowed path, an exact goal-oriented ladder).
     pub fn fold_state(&self) -> &[f64] {
         &self.fold
@@ -319,7 +335,7 @@ mod tests {
 
     #[test]
     fn session_counts_complete_steps_only() {
-        let mut s = StreamSession::new(0, 12, 4, 0, 0, 0, 0);
+        let mut s = StreamSession::new(0, 12, 4, SessionLayout::default());
         s.ring.push(&[0.5; 6]);
         assert_eq!(s.samples(), 6);
         assert_eq!(s.steps(), 1, "partial second step must not count");

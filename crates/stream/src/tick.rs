@@ -318,8 +318,8 @@ fn fold_through_basis(
 
 /// 3. Fold newly arrived samples into the rank-sized lift inputs of the
 ///    ladder's rungs. Nothing to do on the windowed path (every rung
-///    reads the ring), or when identification already cut the snapshots
-///    from the shared projection.
+///    whitens at its crossing instead), or when identification already
+///    cut the snapshots from the shared projection.
 fn fold_arrived(sessions: &mut [StreamSession], ctx: &TickCtx<'_>, p: &mut TickMetrics) {
     let ladder = ctx.ladder;
     if ladder.path == TickPath::Windowed || ctx.shared_fold {
@@ -399,20 +399,37 @@ fn assimilate_crossed(
         for chunk in members.chunks(ctx.config.chunk) {
             let b = chunk.len();
             let t0 = Instant::now();
-            let mut x = arena_block(&mut arena.panel, rows, b);
-            match rung.source {
-                Source::Ring => {
-                    gather(&mut x, chunk.iter().map(|&i| sessions[i].ring.prefix(rows)))
+            // The lift input `x` (a fold-slot block, or the raw window an
+            // exact rung's inference reads) and the lifted block `q`; an
+            // exact rung lifts into the sessions' forecasts in place.
+            let (x, q) = match rung.source {
+                Source::Whitened { .. } => {
+                    lift_whitened(sessions, chunk, ladder, w, arena, p);
+                    let x = matches!(rung.infer, Infer::Window).then(|| {
+                        let mut x = arena_block(&mut arena.panel, rung.k, b);
+                        gather(
+                            &mut x,
+                            chunk.iter().map(|&i| sessions[i].ring.prefix(rung.k)),
+                        );
+                        x
+                    });
+                    (x, None)
                 }
-                Source::Own { off, .. } | Source::Snapshot { off } => gather(
-                    &mut x,
-                    chunk.iter().map(|&i| &sessions[i].fold[off..off + rows]),
-                ),
+                Source::Own { off, .. } | Source::Snapshot { off } => {
+                    let mut x = arena_block(&mut arena.panel, rows, b);
+                    gather(
+                        &mut x,
+                        chunk.iter().map(|&i| &sessions[i].fold[off..off + rows]),
+                    );
+                    let mut q = arena_block(&mut arena.q_block, nq, b);
+                    rung.lift.matmul_into(&x, &mut q);
+                    p.peak_panel_elems = p.peak_panel_elems.max(nq * b);
+                    (Some(x), Some(q))
+                }
+            };
+            if let Some(x) = &x {
+                p.peak_panel_elems = p.peak_panel_elems.max(x.nrows() * b);
             }
-            p.peak_panel_elems = p.peak_panel_elems.max(rows * b).max(nq * b);
-
-            let mut q = arena_block(&mut arena.q_block, nq, b);
-            rung.lift.matmul_into(&x, &mut q);
             let fc_seconds = t0.elapsed().as_secs_f64() / b as f64;
 
             let m_block = match rung.infer {
@@ -424,11 +441,12 @@ fn assimilate_crossed(
                 Infer::Window => {
                     p.peak_panel_elems = p.peak_panel_elems.max(ctx.twin.n_data() * b);
                     let (p1, p2) = (&ctx.twin.phase1, &ctx.twin.phase2);
-                    Some(infer_window_batch(p1, p2, &x, ladder.windows[w]).m_map)
+                    let x = x.as_ref().expect("raw window gathered");
+                    Some(infer_window_batch(p1, p2, x, ladder.windows[w]).m_map)
                 }
                 Infer::Reduced(m_map) => {
                     let mut m = arena_block(&mut arena.m_block, m_map.nrows(), b);
-                    m_map.matmul_into(&x, &mut m);
+                    m_map.matmul_into(x.as_ref().expect("fold slots gathered"), &mut m);
                     Some(m)
                 }
             };
@@ -440,7 +458,7 @@ fn assimilate_crossed(
 
             for (c, &idx) in chunk.iter().enumerate() {
                 let s = &mut sessions[idx];
-                scatter_forecast(s, &q, c, rung.q_std, fc_seconds);
+                scatter_forecast(s, q.as_ref().map(|q| (q, c)), rung.q_std, fc_seconds);
                 let band = forecast_band(s.forecast.as_ref().expect("forecast just scattered"));
                 let prev = s.level;
                 s.level = classify_band(band, ctx.config.warn_threshold);
@@ -484,8 +502,12 @@ fn assimilate_crossed(
             if ctx.obs_on {
                 ctx.rung_spans[w].record(work_ns + cls_ns);
             }
-            arena.panel = x.into_vec();
-            arena.q_block = q.into_vec();
+            if let Some(x) = x {
+                arena.panel = x.into_vec();
+            }
+            if let Some(q) = q {
+                arena.q_block = q.into_vec();
+            }
             if let (Infer::Reduced(_), Some(m)) = (&rung.infer, m_block) {
                 arena.m_block = m.into_vec();
             }
@@ -505,18 +527,120 @@ fn gather<'s>(x: &mut DMatrix, inputs: impl Iterator<Item = &'s [f64]>) {
     }
 }
 
-/// Write chunk column `c` of the lifted QoI block into the session's
-/// forecast *in place*: the per-session vectors are sized by the first
-/// assimilation and reused afterwards, so steady-state scattering
-/// allocates nothing.
-fn scatter_forecast(s: &mut StreamSession, q: &DMatrix, c: usize, q_std: &[f64], seconds: f64) {
-    let fc = s.forecast.get_or_insert_with(|| Forecast {
+/// Lift a chunk of sessions crossing onto exact rung `w`, into their
+/// forecasts in place. Members are split by (previous rung, whitened
+/// cursor) — one split in lockstep. Each split whitens rows
+/// `[cursor, k_w)` of its members' data in one forward sweep (the
+/// factor's range kernel, each factor row loaded once per panel of
+/// sessions), then applies the ladder's one lift rule to the segments
+/// above the previous rung: `c = G_j Y_j` (a fresh GEMM from zero), then
+/// `q += c` column by column, starting from `q = 0` without a previous
+/// rung — the same operations in the same order as
+/// [`tsunami_core::RungLadder::forecast_batch`], so a session that jumps
+/// rungs lands bit for bit where one that walks them does.
+fn lift_whitened(
+    sessions: &mut [StreamSession],
+    chunk: &[usize],
+    ladder: &Ladder<'_>,
+    w: usize,
+    arena: &mut ShardArena,
+    p: &mut TickMetrics,
+) {
+    let l = ladder
+        .whitening
+        .expect("exact rungs carry the whitening factor");
+    let k = ladder.rungs[w].k;
+    let nq = ladder.rungs[w].lift.nrows();
+    let mut splits: BTreeMap<(Option<usize>, usize), Vec<usize>> = BTreeMap::new();
+    for &i in chunk {
+        let s = &sessions[i];
+        splits
+            .entry((s.window_idx, s.whitened.min(k)))
+            .or_default()
+            .push(i);
+    }
+    for ((from, cursor), idx) in splits {
+        let mut group = pick(sessions, &idx);
+        if cursor < k {
+            let mut rows: Vec<&mut [f64]> = group
+                .iter_mut()
+                .map(|s| {
+                    let StreamSession { ring, white, .. } = &mut **s;
+                    white[cursor..k].copy_from_slice(&ring.prefix(k)[cursor..k]);
+                    &mut white[..k]
+                })
+                .collect();
+            l.forward_range(cursor, k, &mut rows);
+            for s in group.iter_mut() {
+                s.whitened = k;
+            }
+        }
+        if from.is_none() {
+            for s in group.iter_mut() {
+                let fc = s.forecast.get_or_insert_with(empty_forecast);
+                fc.q_map.clear();
+                fc.q_map.resize(nq, 0.0);
+            }
+        }
+        let b = group.len();
+        for seg in &ladder.rungs[from.map_or(0, |c| c + 1)..=w] {
+            let Source::Whitened { start } = seg.source else {
+                unreachable!("exact rungs form a leading run");
+            };
+            let mut y = arena_block(&mut arena.panel, seg.rows, b);
+            gather(
+                &mut y,
+                group.iter().map(|s| &s.white[start..start + seg.rows]),
+            );
+            let mut c = arena_block(&mut arena.q_block, nq, b);
+            seg.lift.matmul_into(&y, &mut c);
+            for (col, s) in group.iter_mut().enumerate() {
+                let q = &mut s.forecast.as_mut().expect("forecast zeroed above").q_map;
+                for (r, v) in q.iter_mut().enumerate() {
+                    *v += c[(r, col)];
+                }
+            }
+            p.peak_panel_elems = p.peak_panel_elems.max(seg.rows * b).max(nq * b);
+            arena.panel = y.into_vec();
+            arena.q_block = c.into_vec();
+        }
+    }
+}
+
+/// The sessions at ascending local indices `idx`, mutably.
+fn pick<'s>(sessions: &'s mut [StreamSession], idx: &[usize]) -> Vec<&'s mut StreamSession> {
+    let mut want = idx.iter().copied().peekable();
+    sessions
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, s)| want.next_if_eq(&i).map(|_| s))
+        .collect()
+}
+
+fn empty_forecast() -> Forecast {
+    Forecast {
         q_map: Vec::new(),
         q_std: Vec::new(),
         seconds: 0.0,
-    });
-    fc.q_map.clear();
-    fc.q_map.extend((0..q.nrows()).map(|r| q[(r, c)]));
+    }
+}
+
+/// Finish the session's forecast *in place*: copy chunk column `c` of the
+/// lifted QoI block into it when given (an exact rung has already lifted
+/// into it), then the rung's std. The per-session vectors are sized by
+/// the first assimilation and reused afterwards, so steady-state
+/// scattering allocates nothing.
+fn scatter_forecast(
+    s: &mut StreamSession,
+    lifted: Option<(&DMatrix, usize)>,
+    q_std: &[f64],
+    seconds: f64,
+) {
+    let fc = s.forecast.get_or_insert_with(empty_forecast);
+    if let Some((q, c)) = lifted {
+        fc.q_map.clear();
+        fc.q_map.extend((0..q.nrows()).map(|r| q[(r, c)]));
+    }
     fc.q_std.clear();
     fc.q_std.extend_from_slice(q_std);
     fc.seconds = seconds;

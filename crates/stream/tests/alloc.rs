@@ -1,8 +1,8 @@
 //! Allocation hardening: a steady-state tick must not grow the heap, on
-//! any source kind of the unified tick loop (ring prefix, own right
+//! any source kind of the unified tick loop (whitened segment, own right
 //! factor, shared-basis snapshot). The per-shard scratch arenas, the
-//! in-place forecast scatter, the ring freelist, and the per-session
-//! fold state are all reused, so once the engine has seen one full
+//! in-place forecast scatter and lift, the ring freelist, and the
+//! per-session fold and whitened state are all reused, so once the engine has seen one full
 //! open→feed→tick→close generation, every later generation's *net*
 //! live-byte delta is zero — transient grouping buckets alloc and free
 //! within a tick, but nothing accumulates.

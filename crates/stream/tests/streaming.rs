@@ -1078,6 +1078,82 @@ fn goal_backend_crossing_two_rungs_in_one_tick_lands_on_the_widest() {
     );
     let live = engine.session(id).forecast.as_ref().unwrap();
     assert_eq!(live.q_map, one_shot.q_map.as_slice());
+
+    // A session that walks the rungs one step per tick lands bit for bit
+    // where the jumping one did: the whitened data are a prefix of one
+    // forward sweep, and every segment is lifted and added in the same
+    // order. Both sessions share one tick at the end, as a jumper and a
+    // walker with different previous rungs and cursors.
+    let mut walker = StreamEngine::goal_oriented(&twin, &gl, StreamConfig::default());
+    let (jump, walk) = (walker.open(), walker.open());
+    for step in 1..nt {
+        walker.push(walk, &d_full[(step - 1) * nd..step * nd]);
+        walker.tick();
+    }
+    assert_eq!(walker.session(walk).window(), Some(1));
+    walker.push(jump, &d_full);
+    walker.push(walk, &d_full[(nt - 1) * nd..]);
+    walker.tick();
+    for s in [jump, walk] {
+        assert_eq!(walker.session(s).window(), Some(2));
+        let fc = walker.session(s).forecast.as_ref().unwrap();
+        assert_eq!(fc.q_map, live.q_map, "session {s}");
+        assert_eq!(fc.q_std, live.q_std);
+    }
+}
+
+#[test]
+fn mixed_ladder_engine_lifts_its_exact_run_and_folds_the_rest() {
+    // Rank nd keeps the one-step rung exact (its full rank) and compresses
+    // the wider rungs: the engine whitens for the leading exact rung and
+    // folds for the others. The exact rung bit-matches the exact ladder's
+    // one-shot forecast; the compressed rungs stay within their bound.
+    let (twin, bank) = setup_bank(2, 19);
+    let nt = twin.solver.grid.nt_obs;
+    let nd = twin.solver.sensors.len();
+    let ladder = [1, nt / 2, nt];
+    let wf = twin.windowed(&ladder);
+    let gl = twin.goal_ladder(&ladder, &GoalOptions::rank(nd));
+    assert_eq!(gl.whitened_run(), 1);
+    for shards in [1usize, 2] {
+        let cfg = StreamConfig {
+            shards,
+            ..StreamConfig::default()
+        };
+        let mut engine = StreamEngine::goal_oriented(&twin, &gl, cfg);
+        let ids: Vec<usize> = (0..bank.len()).map(|_| engine.open()).collect();
+        let mut fed = 0;
+        while fed < twin.n_data() {
+            let hi = (fed + 5).min(twin.n_data());
+            for (j, &id) in ids.iter().enumerate() {
+                engine.push(id, &bank.observations().col(j)[fed..hi]);
+            }
+            fed = hi;
+            engine.tick();
+            for (j, &id) in ids.iter().enumerate() {
+                let Some(w) = engine.session(id).window() else {
+                    continue;
+                };
+                let k = ladder[w] * nd;
+                let d = &bank.observations().col(j)[..k];
+                let live = engine.session(id).forecast.as_ref().unwrap();
+                let dense = wf.forecast(w, d);
+                assert_eq!(live.q_std, dense.q_std);
+                if w == 0 {
+                    assert_eq!(live.q_map, dense.q_map, "exact rung must bit-match");
+                } else {
+                    let err = rel_err(&live.q_map, &dense.q_map)
+                        * dense.q_map.iter().map(|v| v * v).sum::<f64>().sqrt();
+                    let d_norm = d.iter().map(|v| v * v).sum::<f64>().sqrt();
+                    let bound = gl.mean_error_bound(w, d_norm);
+                    assert!(err <= bound + 1e-12, "rung {w}: {err} > {bound}");
+                }
+            }
+        }
+        assert!(ids
+            .iter()
+            .all(|&id| engine.session(id).window() == Some(ladder.len() - 1)));
+    }
 }
 
 #[test]
@@ -1220,12 +1296,20 @@ fn rewind_replay_is_bit_identical_to_a_fresh_engine_under_both_backends() {
         assert_eq!(fa.q_std, fb.q_std, "{tag}: stds diverged");
     };
 
+    // The whitened (exact) rungs keep the whitened data across the
+    // rewind and restart only the lift, at every shard count.
+    for shards in [1usize, 2, 4] {
+        let cfg = StreamConfig {
+            shards,
+            ..StreamConfig::default()
+        };
+        check(
+            StreamEngine::new(&twin, &wf, cfg),
+            StreamEngine::new(&twin, &wf, cfg),
+            &format!("windowed, {shards} shards"),
+        );
+    }
     let cfg = StreamConfig::default();
-    check(
-        StreamEngine::new(&twin, &wf, cfg),
-        StreamEngine::new(&twin, &wf, cfg),
-        "windowed",
-    );
     check(
         StreamEngine::goal_oriented(&twin, &gl_exact, cfg),
         StreamEngine::goal_oriented(&twin, &gl_exact, cfg),
@@ -1240,11 +1324,10 @@ fn rewind_replay_is_bit_identical_to_a_fresh_engine_under_both_backends() {
 
 #[test]
 fn exact_goal_ladder_carries_no_fold_state_and_bit_matches_the_windowed_engine() {
-    // An exact rung's right factor is the identity, so its lift input is
-    // the ring prefix itself: the engine keeps no per-session fold state
-    // for it, and feeds the same values to the same GEMM as the windowed
-    // engine — at every push granularity and shard count, inference
-    // norms included.
+    // An exact rung's lift input is the whitened data: the engine keeps
+    // no per-session fold state for it, and feeds the same values to the
+    // same GEMMs as the windowed engine — at every push granularity and
+    // shard count, inference norms included.
     let (twin, bank) = setup_bank(5, 23);
     let nt = twin.solver.grid.nt_obs;
     let ladder = [2, nt / 2, nt];

@@ -1,9 +1,9 @@
 //! Goal-oriented early warning: precomputed data-to-QoI operators make a
 //! streaming tick a handful of small GEMMs.
 //!
-//! The windowed engine pays a dense `Nq·Nt × k` forecast GEMM (and,
-//! with inference on, a leading-block factor walk) per assimilation
-//! panel. The goal-oriented split (arXiv:2501.14911) precomputes the
+//! The windowed engine whitens the newly arrived rows and pays one
+//! `Nq·Nt × (k_w − k_{w−1})` forecast GEMM per new segment (and, with
+//! inference on, a leading-block factor walk) per assimilation panel. The goal-oriented split (arXiv:2501.14911) precomputes the
 //! per-rung data-to-QoI map `T_w = B_w K_w⁻¹` offline, compresses it to
 //! rank `r` with a certified truncation bound, and the online tick is
 //! rank-sized folds `z += R_wᵀ d` plus one small `L_w · Z`
