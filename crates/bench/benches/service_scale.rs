@@ -21,7 +21,9 @@
 //! and off ([`tsunami_obs::set_enabled`]) and asserts the off time is
 //! within 1% of the on time (min-of-N blocks of passes, each block long
 //! enough that timer granularity is negligible) — the `OBS=off` kill
-//! switch must actually kill the instrumentation cost.
+//! switch must actually kill the instrumentation cost. Beside the verdict
+//! it prints an A/A ratio (a second `on` series against the first), the
+//! spread the host itself puts between two identical sides.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
@@ -165,11 +167,15 @@ fn service_scale_sweep() {
 /// The `OBS=off` kill-switch gate: the same rewind + re-assimilation
 /// pass, with instrumentation on vs off, must agree in min-of-N wall
 /// clock to within 1%. Each sample times a block of passes lasting at
-/// least [`GATE_BLOCK_S`], so no absolute slack is needed, and on and off
-/// blocks alternate so a drift in host load hits both sides alike. The
-/// off path does strictly less work (no clock reads, no records), so a
-/// gate failure means the kill switch is not actually killing the
-/// overhead.
+/// least [`GATE_BLOCK_S`], so no absolute slack is needed. Every rep
+/// times three blocks — `on`, `off`, and a second `on` series for the
+/// A/A ratio — in mirrored order on alternate reps (`on off on′`, then
+/// `on′ off on`), so every side sits at the same mean position and a
+/// drift in host load favours none. The off path does strictly less work
+/// (no clock reads, no records), so a gate failure means the kill switch
+/// is not actually killing the overhead — unless the A/A ratio printed
+/// beside it is as far from 1 as the verdict, in which case the host was
+/// too noisy to tell.
 fn obs_off_gate() {
     let smoke = smoke_mode();
     let cfg = TwinConfig::tiny();
@@ -209,19 +215,28 @@ fn obs_off_gate() {
     block(true, 10); // warmup (allocators, branch predictors)
     let passes = ((GATE_BLOCK_S * 10.0 / block(true, 10)).ceil() as usize).max(1);
     let reps = if smoke { 10 } else { 20 };
-    let (mut t_on, mut t_off) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        t_on = t_on.min(block(true, passes));
-        t_off = t_off.min(block(false, passes));
+    // Min-of-reps per side: `on`, `off`, and the A/A `on` series. Rep 0
+    // is untimed, so no side takes the blocks run while the host settles.
+    let mut t = [f64::INFINITY; 3];
+    for rep in 0..=reps {
+        for k in 0..3 {
+            let side = if rep % 2 == 0 { k } else { 2 - k };
+            let dt = block(side != 1, passes);
+            if rep > 0 {
+                t[side] = t[side].min(dt);
+            }
+        }
     }
     tsunami_obs::set_enabled(was);
+    let [t_on, t_off, t_aa] = t;
 
     println!(
         "obs_gate: min-of-{reps} blocks of {passes} rewind+tick passes: \
-         on {:.3} ms, off {:.3} ms (off/on {:.4}, bound 1.01)",
+         on {:.3} ms, off {:.3} ms (off/on {:.4}, bound 1.01; A/A on/on {:.4})",
         t_on * 1e3,
         t_off * 1e3,
-        t_off / t_on
+        t_off / t_on,
+        t_aa / t_on
     );
     assert!(
         t_off <= t_on * 1.01,

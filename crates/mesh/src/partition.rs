@@ -108,16 +108,6 @@ impl RankBox {
     pub fn n_elems(&self) -> usize {
         (self.x.1 - self.x.0) * (self.y.1 - self.y.0) * (self.z.1 - self.z.0)
     }
-
-    /// Number of element faces on the box surface (communication proxy).
-    pub fn surface_faces(&self) -> usize {
-        let (dx, dy, dz) = (
-            self.x.1 - self.x.0,
-            self.y.1 - self.y.0,
-            self.z.1 - self.z.0,
-        );
-        2 * (dx * dy + dy * dz + dx * dz)
-    }
 }
 
 /// Box decomposition of an element grid over a [`RankGrid`].

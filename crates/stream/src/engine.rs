@@ -23,8 +23,15 @@
 //! | ladder built by | `R_w` | per-session state | certified bound | [`TickPath`] |
 //! |---|---|---|---|---|
 //! | [`RungLadder::build`] — exact | `L⁻¹`, shared whitening factor | whitened data `y = L⁻¹d`, ring-sized | exact | `Windowed` |
-//! | [`RungLadder::compress`] — SVD-compressed | own factor per rung (`I` for a rung kept exact) | `Σ rank_w` | `‖T_w − L_w R_wᵀ‖_F · ‖d_w‖₂` | `GoalOriented` |
-//! | [`RungLadder::project`] — over a POD basis `U` | leading rows `U_k` of one basis | `r` per rung + `r` | `‖T_w (I − P_w)‖_F · ‖d_w‖₂` | `ModeSpace` |
+//! | [`RungLadder::compress`] — SVD-compressed | own factor per rung (`I` for a rung kept exact) | `Σ rank_w` fold slots | `‖T_w − L_w R_wᵀ‖_F · ‖d_w‖₂` | `GoalOriented` |
+//! | [`RungLadder::project`] — over a POD basis `U` | leading rows `U_k` of one basis | `r` per rung (boundary snapshots) + the running projection `a = Uᵀd` (`r`) | `‖T_w (I − P_w)‖_F · ‖d_w‖₂` | `ModeSpace` |
+//!
+//! An engine has at most one observation basis — the ladder's, or the
+//! attached [`PodBank`]'s modes, equal bit for bit when both exist — so
+//! a session holds at most one running projection through it.
+//! [`IdentifyBackend::ModeSpace`] adds that `r`-vector on the first two
+//! ladders; on the third it *is* the projection already counted. Where
+//! nothing reads it, a session holds none.
 //!
 //! A tick does five things, each independently per shard:
 //!
@@ -56,18 +63,22 @@
 //!    each rung's own right factor (goal-oriented), or *once* through
 //!    the shared basis with the running projection snapshotted at every
 //!    rung boundary (mode-space). When identification is also mode-space
-//!    over the same basis, stage 2's projection *is* that fold — no row
-//!    is ever folded twice ([`TickMetrics::samples_projected`]). Exact
-//!    rungs need no fold at all.
+//!    over the same basis, stage 2 already folded the rows into that one
+//!    projection and cut the snapshots — no row is ever folded twice
+//!    ([`TickMetrics::samples_projected`]). Exact rungs need no fold at
+//!    all.
 //! 4. **Lift** — sessions whose complete-step count crossed a new rung
-//!    are grouped *by rung* and, in chunks, gathered into one `rows × b`
-//!    block and lifted with one GEMM. An exact rung first whitens the
-//!    rows that arrived since the session's last rung (one forward
-//!    sweep of the shared factor, `y = L⁻¹d`), then lifts only the
-//!    segments above that rung, one GEMM each, into the session's
-//!    forecast; a plain tick whitens nothing. [`StreamConfig::infer`]
-//!    adds the rung's inference operator where it has one (the batched
-//!    leading-block solve on the raw window, or the reduced `M̃_w` GEMM).
+//!    are grouped *by rung* and lifted in chunks by one rule: each
+//!    segment is a gathered `rows × b` input block times the segment's
+//!    lift, one fresh GEMM, added into the sessions' forecasts. An exact
+//!    rung first whitens the rows that arrived since the session's last
+//!    rung (one forward sweep of the shared factor, `y = L⁻¹d`), then
+//!    adds the segments above that rung onto its previous forecast — the
+//!    sequential update of Nomura et al.; a reduced rung is the
+//!    one-segment case from zero, on its fold slot. A plain tick whitens
+//!    nothing. [`StreamConfig::infer`] adds the rung's inference operator
+//!    where it has one (the batched leading-block solve on the raw
+//!    window, or the reduced `M̃_w` GEMM on the fold slot).
 //! 5. **Classify** — each assimilated session's forecast band is
 //!    classified against the warning threshold; level changes are
 //!    recorded as [`WarningTransition`]s.
@@ -126,7 +137,10 @@ use tsunami_core::{DigitalTwin, Forecast, ForecastBatch, PodBank, RungLadder, Sc
 use tsunami_obs::{AuditRing, Counter, Gauge, Histogram, Registry};
 
 /// Which scenario-identification path a tick runs (see the
-/// [module docs](self)).
+/// [module docs](self)). It stays a config field, and
+/// [`StreamEngine::goal_oriented`] / [`StreamEngine::mode_space`] stay
+/// aliases of [`StreamEngine::new`], because the `perf_report` benchmark
+/// harness — kept unchanged so its records stay comparable — spells them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IdentifyBackend {
     /// Exact blocked GEMM against the full clean block
@@ -500,34 +514,22 @@ impl<'a> StreamEngine<'a> {
             self.twin.n_data(),
             "bank and twin disagree on the data dimension"
         );
-        for s in self.shards.iter().flat_map(|sh| &sh.sessions) {
-            assert!(
-                s.samples() == 0,
-                "attach the bank before any samples arrive"
-            );
-        }
-        // Resize every session's misfit accumulator in place (no
-        // realloc when capacity suffices) instead of swapping in a
-        // fresh vec per session.
-        let n_scen = self.misfit_len(bank);
-        for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
-            s.misfit.clear();
-            s.misfit.resize(n_scen, 0.0);
-        }
         self.bank_sq_prefix = identify::sq_prefix(bank.clean_observations());
         self.bank = Some(bank);
+        self.relayout("bank");
         self
     }
 
     /// Attach a POD compression of the bank, enabling
     /// [`IdentifyBackend::ModeSpace`] ticks. Must agree with the attached
-    /// bank in shape (call [`Self::with_bank`] first). Every session gains
-    /// an `r`-dimensional running projection; the exact path stays
-    /// available as the oracle via [`StreamConfig::identify`]. On a
-    /// shared-basis ladder the POD modes must *be* that basis, bit for
-    /// bit — mode-space identification then folds drained rows into the
-    /// per-session projection once, and the ladder's rung snapshots are
-    /// cut from that same fold.
+    /// bank in shape (call [`Self::with_bank`] first). Under mode-space
+    /// identification every session's running projection is sized to the
+    /// POD rank; under exact identification the projection is left to the
+    /// ladder, and the exact path stays available as the oracle via
+    /// [`StreamConfig::identify`]. On a shared-basis ladder the POD modes
+    /// must *be* that basis, bit for bit — mode-space identification then
+    /// folds drained rows into the per-session projection once, and the
+    /// ladder's rung snapshots are cut from that same fold.
     pub fn with_pod(mut self, pod: &'a PodBank) -> Self {
         let bank = self
             .bank
@@ -542,12 +544,6 @@ impl<'a> StreamEngine<'a> {
             bank.len(),
             "POD compression and bank disagree on the scenario count"
         );
-        for s in self.shards.iter().flat_map(|sh| &sh.sessions) {
-            assert!(
-                s.samples() == 0,
-                "attach the POD bank before any samples arrive"
-            );
-        }
         if let Some(basis) = self.ladder.basis {
             assert!(
                 pod.modes().ncols() == basis.ncols() && pod.modes().as_slice() == basis.as_slice(),
@@ -555,23 +551,9 @@ impl<'a> StreamEngine<'a> {
                  (build the ladder from PodBank::modes())"
             );
         }
-        let r = pod.rank();
-        for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
-            s.pod_coeff.clear();
-            s.pod_coeff.resize(r, 0.0);
-        }
         self.pod = Some(pod);
+        self.relayout("POD bank");
         self
-    }
-
-    /// Width of a session's misfit accumulator: the bank width under
-    /// exact identification, 0 under mode-space identification (whose
-    /// misfits are materialized at read time, never held).
-    fn misfit_len(&self, bank: &ScenarioBank) -> usize {
-        match self.config.identify {
-            IdentifyBackend::Exact => bank.len(),
-            IdentifyBackend::ModeSpace => 0,
-        }
     }
 
     /// The POD bank mode-space reads materialize misfits from — `None`
@@ -581,9 +563,44 @@ impl<'a> StreamEngine<'a> {
             .filter(|_| self.config.identify == IdentifyBackend::ModeSpace)
     }
 
+    /// The per-session state lengths fixed by the ladder, the attached
+    /// banks and the identification backend: the misfit accumulator is
+    /// the bank width under exact identification only (mode-space misfits
+    /// are materialized at read time, never held), and the one running
+    /// projection has the basis rank when the ladder folds through the
+    /// basis or identification is mode-space.
+    fn layout(&self) -> SessionLayout {
+        let exact = self.config.identify == IdentifyBackend::Exact;
+        SessionLayout {
+            n_scenarios: self.bank.filter(|_| exact).map_or(0, ScenarioBank::len),
+            n_modes: self
+                .ladder
+                .basis
+                .map(|u| u.ncols())
+                .or(self.materializing_pod().map(PodBank::rank))
+                .unwrap_or(0),
+            fold_len: self.ladder.fold_len,
+            white_len: self.ladder.whitening.map_or(0, |_| self.twin.n_data()),
+        }
+    }
+
+    /// Re-size every session slot to [`Self::layout`] once a bank
+    /// attaches, in place (no realloc when capacity suffices). Only slots
+    /// that hold no samples yet can be re-laid out.
+    fn relayout(&mut self, attached: &str) {
+        let layout = self.layout();
+        for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
+            assert!(
+                s.samples() == 0,
+                "attach the {attached} before any samples arrive"
+            );
+            s.lay_out(layout);
+        }
+    }
+
     /// True when mode-space identification and a shared-basis ladder
-    /// fold the drained rows into the *same* per-session projection
-    /// (`pod_coeff`) — the no-double-fold configuration.
+    /// fold the drained rows into the session's projection in one pass —
+    /// the no-double-fold configuration.
     fn shared_fold(&self) -> bool {
         self.bank.is_some()
             && self.config.identify == IdentifyBackend::ModeSpace
@@ -615,13 +632,7 @@ impl<'a> StreamEngine<'a> {
     pub fn open(&mut self) -> usize {
         let n = self.shards.len();
         let capacity = self.twin.n_data();
-        let layout = SessionLayout {
-            n_scenarios: self.bank.map_or(0, |b| self.misfit_len(b)),
-            n_modes: self.pod.map_or(0, |p| p.rank()),
-            fold_len: self.ladder.fold_len,
-            acc_len: self.ladder.basis.map_or(0, |u| u.ncols()),
-            white_len: self.ladder.whitening.map_or(0, |_| capacity),
-        };
+        let layout = self.layout();
         let si = self.next_open % n;
         self.next_open += 1;
         let nd = self.ladder.nd;
@@ -749,13 +760,15 @@ impl<'a> StreamEngine<'a> {
     /// The fold state *is* reset (it is re-derived from the ring; zeroing
     /// avoids double-folding the same samples), so the next tick refolds
     /// `[0, filled)` in one pass — bit-identical to a fresh engine that
-    /// received the whole stream in one push. Under the shared fold the
-    /// identification projection carries the fold, so `scored`, the
-    /// running projection, and the data energy reset with it — safe
-    /// because the mode-space misfit is never held, only materialized
-    /// from that statistic when read, and the refold rebuilds the
-    /// statistic. Misfit reads between the rewind and the next tick see
-    /// the statistic of zero rows.
+    /// received the whole stream in one push. On a shared-basis ladder
+    /// the running projection is that fold and resets with it. Under the
+    /// shared fold it is also identification's statistic, so `scored` and
+    /// the data energy reset with it — safe because the mode-space misfit
+    /// is never held, only materialized from that statistic when read,
+    /// and the refold rebuilds the statistic. Misfit reads between the
+    /// rewind and the next tick see the statistic of zero rows. On any
+    /// other ladder the projection belongs to identification alone and
+    /// is kept.
     ///
     /// An exact rung's lift restarts from `q = 0` with the ladder
     /// position; the whitened data are a pure function of the ring, so
@@ -765,7 +778,7 @@ impl<'a> StreamEngine<'a> {
     /// replay re-classifies from scratch and the audit ring records the
     /// same transition sequence the original stream produced.
     pub fn rewind(&mut self) {
-        let shared = self.shared_fold();
+        let (shared, basis) = (self.shared_fold(), self.ladder.basis.is_some());
         for s in self
             .shards
             .iter_mut()
@@ -775,10 +788,11 @@ impl<'a> StreamEngine<'a> {
             s.window_idx = None;
             s.folded = 0;
             s.fold.fill(0.0);
-            s.fold_acc.fill(0.0);
+            if basis {
+                s.projection.fill(0.0);
+            }
             if shared {
                 s.scored = 0;
-                s.pod_coeff.fill(0.0);
                 s.data_energy = 0.0;
                 s.data_energy_comp = 0.0;
             }
@@ -1031,6 +1045,50 @@ pub fn classify_band((lo_max, hi_max): (f64, f64), threshold: f64) -> WarningLev
 mod tests {
     use super::*;
     use tsunami_linalg::DMatrix;
+
+    #[test]
+    fn a_session_holds_one_projection_only_where_something_reads_it() {
+        // The basis rank on a shared-basis ladder or under mode-space
+        // identification, else empty — a POD bank attached under exact
+        // identification on a ladder without a basis allocates nothing.
+        // Sessions opened before and after the banks attach agree.
+        use tsunami_core::{DigitalTwin, GoalOptions, ModeSpaceOptions, ScenarioBank, TwinConfig};
+        use IdentifyBackend::{Exact, ModeSpace};
+        let twin = DigitalTwin::offline(TwinConfig::tiny(), 0.03);
+        let ws = [2, twin.solver.grid.nt_obs];
+        let clean = DMatrix::from_fn(twin.n_data(), 6, |i, j| ((i * (j + 3)) as f64 * 0.11).sin());
+        let bank = ScenarioBank::synthetic(clean.clone(), clean, 0.05);
+        let pod = bank.compress(3);
+        let shared = twin.mode_space_ladder(&ws, pod.modes(), &ModeSpaceOptions::default());
+        let (windowed, goal) = (
+            twin.windowed(&ws),
+            twin.goal_ladder(&ws, &GoalOptions::rank(2)),
+        );
+        for (ladder, identify, len) in [
+            (&shared, ModeSpace, 3),   // the shared fold
+            (&shared, Exact, 3),       // the ladder's fold alone
+            (&windowed, ModeSpace, 3), // identification's alone
+            (&goal, ModeSpace, 3),
+            (&goal, Exact, 0), // goal folds only
+        ] {
+            let cfg = StreamConfig {
+                identify,
+                ..StreamConfig::default()
+            };
+            let mut engine = StreamEngine::new(&twin, ladder, cfg);
+            let early = engine.open();
+            let mut engine = engine.with_bank(&bank).with_pod(&pod);
+            let late = engine.open();
+            for id in [early, late] {
+                let path = engine.ladder.path;
+                assert_eq!(
+                    engine.session(id).projection.len(),
+                    len,
+                    "{path:?} {identify:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn classify_thresholds_partition_severity() {

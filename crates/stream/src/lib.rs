@@ -22,8 +22,9 @@
 //!   [`StreamEngine::enqueue`] calls from concurrent producer threads)
 //!   and, on each [`StreamEngine::tick`], runs drain → identify → fold →
 //!   lift → classify: sessions that crossed the same window rung are
-//!   gathered into one block and lifted with one GEMM, instead of one
-//!   operator application per session.
+//!   gathered into one block per segment and lifted by one rule — a
+//!   fresh GEMM added into the forecasts — instead of one operator
+//!   application per session.
 //! - The engine is constructed on one [`tsunami_core::RungLadder`]
 //!   ([`StreamEngine::new`]), and that ladder *is* the path
 //!   ([`TickPath`]): the exact ladder of `RungLadder::build` (whitens
@@ -51,14 +52,16 @@
 //! - With a [`tsunami_core::PodBank`] also attached
 //!   ([`StreamEngine::with_pod`]) and [`IdentifyBackend::ModeSpace`]
 //!   selected, identification runs in POD mode space: a tick only folds
-//!   arrived rows into an `r`-dimensional running projection
-//!   ([`identify::project_group`]), and the `B` misfits are materialized
-//!   from it at `r × B` cost only when a warning transition or a query
-//!   ([`StreamEngine::ranked_matches`], [`StreamEngine::misfit_scores`])
-//!   reads them ([`identify::score_group_pod`]); sessions hold no
-//!   `B`-wide state. The exact GEMM is kept as the oracle path. On a
-//!   mode-space ladder over the same basis that projection *is* the
-//!   fold — each row is folded once per tick. The identification
+//!   arrived rows into the session's one `r`-dimensional running
+//!   projection ([`identify::project_group`]), and the `B` misfits are
+//!   materialized from it at `r × B` cost only when a warning transition
+//!   or a query ([`StreamEngine::ranked_matches`],
+//!   [`StreamEngine::misfit_scores`]) reads them
+//!   ([`identify::score_group_pod`]); sessions hold no `B`-wide state.
+//!   The exact GEMM is kept as the oracle path. An engine has one
+//!   observation basis, so on a mode-space ladder over the same basis
+//!   that projection *is* the ladder's fold — each row is folded once per
+//!   tick — and a session never holds two. The identification
 //!   posterior also drives a Fujita-style posterior-weighted
 //!   **superposition forecast** ([`superpose_forecasts`] /
 //!   [`StreamEngine::superposed_forecast`]) that mixes the bank's

@@ -109,25 +109,26 @@ pub struct StreamSession {
     /// Per-scenario accumulated squared misfit `Σ (d_i − s_ji)²` over the
     /// scored samples under exact identification. Empty when no bank is
     /// attached, and empty under mode-space identification: there the
-    /// misfit is a pure function of `(data_energy, pod_coeff, scored)`
+    /// misfit is a pure function of `(data_energy, projection, scored)`
     /// and is materialized only when a warning transition or an engine
     /// query reads it, so a session holds no `B`-wide state.
     pub(crate) misfit: Vec<f64>,
-    /// Running POD projection `a = Uᵀd` over the scored samples (empty
-    /// unless a [`tsunami_core::PodBank`] is attached).
-    pub(crate) pod_coeff: Vec<f64>,
+    /// The running projection `a = Uᵀd` through the engine's one
+    /// observation basis `U` — the ladder's shared basis or the attached
+    /// [`tsunami_core::PodBank`]'s modes, equal bit for bit when both
+    /// exist. Under mode-space identification it covers the scored
+    /// samples and is identification's statistic; on a shared-basis
+    /// ladder it is the fold the rung snapshots are cut from (clipped at
+    /// the widest rung boundary when identification is exact). Empty
+    /// when neither reads it.
+    pub(crate) projection: Vec<f64>,
     /// Concatenated per-rung fold slots — the whole per-session lift
-    /// input of every rung that does not read the ring directly: a
+    /// input of every rung that does not read the whitened data: a
     /// goal-oriented rung's running state `z_w = R_wᵀ d_w`, or a
-    /// shared-basis rung's snapshot `a_w = U_kᵀ d_k`, written the moment
-    /// the stream crosses that rung's boundary and frozen afterwards.
-    /// Empty on a ladder whose rungs all read the ring.
+    /// shared-basis rung's snapshot `a_w = U_kᵀ d_k`, copied out of
+    /// `projection` the moment the stream crosses that rung's boundary
+    /// and frozen afterwards. Empty on a ladder of exact rungs only.
     pub(crate) fold: Vec<f64>,
-    /// Running projection `a = Uᵀd` through the ladder's shared basis
-    /// over the first `min(folded, widest rung boundary)` samples (empty
-    /// without one). Idle under the shared fold, where identification's
-    /// `pod_coeff` is that projection.
-    pub(crate) fold_acc: Vec<f64>,
     /// Samples already consumed by the fold stage.
     pub(crate) folded: usize,
     /// Whitened data `y = L⁻¹d` over the first `whitened` samples,
@@ -167,12 +168,12 @@ pub(crate) struct SessionLayout {
     /// Misfit accumulator length (the bank width under exact
     /// identification, else 0).
     pub n_scenarios: usize,
-    /// POD projection length (the attached POD rank, else 0).
+    /// Running-projection length: the rank of the observation basis
+    /// when the ladder folds through it or identification is mode-space,
+    /// else 0.
     pub n_modes: usize,
     /// Concatenated fold-slot length.
     pub fold_len: usize,
-    /// Shared-basis running projection length.
-    pub acc_len: usize,
     /// Whitened-data length (the ring capacity on a ladder with exact
     /// rungs, else 0).
     pub white_len: usize,
@@ -187,9 +188,8 @@ impl StreamSession {
             window_idx: None,
             scored: 0,
             misfit: Vec::new(),
-            pod_coeff: Vec::new(),
+            projection: Vec::new(),
             fold: Vec::new(),
-            fold_acc: Vec::new(),
             folded: 0,
             white: Vec::new(),
             whitened: 0,
@@ -216,16 +216,7 @@ impl StreamSession {
         self.ring.clear();
         self.window_idx = None;
         self.scored = 0;
-        for (v, len) in [
-            (&mut self.misfit, layout.n_scenarios),
-            (&mut self.pod_coeff, layout.n_modes),
-            (&mut self.fold, layout.fold_len),
-            (&mut self.fold_acc, layout.acc_len),
-            (&mut self.white, layout.white_len),
-        ] {
-            v.clear();
-            v.resize(len, 0.0);
-        }
+        self.lay_out(layout);
         self.folded = 0;
         self.whitened = 0;
         self.data_energy = 0.0;
@@ -236,20 +227,18 @@ impl StreamSession {
         self.active = true;
     }
 
-    /// The operands of the segmented basis fold, split-borrowed: the
-    /// ring, the running projection (identification's `pod_coeff` when
-    /// `into_pod`, else `fold_acc`), and the fold slots the projection
-    /// is snapshotted into.
-    pub(crate) fn basis_operands(
-        &mut self,
-        into_pod: bool,
-    ) -> (&SampleRing, &mut [f64], &mut [f64]) {
-        let acc = if into_pod {
-            &mut self.pod_coeff
-        } else {
-            &mut self.fold_acc
-        };
-        (&self.ring, acc, &mut self.fold)
+    /// Size the per-session state vectors to `layout`, zeroed, reusing
+    /// their allocations.
+    pub(crate) fn lay_out(&mut self, layout: SessionLayout) {
+        for (v, len) in [
+            (&mut self.misfit, layout.n_scenarios),
+            (&mut self.projection, layout.n_modes),
+            (&mut self.fold, layout.fold_len),
+            (&mut self.white, layout.white_len),
+        ] {
+            v.clear();
+            v.resize(len, 0.0);
+        }
     }
 
     /// Fold ring rows `[i0, i1)` into the running data energy `‖d‖²`
@@ -286,14 +275,15 @@ impl StreamSession {
     }
 
     /// The mode-space identification statistic `(‖d‖², a, scored)`: the
-    /// running data energy, the running POD projection `a = Uᵀd` (empty
-    /// without an attached [`tsunami_core::PodBank`]), and the samples
-    /// absorbed into both. Under [`crate::IdentifyBackend::ModeSpace`]
-    /// every misfit read is [`crate::identify::score_group_pod`] over
-    /// this statistic as a group of one
-    /// ([`crate::StreamEngine::misfit_scores`]).
+    /// running data energy, the session's running projection `a = Uᵀd`,
+    /// and the samples absorbed into both. Under
+    /// [`crate::IdentifyBackend::ModeSpace`] every misfit read is
+    /// [`crate::identify::score_group_pod`] over this statistic as a group
+    /// of one ([`crate::StreamEngine::misfit_scores`]). Under exact
+    /// identification it is no statistic: the energy stays 0 and the
+    /// projection is the shared-basis ladder's fold, or empty.
     pub fn identification_statistic(&self) -> (f64, &[f64], usize) {
-        (self.data_energy, &self.pod_coeff, self.scored)
+        (self.data_energy, &self.projection, self.scored)
     }
 
     /// The rank-sized per-rung fold slots, concatenated — empty when

@@ -41,9 +41,10 @@ impl TickSpans {
 }
 
 /// Per-shard assimilation scratch, reused across ticks so steady-state
-/// ticks allocate nothing: the gathered lift input (`rows × b`: a window
-/// panel or a block of fold slots), the lifted QoI block `nq × b`, the
-/// reduced-inference block `(Nm·Nt) × b`, and the `B`-wide misfit a
+/// ticks allocate nothing: the gathered lift or inference input
+/// (`rows × b`: a segment of whitened data, a block of fold slots, or a
+/// raw window), one lifted segment `nq × b`, the reduced-inference block
+/// `(Nm·Nt) × b`, and the `B`-wide misfit a
 /// mode-space warning transition materializes for its audit record
 /// (sized at the first transition). The block vecs round-trip through
 /// [`DMatrix::from_vec`] / [`DMatrix::into_vec`] each chunk
@@ -227,8 +228,7 @@ fn identify_arrived(
                     .into_iter()
                     .map(|s| {
                         s.scored = i1;
-                        let StreamSession { ring, misfit, .. } = s;
-                        (ring.prefix(i1), &mut misfit[..])
+                        (s.ring.prefix(i1), &mut s.misfit[..])
                     })
                     .collect();
                 identify::score_group_gemm(clean, ctx.sq_prefix, i0, i1, &mut group);
@@ -252,7 +252,7 @@ fn identify_arrived(
                 &[]
             };
             for ((i0, i1), mut members) in buckets {
-                fold_through_basis(pod.modes(), snapshots, &mut members, i0, i1, true);
+                fold_through_basis(pod.modes(), snapshots, &mut members, i0, i1);
                 for s in members.iter_mut() {
                     s.scored = i1;
                     if ctx.shared_fold {
@@ -267,22 +267,21 @@ fn identify_arrived(
     }
 }
 
-/// Fold ring rows `[i0, i1)` of every member through an observation
-/// basis into its running projection — identification's `pod_coeff`
-/// when `into_pod`, else the session's own `fold_acc`. The fold is segmented at the boundaries of `snapshots`
-/// rungs inside the range, and the projection is copied into a rung's
-/// fold slot as its boundary is crossed — which is the goal fold with
-/// `R_w = U[0..k_w]`, done once for all rungs instead of once per rung.
-/// The segmentation depends only on the ladder, so the shared and
-/// non-shared folds produce bitwise-identical slots. With no snapshot
-/// rungs the loop degenerates to a single-call fold.
+/// Fold ring rows `[i0, i1)` of every member through the engine's
+/// observation basis into the session's running projection. The fold is
+/// segmented at the boundaries of `snapshots` rungs inside the range,
+/// and the projection is copied into a rung's fold slot as its boundary
+/// is crossed — which is the goal fold with `R_w = U[0..k_w]`, done once
+/// for all rungs instead of once per rung. The segmentation depends only
+/// on the ladder, so the shared and non-shared folds produce
+/// bitwise-identical slots. With no snapshot rungs the loop degenerates
+/// to a single-call fold.
 fn fold_through_basis(
     basis: &DMatrix,
     snapshots: &[RungView<'_>],
     members: &mut [&mut StreamSession],
     i0: usize,
     i1: usize,
-    into_pod: bool,
 ) {
     let mut cuts: Vec<usize> = snapshots
         .iter()
@@ -296,10 +295,7 @@ fn fold_through_basis(
         if cut > prev {
             let mut group: Vec<(&[f64], &mut [f64])> = members
                 .iter_mut()
-                .map(|s| {
-                    let (ring, acc, _) = s.basis_operands(into_pod);
-                    (ring.prefix(cut), acc)
-                })
+                .map(|s| (s.ring.prefix(cut), &mut s.projection[..]))
                 .collect();
             identify::project_group(basis, prev, cut, &mut group);
             prev = cut;
@@ -309,8 +305,7 @@ fn fold_through_basis(
                 continue;
             };
             for s in members.iter_mut() {
-                let (_, acc, fold) = s.basis_operands(into_pod);
-                fold[off..off + rung.rows].copy_from_slice(acc);
+                s.fold[off..off + rung.rows].copy_from_slice(&s.projection);
             }
         }
     }
@@ -332,7 +327,7 @@ fn fold_arrived(sessions: &mut [StreamSession], ctx: &TickCtx<'_>, p: &mut TickM
             let max_k = ladder.rungs.last().map_or(0, |rung| rung.k);
             let (i0w, i1w) = (i0.min(max_k), i1.min(max_k));
             if i0w < i1w {
-                fold_through_basis(basis, &ladder.rungs, &mut members, i0w, i1w, false);
+                fold_through_basis(basis, &ladder.rungs, &mut members, i0w, i1w);
             }
             p.samples_projected += (i1w - i0w) * members.len();
         } else {
@@ -349,10 +344,7 @@ fn fold_arrived(sessions: &mut [StreamSession], ctx: &TickCtx<'_>, p: &mut TickM
                 }
                 let mut group: Vec<(&[f64], &mut [f64])> = members
                     .iter_mut()
-                    .map(|s| {
-                        let StreamSession { ring, fold, .. } = &mut **s;
-                        (ring.prefix(i1w), &mut fold[off..off + rung.rows])
-                    })
+                    .map(|s| (s.ring.prefix(i1w), &mut s.fold[off..off + rung.rows]))
                     .collect();
                 identify::project_group(right, i0w, i1w, &mut group);
             }
@@ -364,11 +356,10 @@ fn fold_arrived(sessions: &mut [StreamSession], ctx: &TickCtx<'_>, p: &mut TickM
     }
 }
 
-/// 4–5. Group the sessions that crossed a new rung, by rung, then gather
-///    → lift → scatter → classify each group in bounded chunks over the
-///    shard's reusable scratch arena. Returns the (assimilate, classify)
-///    span totals; the fold stage and the grouping count toward
-///    assimilation.
+/// 4–5. Group the sessions that crossed a new rung, by rung, then lift →
+///    infer → classify each group in bounded chunks over the shard's
+///    reusable scratch arena. Returns the (assimilate, classify) span
+///    totals; the fold stage and the grouping count toward assimilation.
 fn assimilate_crossed(
     shard: &mut Shard,
     ctx: &TickCtx<'_>,
@@ -395,71 +386,19 @@ fn assimilate_crossed(
 
     for (w, members) in groups {
         let rung = &ladder.rungs[w];
-        let (rows, nq) = (rung.rows, rung.lift.nrows());
         for chunk in members.chunks(ctx.config.chunk) {
             let b = chunk.len();
             let t0 = Instant::now();
-            // The lift input `x` (a fold-slot block, or the raw window an
-            // exact rung's inference reads) and the lifted block `q`; an
-            // exact rung lifts into the sessions' forecasts in place.
-            let (x, q) = match rung.source {
-                Source::Whitened { .. } => {
-                    lift_whitened(sessions, chunk, ladder, w, arena, p);
-                    let x = matches!(rung.infer, Infer::Window).then(|| {
-                        let mut x = arena_block(&mut arena.panel, rung.k, b);
-                        gather(
-                            &mut x,
-                            chunk.iter().map(|&i| sessions[i].ring.prefix(rung.k)),
-                        );
-                        x
-                    });
-                    (x, None)
-                }
-                Source::Own { off, .. } | Source::Snapshot { off } => {
-                    let mut x = arena_block(&mut arena.panel, rows, b);
-                    gather(
-                        &mut x,
-                        chunk.iter().map(|&i| &sessions[i].fold[off..off + rows]),
-                    );
-                    let mut q = arena_block(&mut arena.q_block, nq, b);
-                    rung.lift.matmul_into(&x, &mut q);
-                    p.peak_panel_elems = p.peak_panel_elems.max(nq * b);
-                    (Some(x), Some(q))
-                }
-            };
-            if let Some(x) = &x {
-                p.peak_panel_elems = p.peak_panel_elems.max(x.nrows() * b);
-            }
+            lift(sessions, chunk, ladder, w, arena, p);
             let fc_seconds = t0.elapsed().as_secs_f64() / b as f64;
-
-            let m_block = match rung.infer {
-                Infer::None => None,
-                // The windowed inference internally zero-pads the panel
-                // to the full horizon (`(Nd·Nt) × b`) before the FFT
-                // pass; that block is part of the tick's real working
-                // set too.
-                Infer::Window => {
-                    p.peak_panel_elems = p.peak_panel_elems.max(ctx.twin.n_data() * b);
-                    let (p1, p2) = (&ctx.twin.phase1, &ctx.twin.phase2);
-                    let x = x.as_ref().expect("raw window gathered");
-                    Some(infer_window_batch(p1, p2, x, ladder.windows[w]).m_map)
-                }
-                Infer::Reduced(m_map) => {
-                    let mut m = arena_block(&mut arena.m_block, m_map.nrows(), b);
-                    m_map.matmul_into(x.as_ref().expect("fold slots gathered"), &mut m);
-                    Some(m)
-                }
-            };
-            if let Some(m) = &m_block {
-                p.peak_panel_elems = p.peak_panel_elems.max(m.nrows() * b);
-            }
+            let m_block = infer(sessions, chunk, ctx, w, arena, p);
             let work_ns = sw.lap();
             assim_ns += work_ns;
 
             for (c, &idx) in chunk.iter().enumerate() {
                 let s = &mut sessions[idx];
-                scatter_forecast(s, q.as_ref().map(|q| (q, c)), rung.q_std, fc_seconds);
-                let band = forecast_band(s.forecast.as_ref().expect("forecast just scattered"));
+                scatter_forecast(s, rung.q_std, fc_seconds);
+                let band = forecast_band(s.forecast.as_ref().expect("forecast just lifted"));
                 let prev = s.level;
                 s.level = classify_band(band, ctx.config.warn_threshold);
                 if s.level != prev {
@@ -502,12 +441,6 @@ fn assimilate_crossed(
             if ctx.obs_on {
                 ctx.rung_spans[w].record(work_ns + cls_ns);
             }
-            if let Some(x) = x {
-                arena.panel = x.into_vec();
-            }
-            if let Some(q) = q {
-                arena.q_block = q.into_vec();
-            }
             if let (Infer::Reduced(_), Some(m)) = (&rung.infer, m_block) {
                 arena.m_block = m.into_vec();
             }
@@ -527,18 +460,31 @@ fn gather<'s>(x: &mut DMatrix, inputs: impl Iterator<Item = &'s [f64]>) {
     }
 }
 
-/// Lift a chunk of sessions crossing onto exact rung `w`, into their
-/// forecasts in place. Members are split by (previous rung, whitened
-/// cursor) — one split in lockstep. Each split whitens rows
-/// `[cursor, k_w)` of its members' data in one forward sweep (the
-/// factor's range kernel, each factor row loaded once per panel of
-/// sessions), then applies the ladder's one lift rule to the segments
-/// above the previous rung: `c = G_j Y_j` (a fresh GEMM from zero), then
-/// `q += c` column by column, starting from `q = 0` without a previous
-/// rung — the same operations in the same order as
-/// [`tsunami_core::RungLadder::forecast_batch`], so a session that jumps
-/// rungs lands bit for bit where one that walks them does.
-fn lift_whitened(
+/// The lift input of rung view `seg` for one session: the rung's segment
+/// of the whitened data on an exact rung, else its fold slot.
+fn lift_input<'s>(seg: &RungView<'_>, s: &'s StreamSession) -> &'s [f64] {
+    match seg.source {
+        Source::Whitened { start } => &s.white[start..start + seg.rows],
+        Source::Own { off, .. } | Source::Snapshot { off } => &s.fold[off..off + seg.rows],
+    }
+}
+
+/// Lift a chunk of sessions crossing onto rung `w` into their forecasts
+/// in place, by the ladder's one lift rule: each segment lifted, in
+/// ascending order, is `c = L_j X_j` (a fresh GEMM from zero) added into
+/// the forecast column by column.
+///
+/// An exact rung lifts the segments above the session's previous rung
+/// onto its previous forecast (from `q = 0` without one). Members are
+/// split by (previous rung, whitened cursor) — one split in lockstep —
+/// and each split first whitens rows `[cursor, k_w)` of its members'
+/// data in one forward sweep (the factor's range kernel, each factor row
+/// loaded once per panel of sessions) — the same operations in the same
+/// order as [`tsunami_core::RungLadder::forecast_batch`], so a session
+/// that jumps rungs lands bit for bit where one that walks them does. A
+/// reduced rung is the one-segment case: its fold slot, lifted from
+/// `q = 0`.
+fn lift(
     sessions: &mut [StreamSession],
     chunk: &[usize],
     ladder: &Ladder<'_>,
@@ -546,18 +492,18 @@ fn lift_whitened(
     arena: &mut ShardArena,
     p: &mut TickMetrics,
 ) {
-    let l = ladder
-        .whitening
-        .expect("exact rungs carry the whitening factor");
-    let k = ladder.rungs[w].k;
-    let nq = ladder.rungs[w].lift.nrows();
+    let rung = &ladder.rungs[w];
+    let (k, nq) = (rung.k, rung.lift.nrows());
+    let exact = matches!(rung.source, Source::Whitened { .. });
     let mut splits: BTreeMap<(Option<usize>, usize), Vec<usize>> = BTreeMap::new();
     for &i in chunk {
         let s = &sessions[i];
-        splits
-            .entry((s.window_idx, s.whitened.min(k)))
-            .or_default()
-            .push(i);
+        let key = if exact {
+            (s.window_idx, s.whitened.min(k))
+        } else {
+            (None, k)
+        };
+        splits.entry(key).or_default().push(i);
     }
     for ((from, cursor), idx) in splits {
         let mut group = pick(sessions, &idx);
@@ -565,35 +511,36 @@ fn lift_whitened(
             let mut rows: Vec<&mut [f64]> = group
                 .iter_mut()
                 .map(|s| {
-                    let StreamSession { ring, white, .. } = &mut **s;
-                    white[cursor..k].copy_from_slice(&ring.prefix(k)[cursor..k]);
-                    &mut white[..k]
+                    s.white[cursor..k].copy_from_slice(&s.ring.prefix(k)[cursor..k]);
+                    s.whitened = k;
+                    &mut s.white[..k]
                 })
                 .collect();
+            let l = ladder.whitening.expect("exact rungs are whitened");
             l.forward_range(cursor, k, &mut rows);
-            for s in group.iter_mut() {
-                s.whitened = k;
-            }
         }
         if from.is_none() {
             for s in group.iter_mut() {
-                let fc = s.forecast.get_or_insert_with(empty_forecast);
+                let fc = s.forecast.get_or_insert_with(|| Forecast {
+                    q_map: Vec::new(),
+                    q_std: Vec::new(),
+                    seconds: 0.0,
+                });
                 fc.q_map.clear();
                 fc.q_map.resize(nq, 0.0);
             }
         }
+        let segs = if exact {
+            &ladder.rungs[from.map_or(0, |c| c + 1)..=w]
+        } else {
+            std::slice::from_ref(rung)
+        };
         let b = group.len();
-        for seg in &ladder.rungs[from.map_or(0, |c| c + 1)..=w] {
-            let Source::Whitened { start } = seg.source else {
-                unreachable!("exact rungs form a leading run");
-            };
-            let mut y = arena_block(&mut arena.panel, seg.rows, b);
-            gather(
-                &mut y,
-                group.iter().map(|s| &s.white[start..start + seg.rows]),
-            );
+        for seg in segs {
+            let mut x = arena_block(&mut arena.panel, seg.rows, b);
+            gather(&mut x, group.iter().map(|s| lift_input(seg, s)));
             let mut c = arena_block(&mut arena.q_block, nq, b);
-            seg.lift.matmul_into(&y, &mut c);
+            seg.lift.matmul_into(&x, &mut c);
             for (col, s) in group.iter_mut().enumerate() {
                 let q = &mut s.forecast.as_mut().expect("forecast zeroed above").q_map;
                 for (r, v) in q.iter_mut().enumerate() {
@@ -601,46 +548,75 @@ fn lift_whitened(
                 }
             }
             p.peak_panel_elems = p.peak_panel_elems.max(seg.rows * b).max(nq * b);
-            arena.panel = y.into_vec();
+            arena.panel = x.into_vec();
             arena.q_block = c.into_vec();
         }
     }
 }
 
-/// The sessions at ascending local indices `idx`, mutably.
+/// The chunk's parameter inference, one column per session, where the
+/// rung has an operator for it: the batched leading-block solve on the
+/// gathered raw window, or the reduced `M̃_w` GEMM on the gathered fold
+/// slots (into the arena's `m_block`, which the caller hands back).
+fn infer(
+    sessions: &[StreamSession],
+    chunk: &[usize],
+    ctx: &TickCtx<'_>,
+    w: usize,
+    arena: &mut ShardArena,
+    p: &mut TickMetrics,
+) -> Option<DMatrix> {
+    let rung = &ctx.ladder.rungs[w];
+    let b = chunk.len();
+    let rows = match rung.infer {
+        Infer::None => return None,
+        Infer::Window => rung.k,
+        Infer::Reduced(_) => rung.rows,
+    };
+    let mut x = arena_block(&mut arena.panel, rows, b);
+    let inputs = chunk.iter().map(|&i| match rung.infer {
+        Infer::Reduced(_) => lift_input(rung, &sessions[i]),
+        _ => sessions[i].ring.prefix(rows),
+    });
+    gather(&mut x, inputs);
+    let m = match rung.infer {
+        Infer::Reduced(m_map) => {
+            let mut m = arena_block(&mut arena.m_block, m_map.nrows(), b);
+            m_map.matmul_into(&x, &mut m);
+            m
+        }
+        _ => {
+            // The windowed inference internally zero-pads the panel to
+            // the full horizon (`(Nd·Nt) × b`) before the FFT pass; that
+            // block is part of the tick's real working set too.
+            p.peak_panel_elems = p.peak_panel_elems.max(ctx.twin.n_data() * b);
+            let (p1, p2) = (&ctx.twin.phase1, &ctx.twin.phase2);
+            infer_window_batch(p1, p2, &x, ctx.ladder.windows[w]).m_map
+        }
+    };
+    arena.panel = x.into_vec();
+    p.peak_panel_elems = p.peak_panel_elems.max(m.nrows() * b);
+    Some(m)
+}
+
+/// The sessions at ascending local indices `idx` (non-empty), mutably,
+/// scanning only the span they cover.
 fn pick<'s>(sessions: &'s mut [StreamSession], idx: &[usize]) -> Vec<&'s mut StreamSession> {
+    let (lo, hi) = (idx[0], idx[idx.len() - 1]);
     let mut want = idx.iter().copied().peekable();
-    sessions
+    sessions[lo..=hi]
         .iter_mut()
-        .enumerate()
-        .filter_map(|(i, s)| want.next_if_eq(&i).map(|_| s))
+        .zip(lo..)
+        .filter_map(|(s, i)| want.next_if_eq(&i).map(|_| s))
         .collect()
 }
 
-fn empty_forecast() -> Forecast {
-    Forecast {
-        q_map: Vec::new(),
-        q_std: Vec::new(),
-        seconds: 0.0,
-    }
-}
-
-/// Finish the session's forecast *in place*: copy chunk column `c` of the
-/// lifted QoI block into it when given (an exact rung has already lifted
-/// into it), then the rung's std. The per-session vectors are sized by
-/// the first assimilation and reused afterwards, so steady-state
-/// scattering allocates nothing.
-fn scatter_forecast(
-    s: &mut StreamSession,
-    lifted: Option<(&DMatrix, usize)>,
-    q_std: &[f64],
-    seconds: f64,
-) {
-    let fc = s.forecast.get_or_insert_with(empty_forecast);
-    if let Some((q, c)) = lifted {
-        fc.q_map.clear();
-        fc.q_map.extend((0..q.nrows()).map(|r| q[(r, c)]));
-    }
+/// Finish the session's lifted forecast in place: the rung's std and the
+/// per-session lift time. The std vector is sized by the first
+/// assimilation and reused afterwards, so steady-state ticks allocate
+/// nothing here.
+fn scatter_forecast(s: &mut StreamSession, q_std: &[f64], seconds: f64) {
+    let fc = s.forecast.as_mut().expect("forecast just lifted");
     fc.q_std.clear();
     fc.q_std.extend_from_slice(q_std);
     fc.seconds = seconds;

@@ -1943,3 +1943,99 @@ fn mode_space_rewind_replay_is_bit_identical_to_a_fresh_engine() {
         "shared",
     );
 }
+
+#[test]
+fn a_rewind_keeps_identifications_projection_and_refolds_the_ladders() {
+    // A session holds one running projection through the engine's one
+    // observation basis. On a windowed ladder under mode-space
+    // identification it is identification's alone, and a rewind keeps
+    // it: the replay tick projects nothing and the statistic stays bit
+    // for bit where it was. On a shared-basis ladder under exact
+    // identification it is the ladder's fold, and a rewind resets it:
+    // the replay refolds every pushed sample once and lands on the same
+    // forecasts to roundoff.
+    let (twin, bank) = setup_bank(4, 59);
+    let nt = twin.solver.grid.nt_obs;
+    let ladder = [2, nt / 2, nt];
+    let pod = bank.compress(4);
+    let wf = twin.windowed(&ladder);
+    let ms = twin.mode_space_ladder(&ladder, pod.modes(), &ModeSpaceOptions::default());
+    let pushed = bank.len() * twin.n_data();
+    let feed = |engine: &mut StreamEngine<'_>| -> (Vec<usize>, usize) {
+        let ids: Vec<usize> = (0..bank.len()).map(|_| engine.open()).collect();
+        let (mut fed, mut projected) = (0, 0);
+        while fed < twin.n_data() {
+            let hi = (fed + 5).min(twin.n_data());
+            for (j, &id) in ids.iter().enumerate() {
+                engine.push(id, &bank.observations().col(j)[fed..hi]);
+            }
+            fed = hi;
+            projected += engine.tick().samples_projected;
+        }
+        (ids, projected)
+    };
+    let forecasts = |engine: &StreamEngine<'_>, ids: &[usize]| -> Vec<Vec<f64>> {
+        ids.iter()
+            .map(|&id| engine.session(id).forecast.as_ref().unwrap().q_map.clone())
+            .collect()
+    };
+
+    let modespace_id = StreamConfig {
+        identify: IdentifyBackend::ModeSpace,
+        infer: false,
+        ..StreamConfig::default()
+    };
+    let mut engine = StreamEngine::new(&twin, &wf, modespace_id)
+        .with_bank(&bank)
+        .with_pod(&pod);
+    let (ids, projected) = feed(&mut engine);
+    assert_eq!(
+        projected, pushed,
+        "identification projects each sample once"
+    );
+    let statistic = |engine: &StreamEngine<'_>| -> Vec<(u64, Vec<u64>, usize)> {
+        ids.iter()
+            .map(|&id| {
+                let (dd, a, scored) = engine.session(id).identification_statistic();
+                assert_eq!(a.len(), pod.rank());
+                (
+                    dd.to_bits(),
+                    a.iter().map(|v| v.to_bits()).collect(),
+                    scored,
+                )
+            })
+            .collect()
+    };
+    let (before, fc_before) = (statistic(&engine), forecasts(&engine, &ids));
+    engine.rewind();
+    let tm = engine.tick();
+    assert_eq!(tm.sessions_assimilated, bank.len(), "the rewind re-lifts");
+    assert_eq!(
+        tm.samples_projected, 0,
+        "the rewind must keep the projection"
+    );
+    assert_eq!(tm.samples_scored, 0);
+    assert_eq!(statistic(&engine), before, "the statistic moved");
+    assert_eq!(forecasts(&engine, &ids), fc_before);
+
+    let exact_id = StreamConfig {
+        infer: false,
+        ..StreamConfig::default()
+    };
+    let mut engine = StreamEngine::mode_space(&twin, &ms, exact_id).with_bank(&bank);
+    let (ids, projected) = feed(&mut engine);
+    assert_eq!(projected, pushed, "the ladder folds each sample once");
+    let fc_before = forecasts(&engine, &ids);
+    engine.rewind();
+    let tm = engine.tick();
+    assert_eq!(tm.sessions_assimilated, bank.len(), "the rewind re-lifts");
+    assert_eq!(tm.samples_projected, pushed, "the rewind must refold");
+    assert_eq!(tm.samples_scored, 0, "exact misfits are kept");
+    // The refold sums `[0, filled)` in one pass where the feed summed
+    // 5-sample pieces, so the forecasts agree to roundoff, not bit for bit
+    // (`mode_space_rewind_replay_is_bit_identical_to_a_fresh_engine` pins
+    // the bitwise replay against a one-push engine).
+    for (a, b) in forecasts(&engine, &ids).iter().zip(&fc_before) {
+        assert!(rel_err(a, b) < 1e-12, "refold drifted: {}", rel_err(a, b));
+    }
+}
