@@ -41,11 +41,6 @@ pub fn randn_vec<R: RngExt + ?Sized>(rng: &mut R, n: usize) -> Vec<f64> {
     v
 }
 
-/// Uniform draws in `[lo, hi)`.
-pub fn uniform_vec<R: RngExt + ?Sized>(rng: &mut R, n: usize, lo: f64, hi: f64) -> Vec<f64> {
-    (0..n).map(|_| rng.random_range(lo..hi)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,11 +72,5 @@ mod tests {
             frac > 0.0005 && frac < 0.008,
             "3-sigma tail fraction {frac}"
         );
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let v = uniform_vec(&mut seeded_rng(5), 1000, -2.0, 3.0);
-        assert!(v.iter().all(|&x| (-2.0..3.0).contains(&x)));
     }
 }

@@ -10,10 +10,10 @@
 //! (instead of paying a strided gather per column inside the kernel), which
 //! is what makes the transposed layout free to adopt incrementally.
 //!
-//! The microkernels that run on these contiguous rows live in
-//! [`crate::vec_ops`]: [`crate::vec_ops::dot_lanes`] (reassociated dot, the
-//! forward-sweep kernel) and [`crate::vec_ops::block_axpy`] (rank-R fused
-//! row update, the backward-sweep / GEMM kernel).
+//! The sweeps over these contiguous rows run on one microkernel,
+//! [`crate::vec_ops::dot_lanes`] (reassociated dot), forward and backward:
+//! the backward sweep dots against `Lᵀ`, mirrored into the factor's upper
+//! triangle, so it too reads unit-stride rows.
 
 use crate::matrix::DMatrix;
 
@@ -127,12 +127,6 @@ impl RhsPanel {
         self.data.chunks_exact(self.n.max(1))
     }
 
-    /// Mutably iterate over the right-hand sides (same degenerate-case
-    /// contract as [`Self::rows`]).
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
-        self.data.chunks_exact_mut(self.n.max(1))
-    }
-
     /// Borrow the underlying row-major buffer.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -196,20 +190,10 @@ mod tests {
     #[test]
     fn rows_iterators_cover_every_rhs() {
         let m = rand_mat(5, 4, 9);
-        let mut p = RhsPanel::from_matrix(&m);
+        let p = RhsPanel::from_matrix(&m);
         assert_eq!(p.rows().count(), 4);
         for (r, row) in p.rows().enumerate() {
             assert_eq!(row, m.col(r).as_slice());
-        }
-        for row in p.rows_mut() {
-            for v in row.iter_mut() {
-                *v *= 2.0;
-            }
-        }
-        for r in 0..4 {
-            for (a, b) in p.row(r).iter().zip(m.col(r)) {
-                assert_eq!(*a, 2.0 * b);
-            }
         }
     }
 

@@ -65,113 +65,66 @@ pub fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
     acc[0] + tail
 }
 
-/// Rank-R panel update `acc ← acc + alpha · Σ_r coeffs[r] · rows[r]`, where
-/// `rows` is a contiguous row-major `R × width` block.
+/// Rank-R panel update `acc ← acc + alpha · Σ_r coeffs[r] · rows[r]`.
 ///
-/// This is the GEMM microkernel of the RHS-major spine: rows are processed
-/// eight (then four) at a time so each load/update/store pass over the
-/// `width`-long accumulator is amortized over many fused multiply-adds,
-/// instead of the one pass per row that a plain [`axpy`] loop pays. All
-/// loads are unit-stride.
-pub fn block_axpy(alpha: f64, coeffs: &[f64], rows: &[f64], width: usize, acc: &mut [f64]) {
-    assert_eq!(
-        rows.len(),
-        coeffs.len() * width,
-        "block_axpy: block shape mismatch"
-    );
-    assert_eq!(acc.len(), width, "block_axpy: accumulator width");
-    let mut r = 0;
-    while r + 8 <= coeffs.len() {
-        let a: [f64; 8] = std::array::from_fn(|t| alpha * coeffs[r + t]);
-        let block = &rows[r * width..(r + 8) * width];
-        let (b0, rest) = block.split_at(width);
-        let (b1, rest) = rest.split_at(width);
-        let (b2, rest) = rest.split_at(width);
-        let (b3, rest) = rest.split_at(width);
-        let (b4, rest) = rest.split_at(width);
-        let (b5, rest) = rest.split_at(width);
-        let (b6, b7) = rest.split_at(width);
-        for (j, av) in acc.iter_mut().enumerate() {
-            let lo = a[0] * b0[j] + a[1] * b1[j] + a[2] * b2[j] + a[3] * b3[j];
-            let hi = a[4] * b4[j] + a[5] * b5[j] + a[6] * b6[j] + a[7] * b7[j];
-            *av += lo + hi;
-        }
-        r += 8;
-    }
-    if r + 4 <= coeffs.len() {
-        let a: [f64; 4] = std::array::from_fn(|t| alpha * coeffs[r + t]);
-        let block = &rows[r * width..(r + 4) * width];
-        let (b0, rest) = block.split_at(width);
-        let (b1, rest) = rest.split_at(width);
-        let (b2, b3) = rest.split_at(width);
-        for (j, av) in acc.iter_mut().enumerate() {
-            *av += a[0] * b0[j] + a[1] * b1[j] + a[2] * b2[j] + a[3] * b3[j];
-        }
-        r += 4;
-    }
-    for rr in r..coeffs.len() {
-        axpy(alpha * coeffs[rr], &rows[rr * width..(rr + 1) * width], acc);
-    }
-}
-
-/// Two-accumulator rank-R panel update: like [`block_axpy`], but each row
-/// block loaded from `rows` feeds *two* accumulators
-/// (`acc0 += alpha·Σ coeffs0[r]·rows[r]`, `acc1 += alpha·Σ coeffs1[r]·rows[r]`).
-/// Streaming a shared block into multiple accumulators halves the
-/// dominant load traffic per accumulator — the register-blocking axis the
-/// grouped scenario-identification GEMM runs over lockstep streams.
-pub fn block_axpy2(
+/// Rows are *strided*: row `r` occupies `rows[r·stride .. r·stride + width]`
+/// (`stride == width` walks a contiguous row-major block, `stride > width`
+/// a column tile of a wider one). Rows are consumed four at a time, summed
+/// `(a₀v₀ + a₁v₁) + (a₂v₂ + a₃v₃)` into the accumulator, and the
+/// leftover rows are one [`axpy`] each — exactly the per-accumulator
+/// arithmetic of [`block_axpy4`], so one stream updated alone gets the
+/// same bits as the same stream updated inside a quad. That is what lets
+/// the grouped identification GEMM give a stream an answer that does not
+/// depend on which other streams share its group.
+pub fn block_axpy(
     alpha: f64,
-    coeffs0: &[f64],
-    coeffs1: &[f64],
+    coeffs: &[f64],
     rows: &[f64],
+    stride: usize,
     width: usize,
-    acc0: &mut [f64],
-    acc1: &mut [f64],
+    acc: &mut [f64],
 ) {
-    assert_eq!(coeffs0.len(), coeffs1.len(), "block_axpy2: coeff lengths");
-    assert_eq!(
-        rows.len(),
-        coeffs0.len() * width,
-        "block_axpy2: block shape mismatch"
-    );
-    assert_eq!(acc0.len(), width, "block_axpy2: accumulator width");
-    assert_eq!(acc1.len(), width, "block_axpy2: accumulator width");
-    let r4 = coeffs0.len() & !3;
+    let r_n = coeffs.len();
+    assert!(stride >= width, "block_axpy: stride narrower than width");
+    if r_n > 0 {
+        assert!(
+            rows.len() >= (r_n - 1) * stride + width,
+            "block_axpy: block shape mismatch"
+        );
+    }
+    assert_eq!(acc.len(), width, "block_axpy: accumulator width");
+    let r4 = r_n & !3;
     let mut r = 0;
     while r < r4 {
-        let a: [f64; 4] = std::array::from_fn(|t| alpha * coeffs0[r + t]);
-        let c: [f64; 4] = std::array::from_fn(|t| alpha * coeffs1[r + t]);
-        let block = &rows[r * width..(r + 4) * width];
-        let (b0, rest) = block.split_at(width);
-        let (b1, rest) = rest.split_at(width);
-        let (b2, b3) = rest.split_at(width);
+        let a: [f64; 4] = std::array::from_fn(|t| alpha * coeffs[r + t]);
+        let b0 = &rows[r * stride..r * stride + width];
+        let b1 = &rows[(r + 1) * stride..(r + 1) * stride + width];
+        let b2 = &rows[(r + 2) * stride..(r + 2) * stride + width];
+        let b3 = &rows[(r + 3) * stride..(r + 3) * stride + width];
         for j in 0..width {
-            let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-            acc0[j] += (a[0] * v0 + a[1] * v1) + (a[2] * v2 + a[3] * v3);
-            acc1[j] += (c[0] * v0 + c[1] * v1) + (c[2] * v2 + c[3] * v3);
+            acc[j] += (a[0] * b0[j] + a[1] * b1[j]) + (a[2] * b2[j] + a[3] * b3[j]);
         }
         r += 4;
     }
-    if r4 < coeffs0.len() {
-        let tail = &rows[r4 * width..];
-        block_axpy(alpha, &coeffs0[r4..], tail, width, acc0);
-        block_axpy(alpha, &coeffs1[r4..], tail, width, acc1);
+    for rr in r..r_n {
+        axpy(
+            alpha * coeffs[rr],
+            &rows[rr * stride..rr * stride + width],
+            acc,
+        );
     }
 }
 
-/// Four-accumulator rank-R panel update: the 4-stream generalization of
-/// [`block_axpy2`]. Each block of rows loaded from `rows` feeds *four*
-/// accumulators (`acc[s] += alpha · Σ_r coeffs[s][r] · rows[r]`), so the
-/// dominant load traffic is amortized over four misfit streams — and the
-/// FMA-to-load ratio doubles over the pairwise kernel (16 fused updates
-/// per 4 row values + 4 accumulator read/writes).
+/// Four-accumulator rank-R panel update: four [`block_axpy`] calls fused
+/// over one pass of the rows. Each block of rows loaded from `rows` feeds
+/// *four* accumulators (`acc[s] += alpha · Σ_r coeffs[s][r] · rows[r]`), so
+/// the dominant load traffic is amortized over four misfit streams (16
+/// fused updates per 4 row values + 4 accumulator read/writes). Each
+/// accumulator gets the bits [`block_axpy`] would give it alone.
 ///
-/// Rows are *strided*: row `r` occupies `rows[r·stride .. r·stride + width]`.
-/// `stride == width` walks a contiguous row-major block (the
-/// [`block_axpy`] layout); `stride > width` walks a column tile of a wider
-/// block without copying — the tiling axis the grouped scenario-
-/// identification GEMM uses once banks outgrow the cache.
+/// Rows are strided as in [`block_axpy`]: `stride > width` walks a column
+/// tile of a wider block without copying — the tiling axis the grouped
+/// scenario-identification GEMM uses once banks outgrow the cache.
 pub fn block_axpy4(
     alpha: f64,
     coeffs: [&[f64]; 4],
@@ -234,26 +187,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Parallel `y ← y + alpha x`.
-pub fn par_axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "par_axpy: length mismatch");
-    if x.len() < PAR_THRESHOLD {
-        return axpy(alpha, x, y);
-    }
-    y.par_chunks_mut(PAR_THRESHOLD)
-        .zip(x.par_chunks(PAR_THRESHOLD))
-        .for_each(|(yc, xc)| axpy(alpha, xc, yc));
-}
-
-/// `y ← alpha x + beta y`.
-#[inline]
-pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * xi + beta * *yi;
-    }
-}
-
 /// `x ← alpha x`.
 #[inline]
 pub fn scale(alpha: f64, x: &mut [f64]) {
@@ -266,12 +199,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
-}
-
-/// Max norm `‖x‖∞`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |m, &v| m.max(v.abs()))
 }
 
 /// Relative L2 distance `‖x − y‖ / ‖y‖` (or absolute norm if `y = 0`).
@@ -338,7 +265,7 @@ mod tests {
             let block: Vec<f64> = (0..rows * width).map(|i| (i as f64 * 0.17).cos()).collect();
             let mut acc1: Vec<f64> = (0..width).map(|j| j as f64 * 0.1).collect();
             let mut acc2 = acc1.clone();
-            block_axpy(-2.0, &coeffs, &block, width, &mut acc1);
+            block_axpy(-2.0, &coeffs, &block, width, width, &mut acc1);
             for r in 0..rows {
                 axpy(
                     -2.0 * coeffs[r],
@@ -353,61 +280,46 @@ mod tests {
     }
 
     #[test]
-    fn block_axpy2_matches_two_block_axpys() {
-        for rows in [0usize, 1, 3, 4, 5, 7, 8, 9, 16, 19] {
-            let width = 11;
-            let c0: Vec<f64> = (0..rows).map(|r| (r as f64 * 0.9).sin()).collect();
-            let c1: Vec<f64> = (0..rows).map(|r| (r as f64 * 1.7).cos()).collect();
-            let block: Vec<f64> = (0..rows * width).map(|i| (i as f64 * 0.23).sin()).collect();
-            let mut a0 = vec![0.5; width];
-            let mut a1 = vec![-0.5; width];
-            let mut r0 = a0.clone();
-            let mut r1 = a1.clone();
-            block_axpy2(-2.0, &c0, &c1, &block, width, &mut a0, &mut a1);
-            block_axpy(-2.0, &c0, &block, width, &mut r0);
-            block_axpy(-2.0, &c1, &block, width, &mut r1);
-            for ((x, y), (u, v)) in a0.iter().zip(&r0).zip(a1.iter().zip(&r1)) {
-                assert!((x - y).abs() < 1e-12, "rows={rows} acc0: {x} vs {y}");
-                assert!((u - v).abs() < 1e-12, "rows={rows} acc1: {u} vs {v}");
-            }
-        }
-    }
-
-    #[test]
     fn block_axpy4_matches_four_block_axpys_at_awkward_widths() {
         // Row counts straddling the 4-row unroll and widths that are not
-        // lane-friendly; contiguous layout (stride == width).
+        // lane-friendly, over a contiguous block (stride == width) and a
+        // column tile [c0, c0 + width) of a wider one. Each accumulator of
+        // the fused kernel must carry the single-stream kernel's bits.
         for rows in [0usize, 1, 3, 4, 5, 7, 8, 9, 13, 16, 21] {
             for width in [1usize, 5, 11, 17] {
-                let cs: Vec<Vec<f64>> = (0..4)
-                    .map(|s| {
-                        (0..rows)
-                            .map(|r| ((r + 3 * s) as f64 * 0.9).sin())
-                            .collect()
-                    })
-                    .collect();
-                let block: Vec<f64> = (0..rows * width).map(|i| (i as f64 * 0.23).sin()).collect();
-                let mut accs: Vec<Vec<f64>> = (0..4).map(|s| vec![0.5 - s as f64; width]).collect();
-                let mut refs = accs.clone();
-                {
-                    let [a0, a1, a2, a3] = &mut accs[..] else {
-                        unreachable!()
-                    };
-                    block_axpy4(
-                        -2.0,
-                        [&cs[0], &cs[1], &cs[2], &cs[3]],
-                        &block,
-                        width,
-                        width,
-                        [a0, a1, a2, a3],
-                    );
-                }
-                for s in 0..4 {
-                    block_axpy(-2.0, &cs[s], &block, width, &mut refs[s]);
-                    for (x, y) in accs[s].iter().zip(&refs[s]) {
-                        assert!(
-                            (x - y).abs() < 1e-12,
-                            "rows={rows} width={width} acc{s}: {x} vs {y}"
+                for (stride, c0) in [(width, 0usize), (width + 6, 4)] {
+                    let cs: Vec<Vec<f64>> = (0..4)
+                        .map(|s| {
+                            (0..rows)
+                                .map(|r| ((r + 3 * s) as f64 * 0.9).sin())
+                                .collect()
+                        })
+                        .collect();
+                    let block: Vec<f64> = (0..rows * stride)
+                        .map(|i| (i as f64 * 0.23).sin())
+                        .collect();
+                    let tile = &block[c0.min(block.len())..];
+                    let mut accs: Vec<Vec<f64>> =
+                        (0..4).map(|s| vec![0.5 - s as f64; width]).collect();
+                    let mut refs = accs.clone();
+                    {
+                        let [a0, a1, a2, a3] = &mut accs[..] else {
+                            unreachable!()
+                        };
+                        block_axpy4(
+                            -2.0,
+                            [&cs[0], &cs[1], &cs[2], &cs[3]],
+                            tile,
+                            stride,
+                            width,
+                            [a0, a1, a2, a3],
+                        );
+                    }
+                    for s in 0..4 {
+                        block_axpy(-2.0, &cs[s], tile, stride, width, &mut refs[s]);
+                        assert_eq!(
+                            accs[s], refs[s],
+                            "rows={rows} width={width} stride={stride} acc{s}"
                         );
                     }
                 }
@@ -472,33 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn par_axpy_matches_serial() {
-        let n = PAR_THRESHOLD * 2 + 5;
-        let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let mut y1: Vec<f64> = (0..n).map(|i| (i * 2) as f64).collect();
-        let mut y2 = y1.clone();
-        axpy(-0.5, &x, &mut y1);
-        par_axpy(-0.5, &x, &mut y2);
-        assert_eq!(y1, y2); // elementwise: exact equality expected
-    }
-
-    #[test]
     fn norms() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
     }
 
     #[test]
     fn rel_err_zero_for_equal() {
         let x = [1.0, -2.0, 3.5];
         assert_eq!(rel_err(&x, &x), 0.0);
-    }
-
-    #[test]
-    fn axpby_combines() {
-        let x = [1.0, 2.0];
-        let mut y = [3.0, 4.0];
-        axpby(2.0, &x, 0.5, &mut y);
-        assert_eq!(y, [3.5, 6.0]);
     }
 }

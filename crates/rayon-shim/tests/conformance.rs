@@ -238,7 +238,8 @@ fn zipped_par_chunks_dot_product_matches_serial() {
 
 #[test]
 fn zipped_par_chunks_mut_writes_match_serial() {
-    // The exact shape `linalg/vec_ops.rs::par_axpy` uses: exact equality.
+    // A chunked elementwise axpy: each element is written once by one
+    // chunk, so the parallel result must equal the serial one exactly.
     let mut rng = TestRng::seed_from_u64(59);
     let n = 2048 + 3;
     let x = random_vec(&mut rng, n);

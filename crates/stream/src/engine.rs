@@ -91,9 +91,11 @@
 //! fans the shards out across the worker pool with **one barrier per
 //! tick** — no cross-shard locks, no per-session synchronization. With
 //! `shards = 1` (the default) the whole tick runs as one sequential
-//! shard. Shard results are invariant in the shard count:
-//! identification and folds update each session independently, and the
-//! lift acts columnwise, so K-shard and 1-shard ticks agree to roundoff.
+//! shard. Shard results are invariant in the shard count bit for bit:
+//! identification and folds give every session one per-accumulator
+//! arithmetic whichever sessions share its group (see
+//! [`crate::identify`]), and the lift acts columnwise, so K-shard and
+//! 1-shard ticks agree exactly.
 //!
 //! Groups are processed in bounded chunks of [`StreamConfig::chunk`]
 //! sessions: the largest dense block any shard ever materializes is

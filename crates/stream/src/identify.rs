@@ -13,11 +13,19 @@
 //! so a whole *block* of newly arrived rows updates all `B` scenarios at
 //! once: the data term is a scalar, the clean-energy term is a lookup into
 //! precomputed prefix sums ([`sq_prefix`]), and the cross term is a blocked
-//! `rows × scenarios` GEMM ([`tsunami_linalg::vec_ops::block_axpy`]) whose
-//! passes over the `B`-wide misfit accumulator are amortized over four
-//! clean rows instead of re-paid per sample. That is what keeps
-//! identification cheap when banks grow to 10³+ scenarios. The tests pin
-//! it against the per-sample definition.
+//! `streams × rows × scenarios` GEMM (`block_cross`, on
+//! [`tsunami_linalg::vec_ops::block_axpy4`]) whose passes over the `B`-wide
+//! misfit accumulator are amortized over four clean rows instead of re-paid
+//! per sample. That is what keeps identification cheap when banks grow to
+//! 10³+ scenarios. The tests pin it against the per-sample definition.
+//!
+//! Every stream gets the same per-accumulator arithmetic whichever group
+//! it is scored in — a quad's stream through
+//! [`tsunami_linalg::vec_ops::block_axpy4`], a leftover stream through
+//! [`tsunami_linalg::vec_ops::block_axpy`], which add the same products in
+//! the same order — so a session's misfit and projection depend only on
+//! its own data and the row range, never on which sessions share its tick
+//! or its shard.
 //!
 //! The POD mode-space path splits the same score in two: a per-tick fold
 //! of arrived rows into the `r`-dimensional projection `a = Uᵀd`
@@ -26,7 +34,7 @@
 //! misfits from that statistic ([`score_group_pod`]), run only when a
 //! warning transition or a query reads them.
 
-use tsunami_linalg::vec_ops::{axpy, block_axpy, block_axpy2, block_axpy4};
+use tsunami_linalg::vec_ops::{block_axpy, block_axpy4};
 use tsunami_linalg::DMatrix;
 
 /// Prefix sums of the squared clean observations: row-major
@@ -86,7 +94,8 @@ const COL_TILE: usize = 1024;
 /// bank once instead of `S` times — at bank sizes where the clean block
 /// spills out of cache, that is the entire cost. Agrees with the
 /// per-sample definition `misfit[j] += (d_i − c_ij)²` to roundoff (the
-/// expansion reassociates the sums), at any sample granularity.
+/// expansion reassociates the sums), at any sample granularity, and with
+/// itself bit for bit at any group size.
 pub fn score_group_gemm(
     clean: &DMatrix,
     sq_prefix: &[f64],
@@ -121,11 +130,12 @@ pub fn score_group_gemm(
 ///
 /// Column tiles run outer (a single tile for matrices up to [`COL_TILE`]
 /// wide), row blocks next, streams in *quads* inner — each loaded tile of
-/// `mat` feeds four accumulators ([`block_axpy4`]), halving the load
-/// traffic per accumulator again over the pairwise kernel. At
-/// 10⁴-column widths the tiling keeps the active tile and the four
-/// accumulator tiles cache-resident instead of streaming full-width rows
-/// past cold accumulators.
+/// `mat` feeds four accumulators ([`block_axpy4`]); the at most three
+/// streams left over run one at a time ([`block_axpy`]) with the same
+/// per-accumulator arithmetic, so no stream's bits depend on the group's
+/// size or its place in it. At 10⁴-column widths the tiling keeps the
+/// active tile and the four accumulator tiles cache-resident instead of
+/// streaming full-width rows past cold accumulators.
 ///
 /// Both identification paths are instances of this kernel: the exact path
 /// drives it with the clean block and per-stream sample prefixes
@@ -163,28 +173,9 @@ fn block_cross(
                             &mut m3[t0..t1],
                         ],
                     ),
-                    rest if w == b => {
-                        // Contiguous (untiled) remainder: the pairwise
-                        // and single-stream kernels apply directly.
-                        let mut pairs = rest.chunks_mut(2);
-                        for pair in &mut pairs {
-                            match pair {
-                                [(d0, m0), (d1, m1)] => {
-                                    block_axpy2(alpha, &d0[j0..j1], &d1[j0..j1], rows, b, m0, m1);
-                                }
-                                [(d0, m0)] => block_axpy(alpha, &d0[j0..j1], rows, b, m0),
-                                _ => unreachable!("chunks_mut(2) yields 1- or 2-element chunks"),
-                            }
-                        }
-                    }
                     rest => {
-                        // Tiled remainder (< 4 streams of a wide matrix):
-                        // per-row strided updates; at most 3 of a large
-                        // group, so the lost register blocking is noise.
                         for (d, m) in rest.iter_mut() {
-                            for (r, &c) in d[j0..j1].iter().enumerate() {
-                                axpy(alpha * c, &rows[r * b..r * b + w], &mut m[t0..t1]);
-                            }
+                            block_axpy(alpha, &d[j0..j1], rows, b, w, &mut m[t0..t1]);
                         }
                     }
                 }
@@ -233,9 +224,8 @@ pub fn project_group(u: &DMatrix, i0: usize, i1: usize, group: &mut [(&[f64], &m
 /// `a` already summarizes all arrived rows — so nothing needs to run
 /// per tick: the engine calls this at read time (a warning transition's
 /// audit record, a ranking or misfit query), over a group of one, and
-/// the `r × B` cross term is the whole cost of a read. Larger groups
-/// agree to roundoff but not bit for bit: the blocked kernels associate
-/// the `r`-term sums differently per group shape.
+/// the `r × B` cross term is the whole cost of a read. A larger group
+/// gives each stream the same bits as a group of one.
 pub fn score_group_pod(
     coeffs: &DMatrix,
     sq_prefix: &[f64],
@@ -598,6 +588,37 @@ mod tests {
                     m[j],
                     exact[j]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn pod_score_of_a_group_is_bit_identical_to_groups_of_one() {
+        // A group of 5 runs one quad and one leftover stream through the
+        // cross-term kernel; each stream must get exactly the bits a
+        // group of one gives it, on an untiled and a tiled bank.
+        let (r, streams) = (11, 5);
+        for b in [13, COL_TILE + 21] {
+            let w = DMatrix::from_fn(r, b, |k, j| ((k * 5 + 3 * j) as f64 * 0.17).sin());
+            let p = sq_prefix(&clean_block(r, b));
+            let proj: Vec<Vec<f64>> = (0..streams)
+                .map(|s| (0..r).map(|k| ((k + 7 * s) as f64 * 0.41).cos()).collect())
+                .collect();
+            let dd = |s: usize| 1.0 + s as f64;
+            let mut grouped: Vec<Vec<f64>> = vec![vec![0.0; b]; streams];
+            {
+                let mut group: Vec<(f64, &[f64], &mut [f64])> = proj
+                    .iter()
+                    .zip(grouped.iter_mut())
+                    .enumerate()
+                    .map(|(s, (a, m))| (dd(s), &a[..], &mut m[..]))
+                    .collect();
+                score_group_pod(&w, &p, r, &mut group);
+            }
+            for (s, a) in proj.iter().enumerate() {
+                let mut alone = vec![0.0; b];
+                score_group_pod(&w, &p, r, &mut [(dd(s), &a[..], &mut alone[..])]);
+                assert_eq!(grouped[s], alone, "b={b} stream {s}");
             }
         }
     }

@@ -37,7 +37,9 @@
 //! - Sessions are sharded by id across [`StreamConfig::shards`] shards,
 //!   each with its own session table, freelist, and inbox; a tick fans
 //!   the shards out across the persistent rayon-shim worker pool with one
-//!   barrier per tick, and results are invariant in the shard count.
+//!   barrier per tick, and results are invariant in the shard count bit
+//!   for bit: one per-stream cross-term arithmetic in identification and
+//!   the folds, and a columnwise lift.
 //! - Sessions are assimilated in bounded panels of at most
 //!   [`StreamConfig::chunk`] columns, so the working set stays
 //!   `O(Nd·Nt · chunk)` no matter how many thousands of streams are live —
